@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field
-from datetime import datetime, timezone
 from fractions import Fraction
 from importlib import resources
 
@@ -46,6 +45,7 @@ from .marginals import (
     zero_coords,
 )
 from .poset import (
+    format_perm,
     mask_from_players,
     players_from_mask,
     poset_from_dict,
@@ -69,12 +69,6 @@ def compact(mask):
     if players[-1] <= 9:
         return "".join(str(p) for p in players)
     return "{" + ",".join(str(p) for p in players) + "}"
-
-
-def format_perm(perm):
-    if all(p <= 9 for p in perm):
-        return "".join(str(p) for p in perm)
-    return ",".join(str(p) for p in perm)
 
 
 def parse_perm(text):
@@ -122,10 +116,6 @@ def vector_payload(x):
     return [str(t) for t in x]
 
 
-def sorted_masks(masks):
-    return sorted(masks, key=lambda m: (m.bit_count(), m))
-
-
 # -- input loading -------------------------------------------------------------
 
 
@@ -136,7 +126,7 @@ def _read_json(path):
 
 def lattice_cap(args):
     cap = getattr(args, "max_lattice", None)
-    if cap:
+    if cap is not None:
         return cap
     env = os.environ.get("SUPERMOD_MAX_LATTICE")
     if env:
@@ -145,7 +135,13 @@ def lattice_cap(args):
 
 
 def chain_cap(args):
-    return getattr(args, "max_chains", None) or DEFAULT_MAX_CHAINS
+    cap = getattr(args, "max_chains", None)
+    return DEFAULT_MAX_CHAINS if cap is None else cap
+
+
+def cone_cap(args, lat):
+    """--max-cone, or no cap below the lattice size when it is left out."""
+    return len(lat.elements) if args.max_cone is None else args.max_cone
 
 
 def load_poset(path):
@@ -300,7 +296,8 @@ def cmd_core_tight(args):
     g = load_game(args.game, args)
     chain = g.lattice.chain_from_perm(parse_perm(args.perm))
     x = marginal_vector(g, chain)
-    tight = sorted_masks(tight_sets(g, chain))
+    tight_set = tight_sets(g, chain)
+    tight = [a for a in g.lattice.elements if a in tight_set]
     payload = {
         "perm": format_perm(chain.perm),
         "marginal": vector_payload(x),
@@ -359,7 +356,7 @@ def cmd_cone_is_extreme(args):
 
 def cmd_cone_rays(args):
     lat = load_lattice(args.poset, args)
-    rays = extreme_rays(lat, max_elements=args.max_cone or len(lat.elements))
+    rays = extreme_rays(lat, max_elements=cone_cap(args, lat))
     payload = {"count": len(rays), "rays": [game_payload(g) for g in rays]}
     lines = []
     for k, g in enumerate(rays, start=1):
@@ -390,7 +387,7 @@ def cmd_cone_facets(args):
 
 def cmd_cone_dim(args):
     lat = load_lattice(args.poset, args)
-    dim = cone_dimension(lat, max_elements=args.max_cone or len(lat.elements))
+    dim = cone_dimension(lat, max_elements=cone_cap(args, lat))
     payload = {"dimension": dim, "ambient": len(lat.elements) - 1}
     emit(args, payload, [f"dimension {dim} in ambient {payload['ambient']}"])
     return 0
@@ -415,7 +412,6 @@ class RunReport:
     inputs: dict
     results: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
-    generated_at: str = ""
 
     def passed(self):
         return all(c["pass"] for c in self.checks)
@@ -439,7 +435,6 @@ def reproduce_paper(golden_path=None, max_lattice=DEFAULT_MAX_ELEMENTS):
     report = RunReport(
         command="reproduce-paper",
         inputs={"golden_sha256": _digest(blob)},
-        generated_at=datetime.now(timezone.utc).isoformat(),
     )
 
     def check(claim, expected, fn):
@@ -498,11 +493,10 @@ def reproduce_paper(golden_path=None, max_lattice=DEFAULT_MAX_ELEMENTS):
 
     def tight_map():
         ray = load_ref_game(detail["values"])
+        tight = {c.perm: tight_sets(ray, c) for c in chains}
         return {
-            format_perm(c.perm): [
-                players_from_mask(a) for a in sorted_masks(tight_sets(ray, c))
-            ]
-            for c in chains
+            format_perm(p): [players_from_mask(a) for a in lat.elements if a in sets]
+            for p, sets in tight.items()
         }
 
     expected_tight = {

@@ -22,7 +22,6 @@ from .poset import players_from_mask
 __all__ = [
     "EqualityPair",
     "FacetTriple",
-    "CoreStructure",
     "equality_pairs",
     "payoff_equality_system",
     "game_equality_system",
@@ -83,14 +82,19 @@ class FacetTriple:
 
 
 def equality_pairs(v):
-    """All incomparable pairs where v is modular, canonically ordered."""
+    """All incomparable pairs where v is modular, canonically ordered.
+
+    An uncached O(L^2) scan for inspection; the extremality tests use the
+    tight covering squares instead.
+    """
     els = v.lattice.elements
-    vals = v.values
-    out = []
-    for ia, ib, iu, ii in v.lattice.incomparable_pairs():
-        if vals[iu] + vals[ii] == vals[ia] + vals[ib]:
-            out.append(EqualityPair(els[ia], els[ib]))
-    return out
+    val = dict(zip(els, v.values))
+    return [
+        EqualityPair(a, b)
+        for k, a in enumerate(els)
+        for b in els[k + 1 :]
+        if a & ~b and b & ~a and val[a | b] + val[a & b] == val[a] + val[b]
+    ]
 
 
 def _normalized(v):
@@ -170,7 +174,7 @@ def payoff_equality_system(v, *, reduced=True):
     return compressed, len(keep)
 
 
-def is_extreme(v, *, reduced=True):
+def is_extreme(v):
     """Extremality of the ray spanned by the 0-normalization of v.
 
     The zero game (hence any modular game) is non-extreme by convention.
@@ -178,58 +182,59 @@ def is_extreme(v, *, reduced=True):
     w = _normalized(v)
     if w.is_zero():
         return False
-    rows, ncols = payoff_equality_system(w, reduced=reduced)
+    rows, ncols = payoff_equality_system(w)
     return ncols - qlin.rank(rows) == 1
 
 
 def _free_coordinates(lat):
-    """Free coordinates of the 0-normalized subspace.
+    """Free coordinates of the 0-normalized subspace; returns (coord, d).
 
-    Returns (free, exprs): free lists the elements that are neither empty
-    nor join-irreducible; exprs maps every element to its integer
-    coefficient vector over those coordinates (join-irreducible values chain
-    down to their lower covers).
+    The d free coordinates are the elements that are neither empty nor
+    join-irreducible, in element order.  coord maps every element to the
+    index of the coordinate holding its value, or None for the elements
+    worth 0 (join-irreducible values chain down to their lower covers).
     """
-    cached = getattr(lat, "_free_coords", None)
-    if cached is not None:
-        return cached
     ji = set(lat.join_irreducibles)
-    free = [a for a in lat.elements[1:] if a not in ji]
-    pos = {a: k for k, a in enumerate(free)}
-    d = len(free)
-    exprs = {0: tuple([0] * d)}
+    coord = {0: None}
+    d = 0
     for a in lat.elements[1:]:
         if a in ji:
-            exprs[a] = exprs[lat.join_irreducible_predecessor(a)]
+            coord[a] = coord[lat.join_irreducible_predecessor(a)]
         else:
-            unit = [0] * d
-            unit[pos[a]] = 1
-            exprs[a] = tuple(unit)
-    lat._free_coords = (free, exprs)
-    return free, exprs
+            coord[a] = d
+            d += 1
+    return coord, d
+
+
+def _facet_row(triple, coord, d):
+    """The inequality of a facet triple over the free coordinates."""
+    row = [0] * d
+    for mask, sign in zip(triple.masks(), (1, 1, -1, -1)):
+        if coord[mask] is not None:
+            row[coord[mask]] += sign
+    return row
 
 
 def game_equality_system(v):
-    """Modularity constraints of v on the free coordinates; returns (rows, d).
+    """Facet rows tight at the 0-normalization of v; returns (rows, d).
 
-    A 0-normalized game satisfying all of them is a multiple of v exactly
-    when v spans an extreme ray, so the solution dimension mirrors
-    payoff_equality_system.
+    The tight covering squares span the modularity constraints of every
+    equality pair, since the second difference of a pair is the sum of the
+    square slacks in its grid.  A 0-normalized game satisfying all of them
+    is a multiple of v exactly when v spans an extreme ray, so the solution
+    dimension mirrors payoff_equality_system.
     """
     w = _normalized(v)
-    free, exprs = _free_coordinates(w.lattice)
-    d = len(free)
+    coord, d = _free_coordinates(w.lattice)
     rows = []
     seen = set()
-    for pair in equality_pairs(w):
-        u = exprs[pair.a | pair.b]
-        m = exprs[pair.a & pair.b]
-        ea = exprs[pair.a]
-        eb = exprs[pair.b]
-        row = tuple(u[k] + m[k] - ea[k] - eb[k] for k in range(d))
-        if any(row) and row not in seen:
-            seen.add(row)
-            rows.append(list(row))
+    for t in facet_triples(w.lattice):
+        if t.value(w):
+            continue
+        row = _facet_row(t, coord, d)
+        if any(row) and tuple(row) not in seen:
+            seen.add(tuple(row))
+            rows.append(row)
     return rows, d
 
 
@@ -373,18 +378,13 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, verify=True):
             f"ray enumeration capped at {max_elements} lattice elements;"
             " pass max_elements to raise the cap"
         )
-    free, exprs = _free_coordinates(lat)
-    d = len(free)
+    coord, d = _free_coordinates(lat)
     if d == 0:
         return []
-    rows = []
-    for t in facet_triples(lat):
-        both, base, wi, wj = t.masks()
-        eu, eb, ei, ej = exprs[both], exprs[base], exprs[wi], exprs[wj]
-        rows.append([eu[k] + eb[k] - ei[k] - ej[k] for k in range(d)])
+    rows = [_facet_row(t, coord, d) for t in facet_triples(lat)]
     games = []
     for z in double_description(rows, d):
-        vals = list(_reduce([_dot(exprs[a], z) for a in lat.elements]))
+        vals = _reduce([0 if coord[a] is None else z[coord[a]] for a in lat.elements])
         games.append(Game(lat, vals))
     games.sort(key=lambda gm: gm.values)
     if verify:
@@ -410,18 +410,11 @@ def cone_dimension(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS):
     return dim
 
 
-@dataclass(frozen=True)
-class CoreStructure:
-    """Tight families of a supermodular game, keyed by permutation."""
-
-    tight: dict
-
-
 def core_structure(v):
-    """CoreStructure of a supermodular game."""
+    """TightFamily of a supermodular game."""
     if not is_supermodular(v):
         raise NotSupermodularError("core structure needs a supermodular game")
-    return CoreStructure(dict(tight_family(v).tight))
+    return tight_family(v)
 
 
 def face_compare(v, w):

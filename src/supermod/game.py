@@ -22,7 +22,6 @@ __all__ = [
     "mobius_transform",
     "mobius_inverse",
     "is_supermodular",
-    "is_supermodular_reduced",
     "is_modular",
     "is_monotone",
     "is_nonnegative",
@@ -178,52 +177,41 @@ def mobius_inverse(vhat):
     return Game(lat, out)
 
 
-def is_supermodular(v):
-    """v(A|B) + v(A&B) >= v(A) + v(B) on every incomparable pair."""
-    vals = v.values
-    for ia, ib, iu, ii in v.lattice.incomparable_pairs():
-        if vals[iu] + vals[ii] < vals[ia] + vals[ib]:
-            return False
-    return True
+def _square_slacks(v):
+    """Slack v(a+i+j) + v(a) - v(a+i) - v(a+j) of every covering square.
 
-
-def is_supermodular_reduced(v):
-    """Supermodularity checked only on the local two-player-extension triples.
-
-    Must agree with is_supermodular on every game.
+    In a distributive lattice the second difference over any pair A, B is the
+    sum of these slacks over the grid [A&B, A] x [A&B, B], so the squares
+    alone decide supermodularity and modularity.
     """
-    lat = v.lattice
     vals = v.values
-    idx = lat.index
-    for a, i, j in addable_pairs(lat):
+    idx = v.lattice.index
+    for a, i, j in addable_pairs(v.lattice):
         bi = 1 << (i - 1)
         bj = 1 << (j - 1)
-        if (
-            vals[idx[a | bi | bj]] + vals[idx[a]]
-            < vals[idx[a | bi]] + vals[idx[a | bj]]
-        ):
-            return False
-    return True
+        yield vals[idx[a | bi | bj]] + vals[idx[a]] - vals[idx[a | bi]] - vals[idx[a | bj]]
+
+
+def is_supermodular(v):
+    """v(A|B) + v(A&B) >= v(A) + v(B) on every pair: no covering square has
+    negative slack."""
+    return all(s >= 0 for s in _square_slacks(v))
 
 
 def is_modular(v):
-    """Equality on every incomparable pair."""
-    vals = v.values
-    for ia, ib, iu, ii in v.lattice.incomparable_pairs():
-        if vals[iu] + vals[ii] != vals[ia] + vals[ib]:
-            return False
-    return True
+    """Equality on every pair: every covering square has zero slack."""
+    return not any(_square_slacks(v))
 
 
 def is_monotone(v):
-    """Nondecreasing along inclusion."""
-    els = v.lattice.elements
+    """Nondecreasing along inclusion, checked on the covering edges a < a+i."""
+    lat = v.lattice
     vals = v.values
-    for ia in range(len(els)):
-        for ib in range(len(els)):
-            if ia != ib and not els[ia] & ~els[ib] and vals[ia] > vals[ib]:
-                return False
-    return True
+    return all(
+        vals[lat.index[b]] >= x
+        for a, x in zip(lat.elements, vals)
+        for b in lat.upper_covers(a)
+    )
 
 
 def is_nonnegative(v):

@@ -99,9 +99,7 @@ class DownSetLattice:
                 raise RuntimeError("down-set enumeration produced a non-down-set")
         self._addable = {}
         self._chains = None
-        self._mu_fast = {}
         self._mu_rec = {}
-        self._pair_table = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -182,20 +180,28 @@ class DownSetLattice:
             sorted((p.principal_down_set(i) for i in players_from_mask(a)), key=_canonical_key)
         )
 
-    def interval(self, a, b):
-        """Elements c with a <= c <= b, canonically ordered."""
+    def _check_below(self, a, b):
+        """ValueError unless both are elements, NotComparableError unless a <= b."""
         self.position(a)
         self.position(b)
         if a & ~b:
             raise NotComparableError(
                 f"{players_from_mask(a)} is not contained in {players_from_mask(b)}"
             )
+
+    def interval(self, a, b):
+        """Elements c with a <= c <= b, canonically ordered."""
+        self._check_below(a, b)
         return [c for c in self.elements if not (a & ~c or c & ~b)]
 
     def is_boolean_interval(self, a, b):
-        """True iff [a, b] has the full 2^|b\\a| elements."""
-        width = (b & ~a).bit_count()
-        return len(self.interval(a, b)) == 1 << width
+        """True iff [a, b] has the full 2^|b\\a| elements.
+
+        That holds exactly when every player of b outside a can be added to
+        a directly, so no interval is scanned.
+        """
+        self._check_below(a, b)
+        return not (b & ~a) & ~self.addable_mask(a)
 
     # -- Moebius function ----------------------------------------------------
 
@@ -214,14 +220,9 @@ class DownSetLattice:
             return 0
         if recursive:
             return self._mobius_recursive(x, y)
-        cached = self._mu_fast.get((x, y))
-        if cached is None:
-            if self.is_boolean_interval(x, y):
-                cached = -1 if (y & ~x).bit_count() & 1 else 1
-            else:
-                cached = 0
-            self._mu_fast[(x, y)] = cached
-        return cached
+        if self.is_boolean_interval(x, y):
+            return -1 if (y & ~x).bit_count() & 1 else 1
+        return 0
 
     def _mobius_recursive(self, x, y):
         cached = self._mu_rec.get((x, y))
@@ -287,28 +288,6 @@ class DownSetLattice:
             a |= bit
             sets.append(a)
         return MaximalChain(tuple(sets), perm)
-
-    # -- derived tables --------------------------------------------------------
-
-    def incomparable_pairs(self):
-        """Index quadruples (ia, ib, iunion, imeet) over incomparable pairs.
-
-        Built once; used by the quadratic game predicates, so this table is
-        only meant for desk-scale lattices.
-        """
-        if self._pair_table is None:
-            els = self.elements
-            idx = self.index
-            table = []
-            for ia in range(len(els)):
-                a = els[ia]
-                for ib in range(ia + 1, len(els)):
-                    b = els[ib]
-                    if not (a & ~b) or not (b & ~a):
-                        continue
-                    table.append((ia, ib, idx[a | b], idx[a & b]))
-            self._pair_table = tuple(table)
-        return self._pair_table
 
 
 def _bits(mask):

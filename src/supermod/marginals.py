@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, NotSupermodularError
 from .game import Game, is_supermodular
-from .poset import players_from_mask
+from .poset import format_perm, players_from_mask
 
 __all__ = [
     "payoff",
@@ -123,12 +123,6 @@ def lower_envelope(v, mask):
     )
 
 
-def _format_perm(perm):
-    if all(p <= 9 for p in perm):
-        return "".join(str(p) for p in perm)
-    return ",".join(str(p) for p in perm)
-
-
 def game_from_configuration(lattice, config):
     """The 0-normalized game whose payoff array equals config.
 
@@ -147,7 +141,7 @@ def game_from_configuration(lattice, config):
     for c in chains:
         y = config[c.perm]
         if len(y) != n:
-            raise ValueError(f"vector for {_format_perm(c.perm)} must have {n} entries")
+            raise ValueError(f"vector for {format_perm(c.perm)} must have {n} entries")
         run = Fraction(0)
         for step, player in enumerate(c.perm, start=1):
             run += Fraction(y[player - 1])
@@ -157,7 +151,7 @@ def game_from_configuration(lattice, config):
                 totals[a] = (run, c.perm)
             elif known[0] != run:
                 raise ConsistencyError(
-                    f"chains {_format_perm(known[1])} and {_format_perm(c.perm)}"
+                    f"chains {format_perm(known[1])} and {format_perm(c.perm)}"
                     f" disagree on coalition {players_from_mask(a)}"
                     f" ({known[0]} vs {run})",
                     kind="shared-element",
@@ -169,7 +163,7 @@ def game_from_configuration(lattice, config):
             if c.sets[step] == lattice.poset.principal_down_set(player):
                 if Fraction(y[player - 1]):
                     raise ConsistencyError(
-                        f"chain {_format_perm(c.perm)} reaches the principal"
+                        f"chain {format_perm(c.perm)} reaches the principal"
                         f" down-set of player {player}, whose coordinate must"
                         f" be zero (got {y[player - 1]})",
                         kind="zero-coordinate",

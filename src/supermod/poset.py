@@ -16,6 +16,7 @@ __all__ = [
     "poset_to_dict",
     "mask_from_players",
     "players_from_mask",
+    "format_perm",
 ]
 
 
@@ -39,6 +40,14 @@ def players_from_mask(mask):
         mask >>= 1
         player += 1
     return out
+
+
+def format_perm(perm):
+    """Compact text of a player sequence: digits run together when every
+    player is below 10, comma-separated otherwise."""
+    if all(p <= 9 for p in perm):
+        return "".join(str(p) for p in perm)
+    return ",".join(str(p) for p in perm)
 
 
 class Poset:

@@ -66,6 +66,29 @@ def oracle_supermodular(v):
     return True
 
 
+def oracle_modular(v):
+    """All-pairs modularity scan: equality on every pair of elements."""
+    val = dict(zip(v.lattice.elements, v.values))
+    return all(val[a | b] + val[a & b] == val[a] + val[b] for a in val for b in val)
+
+
+def oracle_monotone(v):
+    """All-pairs monotonicity scan over every comparable pair a <= b."""
+    val = dict(zip(v.lattice.elements, v.values))
+    return all(val[a] <= val[b] for a in val for b in val if not a & ~b)
+
+
+def oracle_incomparable_pairs(lat):
+    """Unordered incomparable pairs (a, b), a before b in element order."""
+    els = lat.elements
+    return [
+        (a, b)
+        for k, a in enumerate(els)
+        for b in els[k + 1 :]
+        if a & ~b and b & ~a
+    ]
+
+
 def oracle_core_vertices(v):
     """Core vertices by brute force over active-constraint subsets.
 
@@ -92,6 +115,19 @@ def oracle_core_vertices(v):
 
 def marginal_set(v):
     return sorted({sm.marginal_vector(v, c) for c in v.lattice.maximal_chains()})
+
+
+def random_poset(rng, n):
+    """Poset on 1..n: the players are put in a random order and each one
+    lies below each later one with probability 1/3 (before closure)."""
+    label = rng.sample(range(1, n + 1), n)
+    covers = [
+        (label[x], label[y])
+        for x in range(n)
+        for y in range(x + 1, n)
+        if rng.random() < 1 / 3
+    ]
+    return sm.poset_from_covers(n, covers)
 
 
 def random_game(rng, lat, lo=-5, hi=5):

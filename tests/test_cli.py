@@ -6,6 +6,7 @@ so the adapter cannot drift away from the package it wraps.
 """
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -385,6 +386,20 @@ def test_size_caps(ws, capsys, monkeypatch):
     )
     assert code == 2
 
+    # a cap of 0 is a cap, not "use the default"
+    for cmd, flag, cap_text in (
+        (("lattice", "downsets"), "--max-lattice", "cap of 0 elements"),
+        (("lattice", "chains"), "--max-chains", "more than 0 maximal chains"),
+        (("cone", "rays"), "--max-cone", "capped at 0 lattice elements"),
+        (("cone", "dim"), "--max-cone", "capped at 0 lattice elements"),
+    ):
+        code, out, err = run(capsys, *cmd, ws["hier4.json"], flag, "0")
+        assert code == 2 and out == ""
+        assert cap_text in err
+    monkeypatch.setenv("SUPERMOD_MAX_LATTICE", "0")
+    code, _, err = run(capsys, "lattice", "downsets", ws["hier4.json"])
+    assert code == 2 and "cap of 0 elements" in err
+
 
 def test_reproduce_paper_passes(ws, capsys):
     code, out, err = run(capsys, "reproduce-paper")
@@ -423,21 +438,24 @@ def test_reproduce_paper_flags_corrupted_references(ws, tmp_path, capsys):
 
 
 def test_reproduce_paper_is_deterministic(ws, capsys):
-    reports = []
+    outputs = []
     for _ in range(2):
         code, out, _ = run(capsys, "reproduce-paper")
         assert code == 0
-        data = payload_of(out)
-        data.pop("generated_at")
-        reports.append(data)
-    assert reports[0] == reports[1]
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_module_entry_point(ws):
+    # the child must import the package this suite imported, also when it
+    # was found through pytest's pythonpath setting rather than PYTHONPATH
+    src = os.path.dirname(os.path.dirname(sm.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "supermod", "cone", "dim", ws["hier4.json"]],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dimension"] == 5

@@ -11,9 +11,11 @@ from supermod.cone import facet_witness, payoff_equality_system
 from conftest import (
     HIER4_GENERATORS,
     game_from_table,
+    oracle_incomparable_pairs,
     random_conic,
     random_game,
     random_modular,
+    random_poset,
     random_supermodular,
 )
 
@@ -25,9 +27,7 @@ def canonical_pair(a, b):
 def test_equality_pairs_of_a_modular_game(hier4):
     m = sm.Game(hier4, [a.bit_count() for a in hier4.elements])
     pairs = sm.equality_pairs(m)
-    assert len(pairs) == len(hier4.incomparable_pairs())
-    for pair in pairs:
-        assert pair.a & ~pair.b and pair.b & ~pair.a
+    assert [(pair.a, pair.b) for pair in pairs] == oracle_incomparable_pairs(hier4)
 
 
 def test_equality_pairs_empty_inside_the_cone(hier4, hier4_rays):
@@ -65,6 +65,47 @@ def test_equality_pair_membership_forces_tightness_off_the_chain(hier4, hier4_ra
                     if y in on_chain and (x | y) in on_chain and (x & y) in on_chain:
                         assert x in tight
                         assert x not in on_chain
+
+
+def equality_pair_solution_dimension(v):
+    """Dimension of the 0-normalized games that are modular on every
+    equality pair of v, from ambient rows: one per equality pair, one for
+    the empty coalition and one tying each join-irreducible element to its
+    lower cover."""
+    lat = v.lattice
+    size = len(lat.elements)
+
+    def row(*signed):
+        out = [0] * size
+        for sign, mask in signed:
+            out[lat.index[mask]] += sign
+        return out
+
+    rows = [row((1, 0))]
+    rows += [row((1, a), (-1, lat.join_irreducible_predecessor(a))) for a in lat.join_irreducibles]
+    rows += [
+        row((1, e.a | e.b), (1, e.a & e.b), (-1, e.a), (-1, e.b))
+        for e in sm.equality_pairs(v)
+    ]
+    return size - qlin.rank(rows)
+
+
+def test_tight_squares_span_the_equality_pair_rows_on_random_posets():
+    rng = random.Random(9091)
+    lattices = 0
+    while lattices < 12:
+        lat = sm.build_lattice(random_poset(rng, rng.randint(4, 6)))
+        if len(lat.elements) > 20:  # keeps double description quick
+            continue
+        lattices += 1
+        rays = sm.extreme_rays(lat, verify=False)
+        probes = list(rays)
+        if rays:
+            probes += [random_conic(rng, rays, min_nonzero=min(2, len(rays))) for _ in range(6)]
+        probes.append(random_modular(rng, lat))
+        for v in probes:
+            rows, d = sm.game_equality_system(v)
+            assert d - qlin.rank(rows) == equality_pair_solution_dimension(v)
 
 
 def test_generators_are_extreme_by_both_criteria(hier4_games):

@@ -9,9 +9,12 @@ from supermod import qlin
 from conftest import (
     HIER4_GENERATORS,
     game_from_table,
+    oracle_modular,
+    oracle_monotone,
     oracle_supermodular,
     random_game,
     random_modular,
+    random_poset,
 )
 
 
@@ -128,11 +131,43 @@ def test_supermodular_matches_independent_oracle(hier4, flat3):
 
 
 def test_reduced_supermodularity_check_agrees(hier4, flat4):
+    # the covering-square check against the all-pairs scan
     rng = random.Random(7331)
     for lat in (hier4, flat4):
         for _ in range(60):
             v = random_game(rng, lat, -2, 2)
-            assert sm.is_supermodular(v) == sm.is_supermodular_reduced(v)
+            assert sm.is_supermodular(v) == oracle_supermodular(v)
+
+
+def varied_games(rng, lat):
+    """Games that fall on both sides of the supermodular, modular and
+    monotone predicates: a nonnegative unanimity combination plus a
+    nonnegative modular game, the same game with one value moved by 1, a
+    modular game with mixed signs and a random game."""
+    base = random_modular(rng, lat, 0, 2)
+    for a in rng.sample(lat.elements[1:], min(3, len(lat.elements) - 1)):
+        base = base + rng.randint(0, 2) * sm.unanimity(lat, a)
+    bump = [0] * len(lat.elements)
+    bump[rng.randrange(1, len(lat.elements))] = rng.choice((-1, 1))
+    return [base, base + sm.Game(lat, bump), random_modular(rng, lat), random_game(rng, lat, -2, 2)]
+
+
+def test_local_predicates_match_all_pairs_oracles_on_random_posets():
+    rng = random.Random(4242)
+    checks = {
+        sm.is_supermodular: oracle_supermodular,
+        sm.is_modular: oracle_modular,
+        sm.is_monotone: oracle_monotone,
+    }
+    verdicts = {check: set() for check in checks}
+    for _ in range(40):
+        lat = sm.build_lattice(random_poset(rng, rng.randint(1, 6)))
+        for v in varied_games(rng, lat):
+            for check, oracle in checks.items():
+                verdict = check(v)
+                assert verdict == oracle(v)
+                verdicts[check].add(verdict)
+    assert all(seen == {True, False} for seen in verdicts.values())
 
 
 def test_monotone_and_nonnegative():

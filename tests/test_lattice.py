@@ -1,11 +1,18 @@
+import random
+
 import pytest
 
 import supermod as sm
-from conftest import brute_downsets, brute_linear_extensions
+from conftest import brute_downsets, brute_linear_extensions, random_poset
 
 
 def players(mask):
     return sm.players_from_mask(mask)
+
+
+def random_lattices(seed, count=25, max_n=5):
+    rng = random.Random(seed)
+    return [sm.build_lattice(random_poset(rng, rng.randint(1, max_n))) for _ in range(count)]
 
 
 def test_hierarchy_elements_match_brute_force(hier4):
@@ -107,12 +114,16 @@ def test_interval_and_boolean_intervals(hier4):
         assert hier4.is_boolean_interval(a, a)
     with pytest.raises(sm.NotComparableError):
         hier4.interval(m([2], n), m([3, 4], n))
+    with pytest.raises(sm.NotComparableError):
+        hier4.is_boolean_interval(m([2], n), m([3, 4], n))
+    with pytest.raises(ValueError):
+        hier4.is_boolean_interval(empty, m([1], n))  # {1} is not a down-set
 
 
 def test_boolean_interval_matches_incomparability_of_added_players(hier4, chain3):
     # [a, b] is Boolean exactly when the players of b minus a are pairwise
     # incomparable in the underlying order
-    for lat in (hier4, chain3):
+    for lat in (hier4, chain3, *random_lattices(3571)):
         p = lat.poset
         for a in lat.elements:
             for b in lat.elements:
@@ -140,7 +151,7 @@ def test_mobius_examples(hier4):
 
 
 def test_mobius_fast_path_equals_recursion(hier4, flat3):
-    for lat in (hier4, flat3):
+    for lat in (hier4, flat3, *random_lattices(3581)):
         for x in lat.elements:
             for y in lat.elements:
                 assert lat.mobius(x, y) == lat.mobius(x, y, recursive=True)
@@ -242,19 +253,3 @@ def test_upper_and_lower_covers(hier4):
         [m([2, 3], n), m([2, 4], n), m([3, 4], n)]
     )
 
-
-def test_incomparable_pairs_table(hier4):
-    els = hier4.elements
-    for ia, ib, iu, ii in hier4.incomparable_pairs():
-        a, b = els[ia], els[ib]
-        assert a & ~b and b & ~a
-        assert els[iu] == a | b
-        assert els[ii] == a & b
-    # every unordered incomparable pair appears exactly once
-    expected = sum(
-        1
-        for x in range(len(els))
-        for y in range(x + 1, len(els))
-        if els[x] & ~els[y] and els[y] & ~els[x]
-    )
-    assert len(hier4.incomparable_pairs()) == expected
