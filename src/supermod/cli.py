@@ -135,8 +135,7 @@ def lattice_cap(args):
 
 
 def chain_cap(args):
-    cap = getattr(args, "max_chains", None)
-    return DEFAULT_MAX_CHAINS if cap is None else cap
+    return DEFAULT_MAX_CHAINS if args.max_chains is None else args.max_chains
 
 
 def cone_cap(args, lat):
@@ -588,9 +587,6 @@ def build_parser():
         metavar="N",
         help="cap on lattice size (or env SUPERMOD_MAX_LATTICE)",
     )
-    common.add_argument(
-        "--max-chains", type=int, metavar="N", help="cap on the number of maximal chains"
-    )
 
     parser = argparse.ArgumentParser(
         prog="supermod",
@@ -613,6 +609,9 @@ def build_parser():
     q.set_defaults(func=cmd_lattice_downsets)
     q = p_lat.add_parser("chains", parents=[common], help="maximal chains and permutations")
     q.add_argument("poset")
+    q.add_argument(
+        "--max-chains", type=int, metavar="N", help="cap on the number of maximal chains"
+    )
     q.set_defaults(func=cmd_lattice_chains)
     q = p_lat.add_parser("moebius", parents=[common], help="Moebius value of a pair")
     q.add_argument("poset")

@@ -421,19 +421,25 @@ def face_compare(v, w):
     """Relative position of the cone faces whose relative interiors hold v and w.
 
     Returns "equal", "below" (the face of v is strictly contained in the
-    face of w), "above", or "incomparable".  Tight families reverse the
-    order: a smaller face means a larger family.
+    face of w), "above", or "incomparable".  For a cone {x : r_k . x >= 0}
+    the smallest face holding v is {x : r_k . x = 0 for every k tight at v},
+    so face(v) is contained in face(w) exactly when every inequality tight
+    at w is tight at v.  The facet triples (covering squares) describe the
+    supermodular cone, so comparing their tight sets decides the order in
+    O(L*n^2), without walking maximal chains.
     """
     if v.lattice is not w.lattice and v.lattice != w.lattice:
         raise LatticeMismatchError("games are bound to different lattices")
-    tv = core_structure(v).tight
-    tw = core_structure(w).tight
-    w_inside_v = all(tw[p] <= tv[p] for p in tv)
-    v_inside_w = all(tv[p] <= tw[p] for p in tv)
-    if w_inside_v and v_inside_w:
+    for g in (v, w):
+        if not is_supermodular(g):
+            raise NotSupermodularError("core structure needs a supermodular game")
+    triples = facet_triples(v.lattice)
+    tv = {t for t in triples if not t.value(v)}
+    tw = {t for t in triples if not t.value(w)}
+    if tv == tw:
         return "equal"
-    if w_inside_v:
+    if tw <= tv:
         return "below"
-    if v_inside_w:
+    if tv <= tw:
         return "above"
     return "incomparable"

@@ -308,12 +308,12 @@ def build_lattice(poset, max_elements=None):
 def addable_pairs(lat):
     """Triples (a, i, j): a down-set with two distinct addable players, i < j.
 
-    Canonical order: a in element order, then (i, j) ascending.
+    Canonical order: a in element order, then (i, j) ascending.  A
+    generator, so a predicate reading the squares stops at the first one
+    that decides it.
     """
-    out = []
     for a in lat.elements:
         players = players_from_mask(lat.addable_mask(a))
         for x in range(len(players)):
             for y in range(x + 1, len(players)):
-                out.append((a, players[x], players[y]))
-    return out
+                yield a, players[x], players[y]

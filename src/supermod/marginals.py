@@ -9,8 +9,9 @@ game_from_configuration hold.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import ConsistencyError, NotSupermodularError
 from .game import Game, is_supermodular
@@ -103,24 +104,70 @@ def core_contains(v, x):
     return all(payoff(x, a) >= v.value(a) for a in v.lattice.elements)
 
 
+def _scaled_values(v):
+    """Values of v as integers over one common denominator; returns
+    ({element: integer}, den)."""
+    den = lcm(*(x.denominator for x in v.values))
+    return (
+        {a: x.numerator * (den // x.denominator) for a, x in zip(v.lattice.elements, v.values)},
+        den,
+    )
+
+
 def core_vertices(v):
     """Vertices of the core of a supermodular game: the distinct marginal
-    vectors, in lexicographic order."""
+    vectors, in lexicographic order.
+
+    One pass over the lattice in element order carries, for every down-set
+    a, the distinct partial marginal vectors of the chains from the bottom
+    to a, and extends each by the increment v(a+i) - v(a) of every addable
+    player i; only the sets of the rank being read and the next one are
+    alive, and no maximal chain is built.  Cost: O(L*n^2) for the
+    supermodularity check, then O(n) for each partial vector and covering
+    edge leaving its down-set.  There are at most e*n! such pairs (reached
+    on a flat poset whose marginal vectors are all distinct) and far fewer
+    when marginal vectors coincide.
+    """
     if not is_supermodular(v):
         raise NotSupermodularError(
             "core vertices coincide with the marginal vectors only for"
             " supermodular games"
         )
-    vecs = {marginal_vector(v, c) for c in v.lattice.maximal_chains()}
-    return sorted(vecs)
+    lat = v.lattice
+    val, den = _scaled_values(v)
+    reach = {0: {(0,) * lat.poset.n}}
+    for a in lat.elements[:-1]:
+        vecs = reach.pop(a)
+        for i in players_from_mask(lat.addable_mask(a)):
+            b = a | 1 << (i - 1)
+            d = (val[b] - val[a],)
+            reach.setdefault(b, set()).update(x[: i - 1] + d + x[i:] for x in vecs)
+    top = sorted(reach.pop(lat.top))
+    frac = {t: Fraction(t, den) for t in {t for x in top for t in x}}
+    return [tuple(map(frac.__getitem__, x)) for x in top]
 
 
 def lower_envelope(v, mask):
-    """Minimum of x(A) over the marginal vectors of all chains."""
-    v.lattice.position(mask)
-    return min(
-        payoff(marginal_vector(v, c), mask) for c in v.lattice.maximal_chains()
-    )
+    """Minimum of x(A) over the marginal vectors of all chains.
+
+    A shortest-path pass in element order: the least total on A of a
+    chain from the bottom to b is the minimum, over the lower covers a of
+    b, of that least total at a plus v(b) - v(a) when the added player
+    lies in A.  O(L*n) and exact for any game, supermodular or not.
+    """
+    lat = v.lattice
+    lat.position(mask)
+    val, den = _scaled_values(v)
+    best = {0: 0}
+    for a in lat.elements[:-1]:
+        here = best.pop(a)
+        for i in players_from_mask(lat.addable_mask(a)):
+            bit = 1 << (i - 1)
+            b = a | bit
+            t = here + val[b] - val[a] if mask & bit else here
+            if b not in best or t < best[b]:
+                best[b] = t
+    return Fraction(best[lat.top], den)
 
 
 def game_from_configuration(lattice, config):

@@ -117,6 +117,29 @@ def marginal_set(v):
     return sorted({sm.marginal_vector(v, c) for c in v.lattice.maximal_chains()})
 
 
+def oracle_lower_envelope(v, mask):
+    """Least total on mask over the marginal vectors of every maximal chain."""
+    return min(
+        sm.payoff(sm.marginal_vector(v, c), mask) for c in v.lattice.maximal_chains()
+    )
+
+
+def oracle_face_compare(v, w):
+    """Face relation read off the tight families of all maximal chains: a
+    smaller face has larger tight sets along every chain."""
+    tv = sm.tight_family(v).tight
+    tw = sm.tight_family(w).tight
+    w_inside_v = all(tw[p] <= tv[p] for p in tv)
+    v_inside_w = all(tv[p] <= tw[p] for p in tv)
+    if w_inside_v and v_inside_w:
+        return "equal"
+    if w_inside_v:
+        return "below"
+    if v_inside_w:
+        return "above"
+    return "incomparable"
+
+
 def random_poset(rng, n):
     """Poset on 1..n: the players are put in a random order and each one
     lies below each later one with probability 1/3 (before closure)."""
@@ -138,6 +161,23 @@ def random_game(rng, lat, lo=-5, hi=5):
 def random_modular(rng, lat, lo=-5, hi=5):
     targets = {i: rng.randint(lo, hi) for i in range(1, lat.poset.n + 1)}
     return sm.modular_from_irreducibles(lat, targets)
+
+
+def random_fraction(rng, lo=-5, hi=5):
+    """A rational with denominator 2, 3 or 4 (before reduction)."""
+    return Fraction(rng.randint(lo, hi), rng.choice((2, 3, 4)))
+
+
+def random_unanimity_sum(rng, lat, terms=3):
+    """Supermodular: a positive rational combination of a few unanimity
+    games of nonempty down-sets, plus a modular game, all with
+    denominators 2, 3 and 4."""
+    g = sm.modular_from_irreducibles(
+        lat, {i: random_fraction(rng) for i in range(1, lat.poset.n + 1)}
+    )
+    for a in rng.sample(lat.elements[1:], min(terms, len(lat.elements) - 1)):
+        g = g + random_fraction(rng, 1, 5) * sm.unanimity(lat, a)
+    return g
 
 
 def random_conic(rng, rays, hi=3, min_nonzero=0):

@@ -401,6 +401,22 @@ def test_size_caps(ws, capsys, monkeypatch):
     assert code == 2 and "cap of 0 elements" in err
 
 
+def test_max_chains_belongs_to_lattice_chains_only(ws, capsys):
+    # only `lattice chains` lists chains; elsewhere the option is refused
+    # rather than silently ignored
+    for argv in (
+        ("core", "vertices", ws["v1.json"]),
+        ("core", "envelope", ws["v1.json"], "--coalition", "34"),
+        ("core", "tight", ws["v1.json"], "--perm", "2314"),
+        ("cone", "face-compare", ws["v1.json"], ws["v2.json"]),
+        ("cone", "is-extreme", ws["v1.json"]),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--max-chains", "0"])
+        assert exc.value.code == 2
+        assert "--max-chains" in capsys.readouterr().err
+
+
 def test_reproduce_paper_passes(ws, capsys):
     code, out, err = run(capsys, "reproduce-paper")
     assert code == 0

@@ -11,6 +11,7 @@ from supermod.cone import facet_witness, payoff_equality_system
 from conftest import (
     HIER4_GENERATORS,
     game_from_table,
+    oracle_face_compare,
     oracle_incomparable_pairs,
     random_conic,
     random_game,
@@ -362,6 +363,30 @@ def test_face_compare_examples(hier4, hier4_games, flat4):
     bad = sm.Game.from_values(hier4, {sm.mask_from_players([2], 4): 1})
     with pytest.raises(sm.NotSupermodularError):
         sm.face_compare(v1, bad)
+
+
+def test_face_compare_matches_tight_family_oracle_on_random_posets():
+    # sums over overlapping subsets of one pool of unanimity games, so
+    # equal, nested and crossing faces all turn up
+    rng = random.Random(8383)
+    seen = set()
+    for _ in range(30):
+        lat = sm.build_lattice(random_poset(rng, rng.randint(2, 6)))
+        pool = rng.sample(lat.elements[1:], min(3, len(lat.elements) - 1))
+
+        def combo():
+            g = random_modular(rng, lat)
+            for a in pool:
+                if rng.random() < 0.5:
+                    g = g + rng.randint(1, 3) * sm.unanimity(lat, a)
+            return g
+
+        for _ in range(4):
+            v, w = combo(), combo()
+            relation = sm.face_compare(v, w)
+            assert relation == oracle_face_compare(v, w)
+            seen.add(relation)
+    assert seen == {"equal", "below", "above", "incomparable"}
 
 
 def test_tight_structure_determines_equality_pairs(hier4, hier4_rays):

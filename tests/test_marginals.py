@@ -10,8 +10,13 @@ from conftest import (
     game_from_table,
     marginal_set,
     oracle_core_vertices,
+    oracle_face_compare,
+    oracle_lower_envelope,
+    random_fraction,
     random_game,
+    random_poset,
     random_supermodular,
+    random_unanimity_sum,
 )
 
 
@@ -150,6 +155,65 @@ def test_lower_envelope(hier4, v1):
     bumped[m([2, 3], n)] = Fraction(99)
     w = sm.Game(hier4, [bumped[a] for a in hier4.elements])
     assert sm.lower_envelope(w, m([2, 3], n)) < w.value(m([2, 3], n))
+
+
+def test_core_vertices_match_marginal_set_on_random_posets():
+    rng = random.Random(5150)
+    dens = set()
+    for _ in range(40):
+        lat = sm.build_lattice(random_poset(rng, rng.randint(1, 6)))
+        for _ in range(2):
+            v = random_unanimity_sum(rng, lat)
+            dens.update(x.denominator for x in v.values)
+            assert sm.core_vertices(v) == marginal_set(v)
+    assert {2, 3, 4} <= dens
+
+
+def test_lower_envelope_matches_chain_minimum_on_random_posets():
+    rng = random.Random(6161)
+    supermodular = set()
+    for _ in range(25):
+        lat = sm.build_lattice(random_poset(rng, rng.randint(1, 6)))
+        v = sm.Game(lat, [0] + [random_fraction(rng) for _ in lat.elements[1:]])
+        supermodular.add(sm.is_supermodular(v))
+        for a in lat.elements:
+            assert sm.lower_envelope(v, a) == oracle_lower_envelope(v, a)
+    assert False in supermodular
+
+
+def test_core_questions_on_edge_cases(single1, mixed5):
+    one = sm.Game(single1, [0, Fraction(3, 2)])
+    assert sm.core_vertices(one) == [(Fraction(3, 2),)]
+    assert sm.lower_envelope(one, 0) == 0
+    assert sm.lower_envelope(one, single1.top) == Fraction(3, 2)
+    assert sm.face_compare(one, 2 * one) == "equal"
+
+    zero = sm.zero_game(mixed5)
+    assert sm.core_vertices(zero) == [(0,) * 5]
+    assert all(sm.lower_envelope(zero, a) == 0 for a in mixed5.elements)
+    v = random_unanimity_sum(random.Random(7272), mixed5)
+    assert sm.face_compare(zero, v) == oracle_face_compare(zero, v)
+
+    # a generic game on five free players: all 5! marginal vectors differ
+    flat5 = sm.build_lattice(sm.poset_from_covers(5, []))
+    weights = (2, 3, 5, 7, 11)
+    generic = sm.Game(flat5, [
+        sum((Fraction(w, 7) for k, w in enumerate(weights) if a >> k & 1), Fraction(0)) ** 2
+        for a in flat5.elements
+    ])
+    verts = sm.core_vertices(generic)
+    assert len(verts) == 120
+    assert verts == marginal_set(generic)
+
+
+def test_core_questions_build_no_chain(monkeypatch, v1, hier4_games):
+    def refuse(self, max_chains=None):
+        raise AssertionError("maximal chains walked")
+
+    monkeypatch.setattr(sm.DownSetLattice, "maximal_chains", refuse)
+    assert sm.core_vertices(v1) == [(0, 0, 0, 1), (0, 1, 0, 0)]
+    assert sm.lower_envelope(v1, sm.mask_from_players([3, 4], 4)) == 0
+    assert sm.face_compare(v1, v1 + hier4_games[1]) == "below"
 
 
 def test_payoff_array_is_linear(hier4):
