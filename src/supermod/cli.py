@@ -25,7 +25,7 @@ from .cone import (
     is_extreme,
     is_extreme_via_games,
 )
-from .errors import SupermodError
+from .errors import CrossCheckError, SupermodError
 from .game import (
     Game,
     is_modular,
@@ -138,11 +138,6 @@ def chain_cap(args):
     return DEFAULT_MAX_CHAINS if args.max_chains is None else args.max_chains
 
 
-def cone_cap(args, lat):
-    """--max-cone, or no cap below the lattice size when it is left out."""
-    return len(lat.elements) if args.max_cone is None else args.max_cone
-
-
 def load_poset(path):
     return poset_from_dict(_read_json(path))
 
@@ -236,7 +231,7 @@ def cmd_lattice_moebius(args):
     lat = load_lattice(args.poset, args)
     x = parse_coalition(args.from_set, lat.poset.n)
     y = parse_coalition(args.to_set, lat.poset.n)
-    value = lat.mobius(x, y, recursive=args.recursive)
+    value = lat.mobius(x, y)
     payload = {
         "from": players_from_mask(x),
         "to": players_from_mask(y),
@@ -264,7 +259,7 @@ def cmd_game_check(args):
 
 def cmd_game_moebius(args):
     g = load_game(args.game, args)
-    t = mobius_transform(g, recursive=args.recursive)
+    t = mobius_transform(g)
     payload = {"values": game_payload(t)}
     lines = [f"{compact(a)}: {v}" for a, v in t.to_mapping().items()]
     emit(args, payload, lines or ["(zero transform)"])
@@ -340,11 +335,10 @@ def cmd_cone_is_extreme(args):
     if args.method in ("games", "both"):
         results["games"] = is_extreme_via_games(g)
     if len(results) == 2 and results["system"] != results["games"]:
-        raise RuntimeError("extremality criteria disagree; please report this")
+        raise CrossCheckError("extremality criteria disagree; please report this")
     extreme = next(iter(results.values()))
     payload = {"extreme": extreme, "method": args.method, **results}
-    w, _ = zero_normalize(g)
-    if w.is_zero():
+    if is_modular(g):
         payload["note"] = "0-normalized part is zero; non-extreme by convention"
     lines = [f"extreme: {'yes' if extreme else 'no'}"]
     if "note" in payload:
@@ -355,7 +349,8 @@ def cmd_cone_is_extreme(args):
 
 def cmd_cone_rays(args):
     lat = load_lattice(args.poset, args)
-    rays = extreme_rays(lat, max_elements=cone_cap(args, lat))
+    cap = len(lat.elements) if args.max_cone is None else args.max_cone
+    rays = extreme_rays(lat, max_elements=cap)
     payload = {"count": len(rays), "rays": [game_payload(g) for g in rays]}
     lines = []
     for k, g in enumerate(rays, start=1):
@@ -386,7 +381,7 @@ def cmd_cone_facets(args):
 
 def cmd_cone_dim(args):
     lat = load_lattice(args.poset, args)
-    dim = cone_dimension(lat, max_elements=cone_cap(args, lat))
+    dim = cone_dimension(lat)
     payload = {"dimension": dim, "ambient": len(lat.elements) - 1}
     emit(args, payload, [f"dimension {dim} in ambient {payload['ambient']}"])
     return 0
@@ -617,7 +612,6 @@ def build_parser():
     q.add_argument("poset")
     q.add_argument("--from", dest="from_set", required=True, metavar="COALITION")
     q.add_argument("--to", dest="to_set", required=True, metavar="COALITION")
-    q.add_argument("--recursive", action="store_true", help="use the defining recursion")
     q.set_defaults(func=cmd_lattice_moebius)
 
     p_game = sub.add_parser("game", help="game predicates and transforms").add_subparsers(
@@ -629,7 +623,6 @@ def build_parser():
     q.set_defaults(func=cmd_game_check)
     q = p_game.add_parser("moebius", parents=[common], help="Moebius transform of a game")
     q.add_argument("game")
-    q.add_argument("--recursive", action="store_true", help="use the defining recursion")
     q.set_defaults(func=cmd_game_moebius)
     q = p_game.add_parser("normalize", parents=[common], help="0-normalized + modular split")
     q.add_argument("game")
@@ -669,7 +662,6 @@ def build_parser():
     q.set_defaults(func=cmd_cone_facets)
     q = p_cone.add_parser("dim", parents=[common], help="dimension of the cone")
     q.add_argument("poset")
-    q.add_argument("--max-cone", type=int, metavar="N", help="element cap for enumeration")
     q.set_defaults(func=cmd_cone_dim)
     q = p_cone.add_parser("face-compare", parents=[common], help="compare two face positions")
     q.add_argument("game1")
@@ -691,6 +683,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except CrossCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except SupermodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

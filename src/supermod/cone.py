@@ -13,10 +13,10 @@ from fractions import Fraction
 from math import gcd
 
 from . import qlin
-from .errors import LatticeMismatchError, NotSupermodularError, SizeError
+from .errors import CrossCheckError, LatticeMismatchError, NotSupermodularError, SizeError
 from .game import Game, is_supermodular, zero_normalize
 from .lattice import addable_pairs
-from .marginals import marginal_vector, payoff, tight_family
+from .marginals import tight_family
 from .poset import players_from_mask
 
 __all__ = [
@@ -104,74 +104,47 @@ def _normalized(v):
     return w
 
 
-def payoff_equality_system(v, *, reduced=True):
+def payoff_equality_system(v):
     """Linear system on per-permutation payoff vectors; returns (rows, ncols).
 
-    Unknowns are laid out permutation-major: column k*n + (i-1) is the
-    coordinate of player i under the k-th permutation in chain order.  Rows
-    equate coalition totals across permutations sharing a tight element and
-    pin the zero-increment coordinates.  The game spans an extreme ray of
-    the supermodular cone exactly when the solution space of this system is
-    one line.
-
-    With reduced=True the pairwise total equations per element are replaced
-    by a chain of differences and the pinned columns are eliminated, which
-    leaves the solution dimension unchanged.
+    Unknowns are the per-permutation payoff coordinates, permutation-major
+    in chain order, less the coordinates pinned to zero because the game
+    adds nothing there; ncols counts the rest.  For every element a row
+    equates its coalition total along each pair of consecutive chains where
+    it is tight.  The game spans an extreme ray of the supermodular cone
+    exactly when the solution space of this system is one line.
     """
-    w = _normalized(v)
+    return _payoff_rows(_normalized(v))
+
+
+def _payoff_rows(w):
+    """payoff_equality_system of a 0-normalized supermodular game w."""
     lat = w.lattice
     n = lat.poset.n
-    chains = lat.maximal_chains()
-    margs = [marginal_vector(w, c) for c in chains]
-    ncols = n * len(chains)
-
+    fam = tight_family(w)
+    col = {}
     by_element = {}
-    for k, x in enumerate(margs):
-        for ei, a in enumerate(lat.elements):
-            if a and w.values[ei] == payoff(x, a):
-                by_element.setdefault(ei, []).append(k)
-    pinned = set()
-    for k, x in enumerate(margs):
-        for i, val in enumerate(x):
-            if not val:
-                pinned.add(k * n + i)
-
+    for k, p in enumerate(fam.perms):
+        for i in range(1, n + 1):
+            if i not in fam.zeros[p]:
+                col[k, i] = len(col)
+        for a in fam.tight[p]:
+            by_element.setdefault(a, []).append(k)
     rows = []
-
-    def total_row(ei, k, l):
-        row = [0] * ncols
-        for p in players_from_mask(lat.elements[ei]):
-            row[k * n + p - 1] += 1
-            row[l * n + p - 1] -= 1
-        return row
-
-    for ei in sorted(by_element):
-        ks = by_element[ei]
-        if len(ks) < 2:
-            continue
-        if reduced:
-            pairs = zip(ks, ks[1:])
-        else:
-            pairs = ((ks[x], ks[y]) for x in range(len(ks)) for y in range(x + 1, len(ks)))
-        for k, l in pairs:
-            rows.append(total_row(ei, k, l))
-
-    if not reduced:
-        for col in sorted(pinned):
-            row = [0] * ncols
-            row[col] = 1
-            rows.append(row)
-        return rows, ncols
-
-    keep = [c for c in range(ncols) if c not in pinned]
-    compressed = []
     seen = set()
-    for row in rows:
-        short = tuple(row[c] for c in keep)
-        if any(short) and short not in seen:
-            seen.add(short)
-            compressed.append(list(short))
-    return compressed, len(keep)
+    for a in lat.elements[1:]:
+        ks = by_element[a]
+        for k, l in zip(ks, ks[1:]):
+            row = [0] * len(col)
+            for i in players_from_mask(a):
+                if (k, i) in col:
+                    row[col[k, i]] += 1
+                if (l, i) in col:
+                    row[col[l, i]] -= 1
+            if any(row) and tuple(row) not in seen:
+                seen.add(tuple(row))
+                rows.append(row)
+    return rows, len(col)
 
 
 def is_extreme(v):
@@ -182,7 +155,7 @@ def is_extreme(v):
     w = _normalized(v)
     if w.is_zero():
         return False
-    rows, ncols = payoff_equality_system(w)
+    rows, ncols = _payoff_rows(w)
     return ncols - qlin.rank(rows) == 1
 
 
@@ -224,7 +197,11 @@ def game_equality_system(v):
     is a multiple of v exactly when v spans an extreme ray, so the solution
     dimension mirrors payoff_equality_system.
     """
-    w = _normalized(v)
+    return _game_rows(_normalized(v))
+
+
+def _game_rows(w):
+    """game_equality_system of a 0-normalized supermodular game w."""
     coord, d = _free_coordinates(w.lattice)
     rows = []
     seen = set()
@@ -243,7 +220,7 @@ def is_extreme_via_games(v):
     w = _normalized(v)
     if w.is_zero():
         return False
-    rows, d = game_equality_system(w)
+    rows, d = _game_rows(w)
     return d - qlin.rank(rows) == 1
 
 
@@ -275,7 +252,12 @@ def facet_witness(lat, triple, eps=Fraction(1)):
     u = {both: 1, wi: -1, wj: -1}
     if base:
         u[base] = 1
-    return Game(lat, [eps * (b.bit_count() ** 2 - u.get(b, 0)) for b in lat.elements])
+    return Game(lat, [eps * (g - u.get(b, 0)) for b, g in zip(lat.elements, _squares(lat))])
+
+
+def _squares(lat):
+    """Values of g(A) = |A|^2, which has slack 2 on every covering square."""
+    return [a.bit_count() ** 2 for a in lat.elements]
 
 
 def _dot(u, v):
@@ -390,24 +372,25 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, verify=True):
     if verify:
         for gm in games:
             if not (is_extreme(gm) and is_extreme_via_games(gm)):
-                raise RuntimeError("an enumerated generator failed the extremality cross-check")
+                raise CrossCheckError(
+                    "an enumerated generator failed the extremality cross-check"
+                )
     return games
 
 
-def cone_dimension(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS):
+def cone_dimension(lat):
     """Dimension of the cone of 0-normalized supermodular games.
 
-    Computed as the rank of the enumerated generators and checked against
-    the count of free coordinates.
+    The cone lies in the 0-normalized subspace, whose dimension d is the
+    count of free coordinates, and fills it: the 0-normalization of
+    g(A) = |A|^2 is strictly inside every facet, since g has slack 2 on
+    every covering square and a modular shift leaves the slacks unchanged.
+    That certificate is rechecked in O(L*n^2); CrossCheckError if it fails.
     """
-    rays = extreme_rays(lat, max_elements=max_elements)
-    dim = qlin.rank([list(g.values) for g in rays]) if rays else 0
-    expected = len(lat.elements) - 1 - lat.poset.n
-    if dim != expected:
-        raise RuntimeError(
-            f"ray span has rank {dim}, expected {expected} free coordinates"
-        )
-    return dim
+    w, _ = zero_normalize(Game(lat, _squares(lat)))
+    if any(t.value(w) <= 0 for t in facet_triples(lat)):
+        raise CrossCheckError("a covering square is not slack at |A|^2")
+    return _free_coordinates(lat)[1]
 
 
 def core_structure(v):
@@ -432,7 +415,7 @@ def face_compare(v, w):
         raise LatticeMismatchError("games are bound to different lattices")
     for g in (v, w):
         if not is_supermodular(g):
-            raise NotSupermodularError("core structure needs a supermodular game")
+            raise NotSupermodularError("face comparison needs supermodular games")
     triples = facet_triples(v.lattice)
     tv = {t for t in triples if not t.value(v)}
     tw = {t for t in triples if not t.value(w)}

@@ -33,6 +33,11 @@ class LatticeMismatchError(SupermodError, TypeError):
     """Operands are bound to different lattices."""
 
 
+class CrossCheckError(SupermodError, RuntimeError):
+    """A self-check of the library failed: two criteria disagree or a
+    certificate does not hold.  A program defect, not an answer."""
+
+
 class ConsistencyError(SupermodError, ValueError):
     """A point configuration fails a payoff-array consistency condition.
 

@@ -140,24 +140,33 @@ def modular_from_irreducibles(lattice, targets):
     return Game(lattice, vals)
 
 
-def mobius_transform(v, *, recursive=False):
+def mobius_transform(v):
     """The Moebius transform of v, as a game on the same lattice.
 
-    recursive=True evaluates the Moebius function by its defining recursion
-    instead of the closed form; both must agree.
+    mu(c, b) is (-1)^|b\\c| when [c, b] is Boolean and 0 otherwise, and
+    [c, b] is Boolean exactly when c is b less a set S of players that are
+    removable from b (maximal in b).  So vhat(b) is the sum of
+    (-1)^|S| v(b\\S) over the subsets S of the removable players R(b), read
+    off the lower covers: 2^|R(b)| terms per element (3^n in all on a flat
+    poset) instead of a Moebius value per pair of elements.
     """
     lat = v.lattice
-    els = lat.elements
+    idx = lat.index
     vals = v.values
     out = []
-    for b in els:
+    for b in lat.elements:
+        removable = 0
+        for c in lat.lower_covers(b):
+            removable |= b ^ c
         total = Fraction(0)
-        for k, c in enumerate(els):
-            if c & ~b or not vals[k]:
-                continue
-            mu = lat.mobius(c, b, recursive=recursive)
-            if mu:
-                total += mu * vals[k]
+        s = removable
+        while True:
+            x = vals[idx[b ^ s]]
+            if x:
+                total += -x if s.bit_count() & 1 else x
+            if not s:
+                break
+            s = (s - 1) & removable
         out.append(total)
     return Game(lat, out)
 

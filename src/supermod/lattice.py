@@ -3,7 +3,7 @@
 Meet and join of down-sets are plain intersection and union of masks, so the
 lattice stores only the element list (canonically ordered), the
 join-irreducible elements with their unique lower covers, and lazily built
-caches for chains and Moebius values.  Everything is exact integer work.
+caches for addable players and chains.  Everything is exact integer work.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ class DownSetLattice:
                 raise RuntimeError("down-set enumeration produced a non-down-set")
         self._addable = {}
         self._chains = None
-        self._mu_rec = {}
 
     # -- basic structure ----------------------------------------------------
 
@@ -205,36 +204,19 @@ class DownSetLattice:
 
     # -- Moebius function ----------------------------------------------------
 
-    def mobius(self, x, y, *, recursive=False):
+    def mobius(self, x, y):
         """Moebius value of the ordered pair (x, y); 0 when x is not below y.
 
-        The default path uses the closed form for distributive lattices:
-        a sign when [x, y] is Boolean and 0 otherwise.  recursive=True keeps
-        the defining recursion available as a cross-check.
+        The closed form for distributive lattices: (-1)^|y\\x| when [x, y]
+        is Boolean and 0 otherwise.
         """
         self.position(x)
         self.position(y)
-        if x == y:
-            return 1
         if x & ~y:
             return 0
-        if recursive:
-            return self._mobius_recursive(x, y)
         if self.is_boolean_interval(x, y):
             return -1 if (y & ~x).bit_count() & 1 else 1
         return 0
-
-    def _mobius_recursive(self, x, y):
-        cached = self._mu_rec.get((x, y))
-        if cached is not None:
-            return cached
-        total = 0
-        for z in self.elements:
-            if z != y and not (x & ~z or z & ~y):
-                total += 1 if z == x else self._mobius_recursive(x, z)
-        value = -total
-        self._mu_rec[(x, y)] = value
-        return value
 
     # -- chains ---------------------------------------------------------------
 

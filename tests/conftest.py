@@ -89,6 +89,69 @@ def oracle_incomparable_pairs(lat):
     ]
 
 
+def oracle_mobius(lat):
+    """Moebius values of every ordered pair, keyed (x, y), by the defining
+    recursion: mu(x, x) = 1 and mu(x, y) = -(sum of mu(x, z) over
+    x <= z < y), 0 when x is not below y.  Element order extends inclusion,
+    so every mu(x, z) is known before mu(x, y)."""
+    els = lat.elements
+    mu = {}
+    for x in els:
+        for y in els:
+            if x & ~y:
+                mu[x, y] = 0
+            elif x == y:
+                mu[x, y] = 1
+            else:
+                mu[x, y] = -sum(
+                    mu[x, z] for z in els if z != y and not (x & ~z or z & ~y)
+                )
+    return mu
+
+
+def oracle_mobius_transform(v, mu=None):
+    """vhat(b) = sum of mu(c, b) v(c) over every pair, mu by recursion."""
+    lat = v.lattice
+    mu = oracle_mobius(lat) if mu is None else mu
+    return sm.Game(
+        lat,
+        [
+            sum((mu[c, b] * x for c, x in zip(lat.elements, v.values)), Fraction(0))
+            for b in lat.elements
+        ],
+    )
+
+
+def oracle_payoff_system(v):
+    """The unreduced payoff system of a supermodular game; returns
+    (rows, ncols).
+
+    Column k*n + (i-1) is player i under the k-th maximal chain.  For every
+    element, each pair of chains whose marginal vectors (of the
+    0-normalized game) are tight there gets a row equating the coalition
+    totals; then every zero marginal coordinate gets a row pinning it.
+    """
+    w, _ = sm.zero_normalize(v)
+    lat = w.lattice
+    n = lat.poset.n
+    margs = [sm.marginal_vector(w, c) for c in lat.maximal_chains()]
+    ncols = n * len(margs)
+    rows = []
+    for a in lat.elements[1:]:
+        ks = [k for k, x in enumerate(margs) if sm.payoff(x, a) == w.value(a)]
+        for k, l in combinations(ks, 2):
+            row = [0] * ncols
+            for p in sm.players_from_mask(a):
+                row[k * n + p - 1] += 1
+                row[l * n + p - 1] -= 1
+            rows.append(row)
+    for k, x in enumerate(margs):
+        for i, val in enumerate(x):
+            if not val:
+                rows.append([1 if col == k * n + i else 0 for col in range(ncols)])
+    return rows, ncols
+
+
 def oracle_core_vertices(v):
     """Core vertices by brute force over active-constraint subsets.
 

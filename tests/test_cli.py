@@ -143,8 +143,7 @@ def test_lattice_moebius(ws, capsys):
     assert payload_of(out)["value"] == "1"
 
     code, out, _ = run(
-        capsys, "lattice", "moebius", ws["hier4.json"],
-        "--from", "[]", "--to", "[1,2,3]", "--recursive",
+        capsys, "lattice", "moebius", ws["hier4.json"], "--from", "[]", "--to", "[1,2,3]"
     )
     assert code == 0
     assert payload_of(out)["value"] == "0"
@@ -188,9 +187,6 @@ def test_game_moebius(ws, capsys):
     code, out, _ = run(capsys, "game", "moebius", ws["v1.json"])
     assert code == 0
     assert payload_of(out)["values"] == {"[2,4]": "1"}
-
-    code, out2, _ = run(capsys, "game", "moebius", ws["v1.json"], "--recursive")
-    assert payload_of(out2)["values"] == {"[2,4]": "1"}
 
     code, out, _ = run(capsys, "game", "moebius", "--format", "table", ws["v1.json"])
     assert out.strip() == "24: 1"
@@ -277,10 +273,56 @@ def test_cone_is_extreme(ws, capsys):
     code, out, _ = run(capsys, "cone", "is-extreme", ws["sum.json"])
     assert code == 1
     assert payload_of(out)["extreme"] is False
+    assert "note" not in payload_of(out)
 
     code, out, _ = run(capsys, "cone", "is-extreme", ws["card.json"])
     assert code == 1
     assert "0-normalized part is zero" in payload_of(out)["note"]
+
+
+def test_cone_is_extreme_normalizes_once_per_criterion(ws, capsys, monkeypatch):
+    # count calls through every module that binds the two functions
+    calls = {"is_supermodular": 0, "zero_normalize": 0}
+    modules = [m for name, m in sys.modules.items() if name.startswith("supermod.")]
+    for fname in calls:
+        original = getattr(sm, fname)
+
+        def counted(*args, _fname=fname, _original=original, **kwargs):
+            calls[_fname] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, fname, None) is original:
+                monkeypatch.setattr(mod, fname, counted)
+    for game in ("v1.json", "card.json"):
+        calls.update(is_supermodular=0, zero_normalize=0)
+        code, _, _ = run(capsys, "cone", "is-extreme", ws[game], "--method", "both")
+        assert code in (0, 1)
+        assert 1 <= calls["is_supermodular"] <= 2
+        assert 1 <= calls["zero_normalize"] <= 2
+
+
+def test_failed_cross_checks_exit_with_code_3(ws, capsys, monkeypatch):
+    # a self-check failure is a defect, not a negative answer (exit 1)
+    monkeypatch.setattr(cli, "is_extreme_via_games", lambda g: not sm.is_extreme(g))
+    code, out, err = run(capsys, "cone", "is-extreme", ws["v1.json"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: extremality criteria disagree")
+    assert len(err.splitlines()) == 1
+    code, _, _ = run(capsys, "cone", "is-extreme", ws["v1.json"], "--method", "system")
+    assert code == 0
+
+    monkeypatch.setattr(sm.cone, "is_extreme_via_games", lambda g: False)
+    code, out, err = run(capsys, "cone", "rays", ws["hier4.json"])
+    assert code == 3 and out == ""
+    assert err == "error: an enumerated generator failed the extremality cross-check\n"
+
+    # a modular stand-in for |A|^2 is tight on every square, so the
+    # interior-point certificate of cone dim fails
+    monkeypatch.setattr(sm.cone, "_squares", lambda lat: [a.bit_count() for a in lat.elements])
+    code, out, err = run(capsys, "cone", "dim", ws["hier4.json"])
+    assert code == 3 and out == ""
+    assert err == "error: a covering square is not slack at |A|^2\n"
 
 
 def test_cone_rays_matches_the_library(ws, capsys):
@@ -391,7 +433,6 @@ def test_size_caps(ws, capsys, monkeypatch):
         (("lattice", "downsets"), "--max-lattice", "cap of 0 elements"),
         (("lattice", "chains"), "--max-chains", "more than 0 maximal chains"),
         (("cone", "rays"), "--max-cone", "capped at 0 lattice elements"),
-        (("cone", "dim"), "--max-cone", "capped at 0 lattice elements"),
     ):
         code, out, err = run(capsys, *cmd, ws["hier4.json"], flag, "0")
         assert code == 2 and out == ""
@@ -399,6 +440,21 @@ def test_size_caps(ws, capsys, monkeypatch):
     monkeypatch.setenv("SUPERMOD_MAX_LATTICE", "0")
     code, _, err = run(capsys, "lattice", "downsets", ws["hier4.json"])
     assert code == 2 and "cap of 0 elements" in err
+
+
+def test_removed_options_are_refused(ws, capsys):
+    # cone dim is a certificate with no cone cap, and the Moebius commands
+    # have one closed form; argparse refuses the dropped options
+    for argv in (
+        ("cone", "dim", ws["hier4.json"], "--max-cone", "0"),
+        ("lattice", "moebius", ws["hier4.json"], "--from", "{}", "--to", "23", "--recursive"),
+        ("game", "moebius", ws["v1.json"], "--recursive"),
+    ):
+        flag = next(a for a in argv if a in ("--max-cone", "--recursive"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_max_chains_belongs_to_lattice_chains_only(ws, capsys):

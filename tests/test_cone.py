@@ -13,6 +13,7 @@ from conftest import (
     game_from_table,
     oracle_face_compare,
     oracle_incomparable_pairs,
+    oracle_payoff_system,
     random_conic,
     random_game,
     random_modular,
@@ -173,8 +174,8 @@ def test_unreduced_payoff_system_has_the_same_solution_dimension(hier4, hier4_ga
         random_supermodular(rng, hier4, hier4_games),
     ]
     for v in probes:
-        r_red, c_red = payoff_equality_system(v, reduced=True)
-        r_full, c_full = payoff_equality_system(v, reduced=False)
+        r_red, c_red = payoff_equality_system(v)
+        r_full, c_full = oracle_payoff_system(v)
         assert c_red - qlin.rank(r_red) == c_full - qlin.rank(r_full)
 
 
@@ -328,6 +329,30 @@ def test_cone_dimension(hier4, flat3, flat4, chain3, single1, mixed5):
     assert sm.cone_dimension(single1) == 0
     for lat in (hier4, flat3, flat4, chain3, single1, mixed5):
         assert sm.cone_dimension(lat) == len(lat.elements) - 1 - lat.poset.n
+        # the enumerated rays span the whole cone
+        rays = sm.extreme_rays(lat)
+        rank = qlin.rank([list(g.values) for g in rays]) if rays else 0
+        assert rank == sm.cone_dimension(lat)
+
+
+def test_extremality_criteria_agree_on_random_posets():
+    # both criteria on every enumerated ray (extreme), on sums of two rays
+    # and on the zero game (not extreme), and the rays span the dimension
+    rng = random.Random(5501)
+    lattices = 0
+    while lattices < 16:
+        lat = sm.build_lattice(random_poset(rng, rng.randint(4, 5)))
+        if len(lat.elements) > 20:
+            continue
+        lattices += 1
+        rays = sm.extreme_rays(lat, verify=False)
+        rank = qlin.rank([list(g.values) for g in rays]) if rays else 0
+        assert rank == sm.cone_dimension(lat)
+        probes = [(g, True) for g in rays] + [(sm.zero_game(lat), False)]
+        if len(rays) >= 2:
+            probes += [(a + b, False) for a, b in (rng.sample(rays, 2) for _ in range(4))]
+        for g, expected in probes:
+            assert sm.is_extreme(g) == sm.is_extreme_via_games(g) == expected
 
 
 def test_ray_enumeration_size_cap(flat4):
@@ -361,7 +386,7 @@ def test_face_compare_examples(hier4, hier4_games, flat4):
     with pytest.raises(sm.LatticeMismatchError):
         sm.face_compare(v1, other)
     bad = sm.Game.from_values(hier4, {sm.mask_from_players([2], 4): 1})
-    with pytest.raises(sm.NotSupermodularError):
+    with pytest.raises(sm.NotSupermodularError, match="face comparison"):
         sm.face_compare(v1, bad)
 
 

@@ -9,6 +9,8 @@ from supermod import qlin
 from conftest import (
     HIER4_GENERATORS,
     game_from_table,
+    oracle_mobius,
+    oracle_mobius_transform,
     oracle_modular,
     oracle_monotone,
     oracle_supermodular,
@@ -78,7 +80,7 @@ def test_mobius_transform_zero_game(hier4):
 def test_mobius_transform_detailed_generator(hier4):
     v1 = game_from_table(hier4, HIER4_GENERATORS[0])
     t_fast = sm.mobius_transform(v1)
-    t_rec = sm.mobius_transform(v1, recursive=True)
+    t_rec = oracle_mobius_transform(v1)
     assert t_fast == t_rec
     assert t_fast.to_mapping() == {sm.mask_from_players([2, 4], 4): 1}
     assert sm.mobius_inverse(t_fast) == v1
@@ -87,11 +89,24 @@ def test_mobius_transform_detailed_generator(hier4):
 def test_mobius_roundtrip_random(hier4, flat3):
     rng = random.Random(9041)
     for lat in (hier4, flat3):
+        mu = oracle_mobius(lat)
         for _ in range(60):
             v = random_game(rng, lat)
             vhat = sm.mobius_transform(v)
             assert sm.mobius_inverse(vhat) == v
-            assert sm.mobius_transform(v, recursive=True) == vhat
+            assert oracle_mobius_transform(v, mu) == vhat
+
+
+def test_mobius_transform_matches_the_recursion_on_random_posets():
+    # the subset sum over removable players against sum mu(c, b) v(c) with
+    # mu from the defining recursion, on posets with and without relations
+    rng = random.Random(6607)
+    for _ in range(30):
+        lat = sm.build_lattice(random_poset(rng, rng.randint(1, 6)))
+        mu = oracle_mobius(lat)
+        for _ in range(2):
+            v = random_game(rng, lat)
+            assert sm.mobius_transform(v) == oracle_mobius_transform(v, mu)
 
 
 def test_supermodular_predicates(hier4, flat4, hier4_games):

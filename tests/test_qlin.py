@@ -5,9 +5,7 @@ import pytest
 
 import supermod as sm
 from supermod import qlin
-from supermod.cone import payoff_equality_system
-
-from conftest import HIER4_GENERATORS, game_from_table
+from conftest import HIER4_GENERATORS, game_from_table, oracle_payoff_system
 
 
 def test_rank_examples():
@@ -41,7 +39,7 @@ def test_payoff_system_of_the_detailed_generator_has_a_line_of_solutions(hier4):
     # the full (unreduced) equality system of the first generator leaves a
     # one-dimensional solution space spanned by its own payoff array
     v1 = game_from_table(hier4, HIER4_GENERATORS[0])
-    rows, ncols = payoff_equality_system(v1, reduced=False)
+    rows, ncols = oracle_payoff_system(v1)
     basis = qlin.nullspace(rows, cols=ncols)
     assert len(basis) == 1
     stacked = []
