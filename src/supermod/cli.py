@@ -18,6 +18,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .cone import (
+    DEFAULT_MAX_CONE_ELEMENTS,
     cone_dimension,
     extreme_rays,
     face_compare,
@@ -349,8 +350,7 @@ def cmd_cone_is_extreme(args):
 
 def cmd_cone_rays(args):
     lat = load_lattice(args.poset, args)
-    cap = len(lat.elements) if args.max_cone is None else args.max_cone
-    rays = extreme_rays(lat, max_elements=cap)
+    rays = extreme_rays(lat, max_elements=args.max_cone)
     payload = {"count": len(rays), "rays": [game_payload(g) for g in rays]}
     lines = []
     for k, g in enumerate(rays, start=1):
@@ -655,7 +655,10 @@ def build_parser():
     q.set_defaults(func=cmd_cone_is_extreme)
     q = p_cone.add_parser("rays", parents=[common], help="extreme rays of the cone")
     q.add_argument("poset")
-    q.add_argument("--max-cone", type=int, metavar="N", help="element cap for enumeration")
+    q.add_argument(
+        "--max-cone", type=int, default=DEFAULT_MAX_CONE_ELEMENTS, metavar="N",
+        help="element cap for enumeration (default %(default)s)",
+    )
     q.set_defaults(func=cmd_cone_rays)
     q = p_cone.add_parser("facets", parents=[common], help="facet inequalities")
     q.add_argument("poset")

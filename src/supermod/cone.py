@@ -357,8 +357,8 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, verify=True):
     """
     if len(lat.elements) > max_elements:
         raise SizeError(
-            f"ray enumeration capped at {max_elements} lattice elements;"
-            " pass max_elements to raise the cap"
+            f"ray enumeration capped at {max_elements} lattice elements, the lattice"
+            f" has {len(lat.elements)}; raise it with --max-cone or max_elements"
         )
     coord, d = _free_coordinates(lat)
     if d == 0:

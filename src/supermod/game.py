@@ -121,12 +121,42 @@ def unanimity(lattice, a):
     return Game(lattice, [0 if a & ~b else 1 for b in lattice.elements])
 
 
+def _zeta(lat, values, inverse=False):
+    """Zeta transform of values (one per element): the value at b becomes
+    the sum over the down-sets c <= b; inverse=True gives the Moebius
+    transform.  Returns a new list, after O(L*n) lookups.
+
+    One pass per player i, each player before every player below it: each
+    down-set b holding i adds the value at b & ~up(i), up(i) being the
+    principal up-set of i.  Invariant: after the passes over players T, the
+    value at b sums values[c] over the down-sets c <= b that agree with b
+    outside T.  The players above i are in T when i is passed, so the c
+    lacking i are those inside b & ~up(i).  The inverse subtracts, in
+    reverse order.
+    """
+    p = lat.poset
+    n = p.n
+    idx = lat.index
+    order = sorted(range(1, n + 1), key=lambda i: -p.principal_down_set(i).bit_count())
+    out = list(values)
+    for i in reversed(order) if inverse else order:
+        bit = 1 << (i - 1)
+        up = sum(1 << (j - 1) for j in range(1, n + 1) if p.leq(i, j))
+        for k, b in enumerate(lat.elements):
+            if b & bit:
+                x = out[idx[b & ~up]]
+                if x:
+                    out[k] = out[k] - x if inverse else out[k] + x
+    return out
+
+
 def modular_from_irreducibles(lattice, targets):
     """The unique modular game matching targets on the principal down-sets.
 
     targets maps every player i to the desired value at the down-set of i.
-    Modular games are the additive extensions of per-player weights, so the
-    weights are recovered bottom-up and summed.
+    A modular game's Moebius transform lives on the principal down-sets,
+    where it is the weight of the top player; the weights are recovered
+    bottom-up and summed by the zeta pass.
     """
     p = lattice.poset
     n = p.n
@@ -136,54 +166,22 @@ def modular_from_irreducibles(lattice, targets):
     for i in sorted(range(1, n + 1), key=lambda i: p.principal_down_set(i).bit_count()):
         below = players_from_mask(p.strict_down_set(i))
         weight[i] = Fraction(targets[i]) - sum(weight[j] for j in below)
-    vals = [sum((weight[i] for i in players_from_mask(a)), Fraction(0)) for a in lattice.elements]
-    return Game(lattice, vals)
+    vals = [Fraction(0)] * len(lattice.elements)
+    for i, x in weight.items():
+        vals[lattice.index[p.principal_down_set(i)]] = x
+    return Game(lattice, _zeta(lattice, vals))
 
 
 def mobius_transform(v):
-    """The Moebius transform of v, as a game on the same lattice.
-
-    mu(c, b) is (-1)^|b\\c| when [c, b] is Boolean and 0 otherwise, and
-    [c, b] is Boolean exactly when c is b less a set S of players that are
-    removable from b (maximal in b).  So vhat(b) is the sum of
-    (-1)^|S| v(b\\S) over the subsets S of the removable players R(b), read
-    off the lower covers: 2^|R(b)| terms per element (3^n in all on a flat
-    poset) instead of a Moebius value per pair of elements.
-    """
-    lat = v.lattice
-    idx = lat.index
-    vals = v.values
-    out = []
-    for b in lat.elements:
-        removable = 0
-        for c in lat.lower_covers(b):
-            removable |= b ^ c
-        total = Fraction(0)
-        s = removable
-        while True:
-            x = vals[idx[b ^ s]]
-            if x:
-                total += -x if s.bit_count() & 1 else x
-            if not s:
-                break
-            s = (s - 1) & removable
-        out.append(total)
-    return Game(lat, out)
+    """The Moebius transform of v, as a game on the same lattice: the
+    inverse zeta pass, since v sums its transform below each element."""
+    return Game(v.lattice, _zeta(v.lattice, v.values, inverse=True))
 
 
 def mobius_inverse(vhat):
-    """Inverse of the Moebius transform: sum the coefficients below each element."""
-    lat = vhat.lattice
-    els = lat.elements
-    vals = vhat.values
-    out = []
-    for b in els:
-        total = Fraction(0)
-        for k, c in enumerate(els):
-            if not c & ~b and vals[k]:
-                total += vals[k]
-        out.append(total)
-    return Game(lat, out)
+    """Inverse of the Moebius transform: the zeta pass sums the
+    coefficients below each element."""
+    return Game(vhat.lattice, _zeta(vhat.lattice, vhat.values))
 
 
 def _square_slacks(v):
@@ -231,17 +229,13 @@ def zero_normalize(v):
     """Split v = w + m with w 0-normalized and m modular; returns (w, m).
 
     At a join-irreducible element the Moebius transform collapses to the
-    difference with its unique lower cover, so the modular part is the
-    unanimity combination over those differences.
+    difference with its unique lower cover; the modular part is the zeta
+    pass over those differences, the unanimity combination with them as
+    coefficients.
     """
     lat = v.lattice
-    coeff = {
-        a: v.value(a) - v.value(lat.join_irreducible_predecessor(a))
-        for a in lat.join_irreducibles
-    }
-    m_vals = [
-        sum((c for a, c in coeff.items() if not a & ~b), Fraction(0))
-        for b in lat.elements
-    ]
-    m = Game(lat, m_vals)
+    vals = [Fraction(0)] * len(lat.elements)
+    for a in lat.join_irreducibles:
+        vals[lat.index[a]] = v.value(a) - v.value(lat.join_irreducible_predecessor(a))
+    m = Game(lat, _zeta(lat, vals))
     return v - m, m

@@ -99,6 +99,8 @@ def point_configuration(v):
 def core_contains(v, x):
     """True iff x is efficient and dominates v on every element."""
     x = tuple(Fraction(t) for t in x)
+    if len(x) != v.lattice.poset.n:
+        raise ValueError(f"vector must have {v.lattice.poset.n} entries, got {len(x)}")
     if payoff(x, v.lattice.top) != v.value(v.lattice.top):
         return False
     return all(payoff(x, a) >= v.value(a) for a in v.lattice.elements)

@@ -122,6 +122,37 @@ def oracle_mobius_transform(v, mu=None):
     )
 
 
+def oracle_mobius_inverse(vhat):
+    """v(b) = sum of vhat(c) over every element c below b, by a scan over
+    all pairs of elements."""
+    lat = vhat.lattice
+    return sm.Game(
+        lat,
+        [
+            sum((x for c, x in zip(lat.elements, vhat.values) if not c & ~b), Fraction(0))
+            for b in lat.elements
+        ],
+    )
+
+
+def oracle_modular_part(v):
+    """The modular part of the 0-normalization as a unanimity combination:
+    at every element b, the sum of v(a) - v(a less its top player) over the
+    join-irreducible elements a below b."""
+    lat = v.lattice
+    coeff = {
+        a: v.value(a) - v.value(lat.join_irreducible_predecessor(a))
+        for a in lat.join_irreducibles
+    }
+    return sm.Game(
+        lat,
+        [
+            sum((c for a, c in coeff.items() if not a & ~b), Fraction(0))
+            for b in lat.elements
+        ],
+    )
+
+
 def oracle_payoff_system(v):
     """The unreduced payoff system of a supermodular game; returns
     (rows, ncols).

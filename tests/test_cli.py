@@ -442,6 +442,24 @@ def test_size_caps(ws, capsys, monkeypatch):
     assert code == 2 and "cap of 0 elements" in err
 
 
+def test_cone_rays_applies_the_default_cap(tmp_path, capsys, monkeypatch):
+    # flat7 has 128 down-sets: without --max-cone the library default of
+    # 64 refuses before double description starts
+    path = tmp_path / "flat7.json"
+    path.write_text(json.dumps({"n": 7, "covers": []}))
+
+    def no_dd(rows, dim):
+        raise AssertionError("double description ran past the cap")
+
+    monkeypatch.setattr(sm.cone, "double_description", no_dd)
+    code, out, err = run(capsys, "cone", "rays", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "capped at 64 lattice elements" in err
+    assert sm.cone.DEFAULT_MAX_CONE_ELEMENTS == 64
+    assert "128" in err and "--max-cone" in err
+
+
 def test_removed_options_are_refused(ws, capsys):
     # cone dim is a certificate with no cone cap, and the Moebius commands
     # have one closed form; argparse refuses the dropped options

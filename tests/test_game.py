@@ -10,7 +10,9 @@ from conftest import (
     HIER4_GENERATORS,
     game_from_table,
     oracle_mobius,
+    oracle_mobius_inverse,
     oracle_mobius_transform,
+    oracle_modular_part,
     oracle_modular,
     oracle_monotone,
     oracle_supermodular,
@@ -98,8 +100,8 @@ def test_mobius_roundtrip_random(hier4, flat3):
 
 
 def test_mobius_transform_matches_the_recursion_on_random_posets():
-    # the subset sum over removable players against sum mu(c, b) v(c) with
-    # mu from the defining recursion, on posets with and without relations
+    # the inverse zeta pass against sum mu(c, b) v(c) with mu from the
+    # defining recursion, on posets with and without relations
     rng = random.Random(6607)
     for _ in range(30):
         lat = sm.build_lattice(random_poset(rng, rng.randint(1, 6)))
@@ -107,6 +109,49 @@ def test_mobius_transform_matches_the_recursion_on_random_posets():
         for _ in range(2):
             v = random_game(rng, lat)
             assert sm.mobius_transform(v) == oracle_mobius_transform(v, mu)
+
+
+def _zeta_test_posets():
+    """Chains, hierarchies and seeded random posets with relations, n <= 6:
+    the orders on which the zeta passes must visit each player before the
+    players below it."""
+    posets = [sm.poset_from_covers(n, [(i, i + 1) for i in range(1, n)]) for n in (2, 3, 4, 6)]
+    posets += [
+        sm.poset_from_covers(4, [(2, 1), (3, 1)]),
+        sm.poset_from_covers(6, [(2, 1), (3, 1)]),
+        sm.poset_from_covers(6, [(2, 1), (3, 1), (4, 2), (5, 2), (6, 3)]),
+        sm.poset_from_covers(6, [(1, 4), (2, 4), (3, 5), (4, 6), (5, 6)]),
+        sm.poset_from_covers(5, [(1, 3), (2, 3), (4, 5)]),
+    ]
+    rng = random.Random(4409)
+    while len(posets) < 40:
+        p = random_poset(rng, rng.randint(2, 6))
+        if p.covers():
+            posets.append(p)
+    return posets
+
+
+def test_zeta_passes_match_the_pair_oracles_on_posets_with_relations():
+    rng = random.Random(2251)
+    for p in _zeta_test_posets():
+        lat = sm.build_lattice(p)
+        mu = oracle_mobius(lat)
+        for _ in range(2):
+            v = random_game(rng, lat)
+            vhat = sm.mobius_transform(v)
+            assert vhat == oracle_mobius_transform(v, mu)
+            assert sm.mobius_inverse(vhat) == v
+            assert sm.mobius_inverse(v) == oracle_mobius_inverse(v)
+            w, m = sm.zero_normalize(v)
+            assert m == oracle_modular_part(v)
+            assert w + m == v
+        # a modular game is the additive extension of per-player weights
+        weight = {i: rng.randint(-5, 5) for i in range(1, p.n + 1)}
+        m = sm.Game(
+            lat, [sum(weight[i] for i in sm.players_from_mask(a)) for a in lat.elements]
+        )
+        targets = {i: m.value(p.principal_down_set(i)) for i in weight}
+        assert sm.modular_from_irreducibles(lat, targets) == m
 
 
 def test_supermodular_predicates(hier4, flat4, hier4_games):

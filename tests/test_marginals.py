@@ -122,6 +122,10 @@ def test_core_contains(hier4, v1):
     assert not sm.core_contains(v1, (1, 0, 0, 0))
     assert not sm.core_contains(v1, (0, 0, 0, 2))  # not efficient
     assert sm.core_contains(sm.zero_game(hier4), (0, 0, 0, 0))
+    # one entry per player, neither more nor fewer
+    for x, got in (((0, 0, 0, 1, 5), 5), ((0, 1), 2)):
+        with pytest.raises(ValueError, match=f"vector must have 4 entries, got {got}"):
+            sm.core_contains(v1, x)
 
 
 def test_core_vertices_examples(hier4, v1, hier4_games):
