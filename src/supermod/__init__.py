@@ -8,20 +8,15 @@ games by facets and extreme rays, all over exact rationals.
 """
 
 from .cone import (
-    EqualityPair,
     FacetTriple,
     cone_dimension,
-    core_structure,
     double_description,
-    equality_pairs,
     extreme_rays,
     face_compare,
     facet_triples,
     facet_witness,
-    game_equality_system,
     is_extreme,
     is_extreme_via_games,
-    payoff_equality_system,
 )
 from .errors import (
     ConsistencyError,
@@ -81,7 +76,6 @@ __all__ = [
     "CycleError",
     "DownSetLattice",
     "EmptyCoalitionError",
-    "EqualityPair",
     "FacetTriple",
     "Game",
     "LatticeMismatchError",
@@ -98,15 +92,12 @@ __all__ = [
     "cone_dimension",
     "core_contains",
     "core_h_representation",
-    "core_structure",
     "core_vertices",
     "double_description",
-    "equality_pairs",
     "extreme_rays",
     "face_compare",
     "facet_triples",
     "facet_witness",
-    "game_equality_system",
     "game_from_configuration",
     "is_extreme",
     "is_extreme_via_games",
@@ -121,7 +112,6 @@ __all__ = [
     "mobius_transform",
     "modular_from_irreducibles",
     "payoff",
-    "payoff_equality_system",
     "players_from_mask",
     "point_configuration",
     "poset_from_covers",

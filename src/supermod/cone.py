@@ -20,35 +20,19 @@ from .marginals import tight_family
 from .poset import players_from_mask
 
 __all__ = [
-    "EqualityPair",
     "FacetTriple",
-    "equality_pairs",
-    "payoff_equality_system",
-    "game_equality_system",
     "is_extreme",
     "is_extreme_via_games",
     "facet_triples",
     "facet_witness",
     "extreme_rays",
     "cone_dimension",
-    "core_structure",
     "face_compare",
     "double_description",
     "DEFAULT_MAX_CONE_ELEMENTS",
 ]
 
 DEFAULT_MAX_CONE_ELEMENTS = 64
-
-
-@dataclass(frozen=True, order=True)
-class EqualityPair:
-    """Unordered incomparable pair on which a game happens to be modular.
-
-    a precedes b in the canonical (cardinality, mask) element order.
-    """
-
-    a: int
-    b: int
 
 
 @dataclass(frozen=True)
@@ -81,22 +65,6 @@ class FacetTriple:
         return " + ".join(lhs) + " >= " + " + ".join(rhs)
 
 
-def equality_pairs(v):
-    """All incomparable pairs where v is modular, canonically ordered.
-
-    An uncached O(L^2) scan for inspection; the extremality tests use the
-    tight covering squares instead.
-    """
-    els = v.lattice.elements
-    val = dict(zip(els, v.values))
-    return [
-        EqualityPair(a, b)
-        for k, a in enumerate(els)
-        for b in els[k + 1 :]
-        if a & ~b and b & ~a and val[a | b] + val[a & b] == val[a] + val[b]
-    ]
-
-
 def _normalized(v):
     if not is_supermodular(v):
         raise NotSupermodularError("extremality is defined for supermodular games")
@@ -104,8 +72,9 @@ def _normalized(v):
     return w
 
 
-def payoff_equality_system(v):
-    """Linear system on per-permutation payoff vectors; returns (rows, ncols).
+def _payoff_rows(w):
+    """Linear system on per-permutation payoff vectors of a 0-normalized
+    supermodular game w; returns (rows, ncols).
 
     Unknowns are the per-permutation payoff coordinates, permutation-major
     in chain order, less the coordinates pinned to zero because the game
@@ -114,11 +83,6 @@ def payoff_equality_system(v):
     it is tight.  The game spans an extreme ray of the supermodular cone
     exactly when the solution space of this system is one line.
     """
-    return _payoff_rows(_normalized(v))
-
-
-def _payoff_rows(w):
-    """payoff_equality_system of a 0-normalized supermodular game w."""
     lat = w.lattice
     n = lat.poset.n
     fam = tight_family(w)
@@ -188,20 +152,16 @@ def _facet_row(triple, coord, d):
     return row
 
 
-def game_equality_system(v):
-    """Facet rows tight at the 0-normalization of v; returns (rows, d).
+def _game_rows(w):
+    """Facet rows tight at a 0-normalized supermodular game w; returns
+    (rows, d).
 
     The tight covering squares span the modularity constraints of every
-    equality pair, since the second difference of a pair is the sum of the
-    square slacks in its grid.  A 0-normalized game satisfying all of them
-    is a multiple of v exactly when v spans an extreme ray, so the solution
-    dimension mirrors payoff_equality_system.
+    pair of elements where w is modular, since the second difference of a
+    pair is the sum of the square slacks in its grid.  A 0-normalized game
+    satisfying all of them is a multiple of w exactly when w spans an
+    extreme ray, so the solution dimension mirrors _payoff_rows.
     """
-    return _game_rows(_normalized(v))
-
-
-def _game_rows(w):
-    """game_equality_system of a 0-normalized supermodular game w."""
     coord, d = _free_coordinates(w.lattice)
     rows = []
     seen = set()
@@ -280,15 +240,25 @@ def double_description(rows, dim):
     acts as the initial lineality: a constraint that meets it pivots one
     basis vector out and turns it into a ray; once orthogonal to the
     remaining lineality, constraints split the rays by sign and adjacent
-    plus/minus pairs are combined.  Adjacency is the algebraic test: the
-    constraints processed so far that are tight at both rays must have rank
-    dim - |lineality| - 2.  Raises ValueError if a lineality direction
-    survives every constraint (non-pointed input).
+    plus/minus pairs are combined.  Raises ValueError if a lineality
+    direction survives every constraint (non-pointed input).
+
+    Adjacency is combinatorial (Fukuda and Prodon, 1996).  Each ray carries
+    a bitmask of the rows inserted so far that are tight at it, one bit per
+    row: a pivot row is tight at every existing ray, which is moved into
+    its hyperplane, and the ray it frees from the lineality is tight at
+    every earlier row; any other row is tight at its zero rays and at the
+    rays it creates.  The current rays are the extreme rays of the cone cut
+    out so far, so a plus ray and a minus ray are adjacent, and their
+    combination is extreme, exactly when no third ray is tight on every row
+    tight at both: the smallest face holding the two then holds no other
+    ray.
     """
     lin = [[1 if k == t else 0 for k in range(dim)] for t in range(dim)]
     rays = []
-    processed = []
-    for a in rows:
+    masks = []  # masks[k]: the inserted rows tight at rays[k]
+    for idx, a in enumerate(rows):
+        bit = 1 << idx
         sdots = [_dot(a, b) for b in lin]
         pivot = next((t for t, s in enumerate(sdots) if s), None)
         if pivot is not None:
@@ -309,40 +279,34 @@ def double_description(rows, dim):
                 b0 = [-x for x in b0]
             new_rays.append(_reduce(b0))
             rays = new_rays
+            masks = [z | bit for z in masks] + [bit - 1]
         else:
             dots = [_dot(a, r) for r in rays]
-            plus = [(r, t) for r, t in zip(rays, dots) if t > 0]
-            zero = [r for r, t in zip(rays, dots) if t == 0]
-            minus = [(r, t) for r, t in zip(rays, dots) if t < 0]
+            masks = [z | bit if t == 0 else z for z, t in zip(masks, dots)]
+            plus = [k for k, t in enumerate(dots) if t > 0]
+            zero = [k for k, t in enumerate(dots) if t == 0]
+            minus = [k for k, t in enumerate(dots) if t < 0]
             if minus:
-                target = dim - len(lin) - 2
-
-                def tight_mask(r):
-                    mask = 0
-                    for idx, p in enumerate(processed):
-                        if _dot(p, r) == 0:
-                            mask |= 1 << idx
-                    return mask
-
-                plus_masks = [tight_mask(r) for r, _ in plus]
-                minus_masks = [tight_mask(r) for r, _ in minus]
                 combos = []
-                for (rp, tp), zp in zip(plus, plus_masks):
-                    for (rm, tm), zm in zip(minus, minus_masks):
-                        common = zp & zm
-                        if common.bit_count() < target:
+                combo_masks = []
+                for p in plus:
+                    rp, tp, zp = rays[p], dots[p], masks[p]
+                    for m in minus:
+                        common = zp & masks[m]
+                        if any(
+                            z & common == common
+                            for k, z in enumerate(masks)
+                            if k != p and k != m
+                        ):
                             continue
-                        zrows = [
-                            processed[idx]
-                            for idx in range(len(processed))
-                            if common >> idx & 1
-                        ]
-                        if qlin.rank(zrows) == target:
-                            combos.append(
-                                _reduce([tp * xm - tm * xp for xp, xm in zip(rp, rm)])
-                            )
-                rays = [r for r, _ in plus] + zero + combos
-        processed.append(a)
+                        tm = dots[m]
+                        combos.append(
+                            _reduce([tp * xm - tm * xp for xp, xm in zip(rp, rays[m])])
+                        )
+                        combo_masks.append(common | bit)
+                keep = plus + zero
+                rays = [rays[k] for k in keep] + combos
+                masks = [masks[k] for k in keep] + combo_masks
     if lin:
         raise ValueError("the inequality system leaves a lineality space")
     return rays
@@ -391,13 +355,6 @@ def cone_dimension(lat):
     if any(t.value(w) <= 0 for t in facet_triples(lat)):
         raise CrossCheckError("a covering square is not slack at |A|^2")
     return _free_coordinates(lat)[1]
-
-
-def core_structure(v):
-    """TightFamily of a supermodular game."""
-    if not is_supermodular(v):
-        raise NotSupermodularError("core structure needs a supermodular game")
-    return tight_family(v)
 
 
 def face_compare(v, w):

@@ -32,8 +32,10 @@ __all__ = [
 class Game:
     """Rational-valued set function on a lattice, vanishing on the bottom.
 
-    Immutable.  Arithmetic combines games bound to equal lattices and
-    returns a new game; anything else raises LatticeMismatchError.
+    Immutable.  Values and scalars are held as Fractions; a float is
+    refused with TypeError, since it is already rounded.  Arithmetic
+    combines games bound to equal lattices and returns a new game; anything
+    else raises LatticeMismatchError.
     """
 
     __slots__ = ("lattice", "values")
@@ -41,6 +43,9 @@ class Game:
     def __init__(self, lattice, values):
         if not isinstance(lattice, DownSetLattice):
             raise TypeError("lattice required")
+        values = tuple(values)
+        if any(isinstance(v, float) for v in values):
+            raise TypeError("game values must be exact (int or Fraction), not float")
         values = tuple(Fraction(v) for v in values)
         if len(values) != len(lattice.elements):
             raise ValueError(
@@ -54,9 +59,9 @@ class Game:
     @classmethod
     def from_values(cls, lattice, mapping):
         """Game from a {coalition mask: value} dict; missing entries are 0."""
-        vals = [Fraction(0)] * len(lattice.elements)
+        vals = [0] * len(lattice.elements)
         for mask, val in mapping.items():
-            vals[lattice.position(mask)] = Fraction(val)
+            vals[lattice.position(mask)] = val
         return cls(lattice, vals)
 
     def value(self, mask):
@@ -90,6 +95,8 @@ class Game:
         return Game(self.lattice, [-a for a in self.values])
 
     def __mul__(self, scalar):
+        if isinstance(scalar, float):
+            raise TypeError("a game scales by an exact number (int or Fraction), not float")
         scalar = Fraction(scalar)
         return Game(self.lattice, [scalar * a for a in self.values])
 

@@ -156,21 +156,6 @@ class DownSetLattice:
     def upper_covers(self, a):
         return [a | b for b in _bits(self.addable_mask(a))]
 
-    def lower_covers(self, a):
-        self.position(a)
-        p = self.poset
-        out = []
-        for b in _bits(a):
-            i = b.bit_length()
-            up_in_a = False
-            for c in _bits(a & ~b):
-                if p.leq(i, c.bit_length()):
-                    up_in_a = True
-                    break
-            if not up_in_a:
-                out.append(a & ~b)
-        return out
-
     def birkhoff_map(self, a):
         """The join-irreducible elements below a, canonically ordered."""
         self.position(a)

@@ -35,7 +35,16 @@ __all__ = [
 
 
 def payoff(x, mask):
-    """Total payoff x(A) of the coalition mask under the vector x."""
+    """Total payoff x(A) of the coalition mask under the vector x.
+
+    ValueError if the mask holds a player past the end of x.  A vector with
+    more entries than players cannot be told apart without n, so callers
+    that know n (such as core_contains) check that themselves.
+    """
+    if mask >> len(x):
+        raise ValueError(
+            f"coalition holds player {mask.bit_length()}, the vector has {len(x)} entries"
+        )
     total = Fraction(0)
     m = mask
     while m:

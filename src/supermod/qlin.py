@@ -1,16 +1,14 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact rank over the rationals of small dense matrices.
 
 A matrix is a sequence of rows; entries may be ints or Fractions.  Rows are
-scaled to integers up front and all eliminations are fraction-free
-(Bareiss), so nothing here ever touches floating point.
+scaled to integers up front and the elimination is fraction-free (Bareiss),
+so nothing here ever touches floating point.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .errors import ZeroVectorError
-
-__all__ = ["rank", "nullspace", "solve_unique", "normalize_ray"]
+__all__ = ["rank"]
 
 
 def _int_rows(rows):
@@ -67,75 +65,3 @@ def rank(rows):
         return 0
     m = [list(t) for t in dict.fromkeys(tuple(row) for row in m)]
     return len(_echelon(m))
-
-
-def nullspace(rows, cols=None):
-    """Canonical integer basis of the right nullspace.
-
-    One basis vector per free column, in column order, each normalized via
-    normalize_ray.  cols is required when rows is empty.
-    """
-    rows = [row for row in rows]
-    if cols is None:
-        if not rows:
-            raise ValueError("cols is required for an empty matrix")
-        cols = len(rows[0])
-    if cols == 0:
-        return []
-    m = _int_rows(rows)
-    m = [row for row in m if any(row)]
-    piv = _echelon(m)
-    pivset = set(piv)
-    basis = []
-    for f in (c for c in range(cols) if c not in pivset):
-        x = [Fraction(0)] * cols
-        x[f] = Fraction(1)
-        for r in reversed(range(len(piv))):
-            c = piv[r]
-            s = sum(m[r][j] * x[j] for j in range(c + 1, cols) if x[j])
-            x[c] = Fraction(-s, m[r][c])
-        basis.append(normalize_ray(x))
-    return basis
-
-
-def solve_unique(rows, rhs):
-    """The unique rational solution of rows * x = rhs, or None.
-
-    None covers both an inconsistent system and one with a free variable;
-    callers that must tell the two apart should inspect ranks directly.
-    """
-    rows = [list(row) for row in rows]
-    if not rows:
-        return None
-    cols = len(rows[0])
-    aug = _int_rows([row + [b] for row, b in zip(rows, rhs)])
-    piv = _echelon(aug)
-    if cols in piv:
-        return None  # pivot in the rhs column: inconsistent
-    if len(piv) < cols:
-        return None
-    x = [Fraction(0)] * cols
-    for r in reversed(range(cols)):
-        c = piv[r]
-        s = sum(aug[r][j] * x[j] for j in range(c + 1, cols) if x[j])
-        x[c] = Fraction(aug[r][cols] - s, aug[r][c])
-    return tuple(x)
-
-
-def normalize_ray(vec):
-    """Scale to coprime integers with the first nonzero entry positive."""
-    fracs = [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
-    if not any(fracs):
-        raise ZeroVectorError("cannot normalize the zero vector")
-    den = 1
-    for x in fracs:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)

@@ -5,13 +5,17 @@ The oracles recompute expected values by a different route than the library
 so the tests do not simply mirror the implementation.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 import pytest
 
 import supermod as sm
-from supermod import qlin
+from supermod import cone, qlin
+from supermod.cone import _dot, _reduce
+from supermod.qlin import _echelon, _int_rows
 
 # The six minimal integer generators of the supermodular cone on the
 # 4-player hierarchy lattice (players 2 and 3 below player 1, player 4
@@ -183,6 +187,209 @@ def oracle_payoff_system(v):
     return rows, ncols
 
 
+def nullspace(rows, cols=None):
+    """Canonical integer basis of the right nullspace.
+
+    One basis vector per free column, in column order, each normalized via
+    normalize_ray.  cols is required when rows is empty.
+    """
+    rows = [row for row in rows]
+    if cols is None:
+        if not rows:
+            raise ValueError("cols is required for an empty matrix")
+        cols = len(rows[0])
+    if cols == 0:
+        return []
+    m = _int_rows(rows)
+    m = [row for row in m if any(row)]
+    piv = _echelon(m)
+    pivset = set(piv)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivset):
+        x = [Fraction(0)] * cols
+        x[f] = Fraction(1)
+        for r in reversed(range(len(piv))):
+            c = piv[r]
+            s = sum(m[r][j] * x[j] for j in range(c + 1, cols) if x[j])
+            x[c] = Fraction(-s, m[r][c])
+        basis.append(normalize_ray(x))
+    return basis
+
+
+def solve_unique(rows, rhs):
+    """The unique rational solution of rows * x = rhs, or None.
+
+    None covers both an inconsistent system and one with a free variable;
+    callers that must tell the two apart should inspect ranks directly.
+    """
+    rows = [list(row) for row in rows]
+    if not rows:
+        return None
+    cols = len(rows[0])
+    aug = _int_rows([row + [b] for row, b in zip(rows, rhs)])
+    piv = _echelon(aug)
+    if cols in piv:
+        return None  # pivot in the rhs column: inconsistent
+    if len(piv) < cols:
+        return None
+    x = [Fraction(0)] * cols
+    for r in reversed(range(cols)):
+        c = piv[r]
+        s = sum(aug[r][j] * x[j] for j in range(c + 1, cols) if x[j])
+        x[c] = Fraction(aug[r][cols] - s, aug[r][c])
+    return tuple(x)
+
+
+def normalize_ray(vec):
+    """Scale to coprime integers with the first nonzero entry positive."""
+    fracs = [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
+    if not any(fracs):
+        raise sm.ZeroVectorError("cannot normalize the zero vector")
+    den = 1
+    for x in fracs:
+        den = lcm(den, x.denominator)
+    ints = [int(x * den) for x in fracs]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    ints = [x // g for x in ints]
+    first = next(x for x in ints if x)
+    if first < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
+def lower_covers(lat, a):
+    """The elements of lat covered by the down-set a: a less one player
+    that has no player above it in a."""
+    lat.position(a)
+    p = lat.poset
+    players = sm.players_from_mask(a)
+    return [
+        a & ~(1 << (i - 1))
+        for i in players
+        if not any(p.leq(i, j) for j in players if j != i)
+    ]
+
+
+@dataclass(frozen=True, order=True)
+class EqualityPair:
+    """Unordered incomparable pair on which a game happens to be modular.
+
+    a precedes b in the canonical (cardinality, mask) element order.
+    """
+
+    a: int
+    b: int
+
+
+def equality_pairs(v):
+    """All incomparable pairs where v is modular, canonically ordered, by an
+    O(L^2) scan."""
+    els = v.lattice.elements
+    val = dict(zip(els, v.values))
+    return [
+        EqualityPair(a, b)
+        for k, a in enumerate(els)
+        for b in els[k + 1 :]
+        if a & ~b and b & ~a and val[a | b] + val[a & b] == val[a] + val[b]
+    ]
+
+
+def core_structure(v):
+    """TightFamily of a supermodular game."""
+    if not sm.is_supermodular(v):
+        raise sm.NotSupermodularError("core structure needs a supermodular game")
+    return sm.tight_family(v)
+
+
+def payoff_equality_system(v):
+    """The payoff system that is_extreme ranks, for any supermodular game;
+    returns (rows, ncols)."""
+    return cone._payoff_rows(cone._normalized(v))
+
+
+def game_equality_system(v):
+    """The tight facet rows that is_extreme_via_games ranks, for any
+    supermodular game; returns (rows, d)."""
+    return cone._game_rows(cone._normalized(v))
+
+
+def oracle_double_description(rows, dim):
+    """Extreme rays of the pointed cone {z in Q^dim : row . z >= 0}.
+
+    Insertion algorithm over exact integers.  A basis of the ambient space
+    acts as the initial lineality: a constraint that meets it pivots one
+    basis vector out and turns it into a ray; once orthogonal to the
+    remaining lineality, constraints split the rays by sign and adjacent
+    plus/minus pairs are combined.  Adjacency is the algebraic test: the
+    constraints processed so far that are tight at both rays must have rank
+    dim - |lineality| - 2.  Raises ValueError if a lineality direction
+    survives every constraint (non-pointed input).
+    """
+    lin = [[1 if k == t else 0 for k in range(dim)] for t in range(dim)]
+    rays = []
+    processed = []
+    for a in rows:
+        sdots = [_dot(a, b) for b in lin]
+        pivot = next((t for t, s in enumerate(sdots) if s), None)
+        if pivot is not None:
+            b0 = lin.pop(pivot)
+            s0 = sdots.pop(pivot)
+            lin = [
+                list(_reduce([s0 * x - sb * y for x, y in zip(b, b0)]))
+                for b, sb in zip(lin, sdots)
+            ]
+            sign = 1 if s0 > 0 else -1
+            new_rays = []
+            for r in rays:
+                t = _dot(a, r)
+                new_rays.append(
+                    _reduce([abs(s0) * x - sign * t * y for x, y in zip(r, b0)])
+                )
+            if sign < 0:
+                b0 = [-x for x in b0]
+            new_rays.append(_reduce(b0))
+            rays = new_rays
+        else:
+            dots = [_dot(a, r) for r in rays]
+            plus = [(r, t) for r, t in zip(rays, dots) if t > 0]
+            zero = [r for r, t in zip(rays, dots) if t == 0]
+            minus = [(r, t) for r, t in zip(rays, dots) if t < 0]
+            if minus:
+                target = dim - len(lin) - 2
+
+                def tight_mask(r):
+                    mask = 0
+                    for idx, p in enumerate(processed):
+                        if _dot(p, r) == 0:
+                            mask |= 1 << idx
+                    return mask
+
+                plus_masks = [tight_mask(r) for r, _ in plus]
+                minus_masks = [tight_mask(r) for r, _ in minus]
+                combos = []
+                for (rp, tp), zp in zip(plus, plus_masks):
+                    for (rm, tm), zm in zip(minus, minus_masks):
+                        common = zp & zm
+                        if common.bit_count() < target:
+                            continue
+                        zrows = [
+                            processed[idx]
+                            for idx in range(len(processed))
+                            if common >> idx & 1
+                        ]
+                        if qlin.rank(zrows) == target:
+                            combos.append(
+                                _reduce([tp * xm - tm * xp for xp, xm in zip(rp, rm)])
+                            )
+                rays = [r for r, _ in plus] + zero + combos
+        processed.append(a)
+    if lin:
+        raise ValueError("the inequality system leaves a lineality space")
+    return rays
+
+
 def oracle_core_vertices(v):
     """Core vertices by brute force over active-constraint subsets.
 
@@ -201,7 +408,7 @@ def oracle_core_vertices(v):
     for combo in combinations(proper, n - 1):
         rows = [row(a) for a in combo] + [row(lat.top)]
         rhs = [v.value(a) for a in combo] + [v.value(lat.top)]
-        x = qlin.solve_unique(rows, rhs)
+        x = solve_unique(rows, rhs)
         if x is not None and sm.core_contains(v, x):
             verts.add(x)
     return sorted(verts)

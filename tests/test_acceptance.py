@@ -17,6 +17,8 @@ from supermod import cli
 from conftest import (
     HIER4_GENERATORS,
     brute_linear_extensions,
+    core_structure,
+    equality_pairs,
     game_from_table,
     marginal_set,
     oracle_core_vertices,
@@ -264,8 +266,8 @@ def test_criterion_13_face_comparison_mirrors_tight_structure():
     assert sm.face_compare(v1, v2) == "incomparable"
     for v in rays:
         for w in rays:
-            same_tight = sm.core_structure(v).tight == sm.core_structure(w).tight
-            same_pairs = sm.equality_pairs(v) == sm.equality_pairs(w)
+            same_tight = core_structure(v).tight == core_structure(w).tight
+            same_pairs = equality_pairs(v) == equality_pairs(w)
             assert same_tight == same_pairs
             assert same_tight == (v == w)
     done("criterion 13 (face comparison)", t0, cap=10.0)

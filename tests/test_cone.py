@@ -5,15 +5,21 @@ from math import comb
 import pytest
 
 import supermod as sm
-from supermod import qlin
-from supermod.cone import facet_witness, payoff_equality_system
+from supermod import cone, qlin
+from supermod.cone import facet_witness
 
 from conftest import (
     HIER4_GENERATORS,
+    core_structure,
+    equality_pairs,
+    game_equality_system,
     game_from_table,
+    normalize_ray,
     oracle_face_compare,
+    oracle_double_description,
     oracle_incomparable_pairs,
     oracle_payoff_system,
+    payoff_equality_system,
     random_conic,
     random_game,
     random_modular,
@@ -28,7 +34,7 @@ def canonical_pair(a, b):
 
 def test_equality_pairs_of_a_modular_game(hier4):
     m = sm.Game(hier4, [a.bit_count() for a in hier4.elements])
-    pairs = sm.equality_pairs(m)
+    pairs = equality_pairs(m)
     assert [(pair.a, pair.b) for pair in pairs] == oracle_incomparable_pairs(hier4)
 
 
@@ -37,12 +43,12 @@ def test_equality_pairs_empty_inside_the_cone(hier4, hier4_rays):
     for r in hier4_rays:
         interior = interior + r
     assert sm.is_supermodular(interior)
-    assert sm.equality_pairs(interior) == []
+    assert equality_pairs(interior) == []
 
 
 def test_tight_incomparable_pairs_are_equality_pairs(hier4, hier4_games):
     v1 = hier4_games[0]
-    fv = {(e.a, e.b) for e in sm.equality_pairs(v1)}
+    fv = {(e.a, e.b) for e in equality_pairs(v1)}
     fam = sm.tight_family(v1)
     for perm in fam.perms:
         tight = sorted(fam.tight[perm], key=lambda a: (a.bit_count(), a))
@@ -58,7 +64,7 @@ def test_equality_pair_membership_forces_tightness_off_the_chain(hier4, hier4_ra
     rng = random.Random(1812)
     for _ in range(25):
         v = random_supermodular(rng, hier4, hier4_rays)
-        fv = {(e.a, e.b) for e in sm.equality_pairs(v)}
+        fv = {(e.a, e.b) for e in equality_pairs(v)}
         for c in hier4.maximal_chains():
             on_chain = set(c.sets)
             tight = sm.tight_sets(v, c)
@@ -87,7 +93,7 @@ def equality_pair_solution_dimension(v):
     rows += [row((1, a), (-1, lat.join_irreducible_predecessor(a))) for a in lat.join_irreducibles]
     rows += [
         row((1, e.a | e.b), (1, e.a & e.b), (-1, e.a), (-1, e.b))
-        for e in sm.equality_pairs(v)
+        for e in equality_pairs(v)
     ]
     return size - qlin.rank(rows)
 
@@ -106,7 +112,7 @@ def test_tight_squares_span_the_equality_pair_rows_on_random_posets():
             probes += [random_conic(rng, rays, min_nonzero=min(2, len(rays))) for _ in range(6)]
         probes.append(random_modular(rng, lat))
         for v in probes:
-            rows, d = sm.game_equality_system(v)
+            rows, d = game_equality_system(v)
             assert d - qlin.rank(rows) == equality_pair_solution_dimension(v)
 
 
@@ -281,7 +287,7 @@ def test_ray_enumeration_matches_the_generator_tables(hier4, hier4_rays):
     for g in hier4_rays:
         ints = [v for v in g.values if v]
         assert all(v.denominator == 1 for v in ints)
-        assert qlin.normalize_ray(g.values) == tuple(int(v) for v in g.values)
+        assert normalize_ray(g.values) == tuple(int(v) for v in g.values)
 
 
 def test_rays_satisfy_all_facets_and_sit_on_a_corank_one_face(hier4, flat3):
@@ -376,6 +382,32 @@ def test_double_description_prunes_non_extreme_directions():
     assert sorted(rays) == [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
 
 
+def test_double_description_matches_the_algebraic_oracle():
+    # combinatorial adjacency against the rank test it replaced: on random
+    # posets in the facet order and in a shuffled row order, then on one-rel5
+    # in the facet order
+    def facet_rows(lat):
+        coord, d = cone._free_coordinates(lat)
+        return [cone._facet_row(t, coord, d) for t in sm.facet_triples(lat)], d
+
+    def same_rays(rows, d):
+        rays = sorted(sm.double_description(rows, d))
+        assert rays == sorted(oracle_double_description(rows, d))
+        return len(rays)
+
+    rng = random.Random(6607)
+    lattices = 0
+    while lattices < 40:
+        lat = sm.build_lattice(random_poset(rng, rng.randint(4, 6)))
+        if len(lat.elements) > 24:
+            continue
+        lattices += 1
+        rows, d = facet_rows(lat)
+        same_rays(rows, d)
+        same_rays(rng.sample(rows, len(rows)), d)
+    assert same_rays(*facet_rows(sm.build_lattice(sm.poset_from_covers(5, [(1, 2)])))) == 241
+
+
 def test_face_compare_examples(hier4, hier4_games, flat4):
     v1, v2 = hier4_games[0], hier4_games[1]
     assert sm.face_compare(v1, 2 * v1) == "equal"
@@ -420,12 +452,7 @@ def test_tight_structure_determines_equality_pairs(hier4, hier4_rays):
     games = list(hier4_rays) + [3 * hier4_rays[0], hier4_rays[0] + hier4_rays[1]]
     for v in games:
         for w in games:
-            same_tight = sm.core_structure(v).tight == sm.core_structure(w).tight
-            same_pairs = set(sm.equality_pairs(v)) == set(sm.equality_pairs(w))
+            same_tight = core_structure(v).tight == core_structure(w).tight
+            same_pairs = set(equality_pairs(v)) == set(equality_pairs(w))
             assert same_tight == same_pairs
 
-
-def test_core_structure_requires_supermodularity(hier4):
-    bad = sm.Game.from_values(hier4, {sm.mask_from_players([2], 4): 1})
-    with pytest.raises(sm.NotSupermodularError):
-        sm.core_structure(bad)

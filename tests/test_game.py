@@ -50,6 +50,23 @@ def test_game_algebra(hier4, flat4):
         a + other
 
 
+def test_floats_are_refused():
+    # 0.1 is stored as 3602879701896397/36028797018963968, so a float game
+    # would silently stop being modular; exact values and scalars still work
+    flat2 = sm.build_lattice(sm.poset_from_covers(2, []))
+    exact = sm.Game(flat2, [0, Fraction(1, 10), Fraction(2, 10), Fraction(3, 10)])
+    assert sm.is_modular(exact)
+    assert sm.is_modular(sm.Game(flat2, [0, 1, 2, 3]) * Fraction(1, 10))
+    with pytest.raises(TypeError, match="float"):
+        sm.Game(flat2, [0, 0.1, 0.2, 0.3])
+    with pytest.raises(TypeError, match="float"):
+        sm.Game.from_values(flat2, {flat2.top: 0.5})
+    with pytest.raises(TypeError, match="float"):
+        exact * 0.1
+    with pytest.raises(TypeError, match="float"):
+        0.1 * exact
+
+
 def test_unanimity_games(hier4):
     n = 4
     m = sm.mask_from_players

@@ -3,7 +3,13 @@ import random
 import pytest
 
 import supermod as sm
-from conftest import brute_downsets, brute_linear_extensions, oracle_mobius, random_poset
+from conftest import (
+    brute_downsets,
+    brute_linear_extensions,
+    lower_covers,
+    oracle_mobius,
+    random_poset,
+)
 
 
 def players(mask):
@@ -249,8 +255,8 @@ def test_upper_and_lower_covers(hier4):
     assert sorted(hier4.upper_covers(m([2, 3], n))) == sorted(
         [m([1, 2, 3], n), m([2, 3, 4], n)]
     )
-    assert sorted(hier4.lower_covers(m([1, 2, 3], n))) == [m([2, 3], n)]
-    assert sorted(hier4.lower_covers(m([2, 3, 4], n))) == sorted(
+    assert sorted(lower_covers(hier4, m([1, 2, 3], n))) == [m([2, 3], n)]
+    assert sorted(lower_covers(hier4, m([2, 3, 4], n))) == sorted(
         [m([2, 3], n), m([2, 4], n), m([3, 4], n)]
     )
 

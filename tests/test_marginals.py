@@ -32,6 +32,14 @@ def test_payoff_totals():
     assert sm.payoff(x, 0b111) == 6
 
 
+def test_payoff_refuses_a_player_past_the_vector(flat3):
+    assert sm.payoff((1, 2, 3), flat3.top) == 6
+    with pytest.raises(ValueError, match="player 3, the vector has 1 entries"):
+        sm.payoff((1,), flat3.top)
+    with pytest.raises(ValueError, match="player 3, the vector has 2 entries"):
+        sm.payoff((1, 2), 0b100)
+
+
 def test_marginal_vectors_of_the_detailed_generator(hier4, v1):
     by_perm = {
         c.perm: sm.marginal_vector(v1, c) for c in hier4.maximal_chains()

@@ -5,7 +5,14 @@ import pytest
 
 import supermod as sm
 from supermod import qlin
-from conftest import HIER4_GENERATORS, game_from_table, oracle_payoff_system
+from conftest import (
+    HIER4_GENERATORS,
+    game_from_table,
+    normalize_ray,
+    nullspace,
+    oracle_payoff_system,
+    solve_unique,
+)
 
 
 def test_rank_examples():
@@ -17,18 +24,18 @@ def test_rank_examples():
 
 
 def test_nullspace_examples():
-    assert qlin.nullspace([[1, -1]]) == [(1, 1)]
-    assert qlin.nullspace([[1, 0], [0, 1]]) == []
+    assert nullspace([[1, -1]]) == [(1, 1)]
+    assert nullspace([[1, 0], [0, 1]]) == []
     with pytest.raises(ValueError):
-        qlin.nullspace([])
-    assert qlin.nullspace([], cols=2) == [(1, 0), (0, 1)]
+        nullspace([])
+    assert nullspace([], cols=2) == [(1, 0), (0, 1)]
 
 
 def test_nullspace_vectors_satisfy_system_exactly():
     rng = random.Random(1105)
     for _ in range(50):
         rows = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(rng.randint(1, 5))]
-        basis = qlin.nullspace(rows)
+        basis = nullspace(rows)
         assert qlin.rank(rows) + len(basis) == 6
         for b in basis:
             for row in rows:
@@ -40,29 +47,29 @@ def test_payoff_system_of_the_detailed_generator_has_a_line_of_solutions(hier4):
     # one-dimensional solution space spanned by its own payoff array
     v1 = game_from_table(hier4, HIER4_GENERATORS[0])
     rows, ncols = oracle_payoff_system(v1)
-    basis = qlin.nullspace(rows, cols=ncols)
+    basis = nullspace(rows, cols=ncols)
     assert len(basis) == 1
     stacked = []
     for c in hier4.maximal_chains():
         stacked.extend(sm.marginal_vector(v1, c))
-    assert basis[0] == qlin.normalize_ray(stacked)
+    assert basis[0] == normalize_ray(stacked)
 
 
 def test_solve_unique():
-    x = qlin.solve_unique([[1, 1], [1, -1]], [3, 1])
+    x = solve_unique([[1, 1], [1, -1]], [3, 1])
     assert x == (2, 1)
-    assert qlin.solve_unique([[1, 1]], [3]) is None  # free variable
-    assert qlin.solve_unique([[1, 1], [2, 2]], [3, 7]) is None  # inconsistent
-    x = qlin.solve_unique([[2, 0], [0, 3], [2, 3]], [1, 1, 2])
+    assert solve_unique([[1, 1]], [3]) is None  # free variable
+    assert solve_unique([[1, 1], [2, 2]], [3, 7]) is None  # inconsistent
+    x = solve_unique([[2, 0], [0, 3], [2, 3]], [1, 1, 2])
     assert x == (Fraction(1, 2), Fraction(1, 3))
 
 
 def test_normalize_ray_examples():
-    assert qlin.normalize_ray((Fraction(1, 2), Fraction(1, 3), 0)) == (3, 2, 0)
-    assert qlin.normalize_ray((-2, -4)) == (1, 2)
-    assert qlin.normalize_ray((5,)) == (1,)
+    assert normalize_ray((Fraction(1, 2), Fraction(1, 3), 0)) == (3, 2, 0)
+    assert normalize_ray((-2, -4)) == (1, 2)
+    assert normalize_ray((5,)) == (1,)
     with pytest.raises(sm.ZeroVectorError):
-        qlin.normalize_ray((0, 0))
+        normalize_ray((0, 0))
 
 
 def test_normalize_ray_idempotent_and_scale_invariant():
@@ -71,8 +78,8 @@ def test_normalize_ray_idempotent_and_scale_invariant():
         vec = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(5)]
         if not any(vec):
             vec[0] = Fraction(1)
-        base = qlin.normalize_ray(vec)
-        assert qlin.normalize_ray(base) == base
+        base = normalize_ray(vec)
+        assert normalize_ray(base) == base
         q = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        assert qlin.normalize_ray([q * x for x in vec]) == base
+        assert normalize_ray([q * x for x in vec]) == base
         assert base[next(k for k, x in enumerate(base) if x)] > 0
