@@ -28,7 +28,6 @@ from .errors import (
     NotSupermodularError,
     SizeError,
     SupermodError,
-    ZeroVectorError,
 )
 from .game import (
     Game,
@@ -86,7 +85,6 @@ __all__ = [
     "SizeError",
     "SupermodError",
     "TightFamily",
-    "ZeroVectorError",
     "addable_pairs",
     "build_lattice",
     "cone_dimension",

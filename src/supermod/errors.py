@@ -17,10 +17,6 @@ class NotComparableError(SupermodError, ValueError):
     """Interval endpoints are not ordered by inclusion."""
 
 
-class ZeroVectorError(SupermodError, ValueError):
-    """A nonzero vector was required."""
-
-
 class EmptyCoalitionError(SupermodError, ValueError):
     """The empty coalition is not allowed here."""
 

@@ -160,7 +160,8 @@ def _zeta(lat, values, inverse=False):
 def modular_from_irreducibles(lattice, targets):
     """The unique modular game matching targets on the principal down-sets.
 
-    targets maps every player i to the desired value at the down-set of i.
+    targets maps every player i to the desired value at the down-set of i,
+    an int or Fraction; a float is refused with TypeError, as in Game.
     A modular game's Moebius transform lives on the principal down-sets,
     where it is the weight of the top player; the weights are recovered
     bottom-up and summed by the zeta pass.
@@ -169,6 +170,8 @@ def modular_from_irreducibles(lattice, targets):
     n = p.n
     if set(targets) != set(range(1, n + 1)):
         raise ValueError("targets must cover exactly the players 1..n")
+    if any(isinstance(x, float) for x in targets.values()):
+        raise TypeError("targets must be exact (int or Fraction), not float")
     weight = {}
     for i in sorted(range(1, n + 1), key=lambda i: p.principal_down_set(i).bit_count()):
         below = players_from_mask(p.strict_down_set(i))

@@ -67,14 +67,33 @@ def marginal_vector(v, chain):
 
 def tight_sets(v, chain):
     """Elements where v meets the marginal vector of the chain."""
-    x = marginal_vector(v, chain)
-    return frozenset(a for a in v.lattice.elements if v.value(a) == payoff(x, a))
+    return next(_tight_zeros(v, [chain]))[0]
 
 
 def zero_coords(v, chain):
     """Players whose marginal increment along the chain is zero."""
-    x = marginal_vector(v, chain)
-    return frozenset(i + 1 for i, val in enumerate(x) if not val)
+    return next(_tight_zeros(v, [chain]))[1]
+
+
+def _tight_zeros(v, chains):
+    """(tight elements, zero-increment players) of v along each chain.
+
+    The marginal vectors are built from the values of v scaled to integers
+    over one common denominator, and each element is tested as the sum of
+    the increments of its members, listed once for all chains.
+    """
+    lat = v.lattice
+    n = lat.poset.n
+    val, _ = _scaled_values(v)
+    members = [(a, [i - 1 for i in players_from_mask(a)]) for a in lat.elements]
+    for c in chains:
+        x = [0] * n
+        for below, a, player in zip(c.sets, c.sets[1:], c.perm):
+            x[player - 1] = val[a] - val[below]
+        yield (
+            frozenset(a for a, mem in members if sum(map(x.__getitem__, mem)) == val[a]),
+            frozenset(i + 1 for i, t in enumerate(x) if not t),
+        )
 
 
 @dataclass(frozen=True)
@@ -89,15 +108,9 @@ class TightFamily:
 def tight_family(v):
     """TightFamily of v over all maximal chains."""
     chains = v.lattice.maximal_chains()
-    tight = {}
-    zeros = {}
-    for c in chains:
-        x = marginal_vector(v, c)
-        tight[c.perm] = frozenset(
-            a for a in v.lattice.elements if v.value(a) == payoff(x, a)
-        )
-        zeros[c.perm] = frozenset(i + 1 for i, val in enumerate(x) if not val)
-    return TightFamily(tuple(c.perm for c in chains), tight, zeros)
+    perms = tuple(c.perm for c in chains)
+    tight, zeros = zip(*_tight_zeros(v, chains))
+    return TightFamily(perms, dict(zip(perms, tight)), dict(zip(perms, zeros)))
 
 
 def point_configuration(v):

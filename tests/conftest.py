@@ -15,7 +15,6 @@ import pytest
 import supermod as sm
 from supermod import cone, qlin
 from supermod.cone import _dot, _reduce
-from supermod.qlin import _echelon, _int_rows
 
 # The six minimal integer generators of the supermodular cone on the
 # 4-player hierarchy lattice (players 2 and 3 below player 1, player 4
@@ -187,6 +186,75 @@ def oracle_payoff_system(v):
     return rows, ncols
 
 
+def oracle_tight_family(v):
+    """Tight elements and zero-increment players along every maximal chain,
+    keyed by permutation, from the Fraction marginal vectors and their
+    coalition totals; returns (tight, zeros)."""
+    tight = {}
+    zeros = {}
+    for c in v.lattice.maximal_chains():
+        x = sm.marginal_vector(v, c)
+        tight[c.perm] = frozenset(
+            a for a in v.lattice.elements if v.value(a) == sm.payoff(x, a)
+        )
+        zeros[c.perm] = frozenset(i + 1 for i, val in enumerate(x) if not val)
+    return tight, zeros
+
+
+def _int_rows(rows):
+    """Integer copies of the rows, each scaled by its denominator lcm."""
+    out = []
+    for row in rows:
+        den = 1
+        for x in row:
+            if isinstance(x, Fraction):
+                den = lcm(den, x.denominator)
+        if den == 1:
+            out.append([int(x) for x in row])
+        else:
+            out.append([int(x * den) for x in row])
+    return out
+
+
+def _echelon(m):
+    """In-place fraction-free (Bareiss) row echelon form of a dense integer
+    matrix; returns the pivot columns."""
+    if not m:
+        return []
+    nrows = len(m)
+    ncols = len(m[0])
+    piv_cols = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        pivot = m[r][c]
+        row_r = m[r]
+        for i in range(r + 1, nrows):
+            row_i = m[i]
+            f = row_i[c]
+            for j in range(c + 1, ncols):
+                row_i[j] = (pivot * row_i[j] - f * row_r[j]) // prev
+            row_i[c] = 0
+        prev = pivot
+        piv_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return piv_cols
+
+
+def oracle_rank(rows):
+    """Rank over the rationals by dense Bareiss elimination of the
+    integer-scaled rows."""
+    m = [row for row in _int_rows(rows) if any(row)]
+    return len(_echelon(m))
+
+
 def nullspace(rows, cols=None):
     """Canonical integer basis of the right nullspace.
 
@@ -240,11 +308,15 @@ def solve_unique(rows, rhs):
     return tuple(x)
 
 
+class ZeroVectorError(sm.SupermodError, ValueError):
+    """A nonzero vector was required."""
+
+
 def normalize_ray(vec):
     """Scale to coprime integers with the first nonzero entry positive."""
     fracs = [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
     if not any(fracs):
-        raise sm.ZeroVectorError("cannot normalize the zero vector")
+        raise ZeroVectorError("cannot normalize the zero vector")
     den = 1
     for x in fracs:
         den = lcm(den, x.denominator)
@@ -550,3 +622,9 @@ def flat3_rays(flat3):
 @pytest.fixture(scope="session")
 def flat4_rays(flat4):
     return sm.extreme_rays(flat4)
+
+
+@pytest.fixture(scope="session")
+def one_rel5_rays():
+    """The 241 extreme rays on five players with the one relation 1 < 2."""
+    return sm.extreme_rays(sm.build_lattice(sm.poset_from_covers(5, [(1, 2)])), verify=False)

@@ -34,8 +34,9 @@ def test_test_oracles_are_not_exported():
         "payoff_equality_system",
         "game_equality_system",
         "lower_covers",
+        "ZeroVectorError",
     )
-    for owner in (sm, cone, qlin, sm.DownSetLattice):
+    for owner in (sm, sm.errors, cone, qlin, sm.DownSetLattice):
         for name in moved:
             assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
     assert qlin.__all__ == ["rank"]

@@ -65,6 +65,9 @@ def test_floats_are_refused():
         exact * 0.1
     with pytest.raises(TypeError, match="float"):
         0.1 * exact
+    with pytest.raises(TypeError, match="float"):
+        sm.modular_from_irreducibles(flat2, {1: 0.1, 2: 0.2})
+    assert sm.modular_from_irreducibles(flat2, {1: Fraction(1, 10), 2: Fraction(2, 10)}) == exact
 
 
 def test_unanimity_games(hier4):

@@ -12,6 +12,7 @@ from conftest import (
     oracle_core_vertices,
     oracle_face_compare,
     oracle_lower_envelope,
+    oracle_tight_family,
     random_fraction,
     random_game,
     random_poset,
@@ -110,6 +111,26 @@ def test_tight_sets_of_zero_game(hier4):
     for c in hier4.maximal_chains():
         assert sm.tight_sets(zero, c) == frozenset(hier4.elements)
         assert sm.zero_coords(zero, c) == frozenset({1, 2, 3, 4})
+
+
+def test_tight_family_matches_fraction_oracle_on_random_posets():
+    # a supermodular unanimity sum and an arbitrary game, both with
+    # denominators 2, 3 and 4, on each of 30 posets with at most 5 players
+    rng = random.Random(8123)
+    off_chain = 0
+    for _ in range(30):
+        lat = sm.build_lattice(random_poset(rng, rng.randint(1, 5)))
+        arbitrary = sm.Game(lat, [0] + [random_fraction(rng, -2, 2) for _ in lat.elements[1:]])
+        for v in (random_unanimity_sum(rng, lat), arbitrary):
+            tight, zeros = oracle_tight_family(v)
+            fam = sm.tight_family(v)
+            assert fam.tight == tight and fam.zeros == zeros
+            assert fam.perms == tuple(c.perm for c in lat.maximal_chains())
+            for c in lat.maximal_chains():
+                assert sm.tight_sets(v, c) == tight[c.perm]
+                assert sm.zero_coords(v, c) == zeros[c.perm]
+                off_chain += len(tight[c.perm] - set(c.sets))
+    assert off_chain > 0
 
 
 def test_chain_is_always_tight_and_supermodular_families_are_sublattices(hier4, hier4_rays):
