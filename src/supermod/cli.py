@@ -46,6 +46,7 @@ from .marginals import (
     zero_coords,
 )
 from .poset import (
+    format_coalition,
     format_perm,
     mask_from_players,
     players_from_mask,
@@ -61,15 +62,6 @@ GOLDEN_RESOURCE = "data/reference_results.json"
 
 def coalition_key(mask):
     return json.dumps(players_from_mask(mask), separators=(",", ":"))
-
-
-def compact(mask):
-    players = players_from_mask(mask)
-    if not players:
-        return "{}"
-    if players[-1] <= 9:
-        return "".join(str(p) for p in players)
-    return "{" + ",".join(str(p) for p in players) + "}"
 
 
 def parse_perm(text):
@@ -195,7 +187,7 @@ def cmd_poset_show(args):
     }
     lines = [f"n = {p.n}", "covers: " + " ".join(f"{i}<{j}" for i, j in p.covers())]
     for i in range(1, p.n + 1):
-        lines.append(f"down({i}) = {compact(p.principal_down_set(i))}")
+        lines.append(f"down({i}) = {format_coalition(p.principal_down_set(i))}")
     emit(args, payload, lines)
     return 0
 
@@ -206,7 +198,7 @@ def cmd_lattice_downsets(args):
         "count": len(lat.elements),
         "downsets": [players_from_mask(a) for a in lat.elements],
     }
-    emit(args, payload, [compact(a) for a in lat.elements])
+    emit(args, payload, [format_coalition(a) for a in lat.elements])
     return 0
 
 
@@ -221,7 +213,7 @@ def cmd_lattice_chains(args):
         ],
     }
     lines = [
-        f"{format_perm(c.perm)}: " + " < ".join(compact(a) for a in c.sets)
+        f"{format_perm(c.perm)}: " + " < ".join(format_coalition(a) for a in c.sets)
         for c in chains
     ]
     emit(args, payload, lines)
@@ -238,7 +230,7 @@ def cmd_lattice_moebius(args):
         "to": players_from_mask(y),
         "value": str(value),
     }
-    emit(args, payload, [f"mu({compact(x)}, {compact(y)}) = {value}"])
+    emit(args, payload, [f"mu({format_coalition(x)}, {format_coalition(y)}) = {value}"])
     return 0
 
 
@@ -262,7 +254,7 @@ def cmd_game_moebius(args):
     g = load_game(args.game, args)
     t = mobius_transform(g)
     payload = {"values": game_payload(t)}
-    lines = [f"{compact(a)}: {v}" for a, v in t.to_mapping().items()]
+    lines = [f"{format_coalition(a)}: {v}" for a, v in t.to_mapping().items()]
     emit(args, payload, lines or ["(zero transform)"])
     return 0
 
@@ -272,9 +264,9 @@ def cmd_game_normalize(args):
     w, m = zero_normalize(g)
     payload = {"zero_normalized": game_payload(w), "modular": game_payload(m)}
     lines = ["zero-normalized part:"]
-    lines += [f"  {compact(a)}: {v}" for a, v in w.to_mapping().items()] or ["  0"]
+    lines += [f"  {format_coalition(a)}: {v}" for a, v in w.to_mapping().items()] or ["  0"]
     lines.append("modular part:")
-    lines += [f"  {compact(a)}: {v}" for a, v in m.to_mapping().items()] or ["  0"]
+    lines += [f"  {format_coalition(a)}: {v}" for a, v in m.to_mapping().items()] or ["  0"]
     emit(args, payload, lines)
     return 0
 
@@ -301,7 +293,7 @@ def cmd_core_tight(args):
     }
     lines = [
         f"marginal: (" + ", ".join(str(t) for t in x) + ")",
-        "tight: " + " ".join(compact(a) for a in tight),
+        "tight: " + " ".join(format_coalition(a) for a in tight),
         "zero players: " + (" ".join(str(i) for i in payload["zero_players"]) or "none"),
     ]
     emit(args, payload, lines)
@@ -313,7 +305,7 @@ def cmd_core_envelope(args):
     mask = parse_coalition(args.coalition, g.lattice.poset.n)
     value = lower_envelope(g, mask)
     payload = {"coalition": players_from_mask(mask), "value": str(value)}
-    emit(args, payload, [f"min over chains of x({compact(mask)}) = {value}"])
+    emit(args, payload, [f"min over chains of x({format_coalition(mask)}) = {value}"])
     return 0
 
 
@@ -354,7 +346,7 @@ def cmd_cone_rays(args):
     payload = {"count": len(rays), "rays": [game_payload(g) for g in rays]}
     lines = []
     for k, g in enumerate(rays, start=1):
-        body = ", ".join(f"{compact(a)}={v}" for a, v in g.to_mapping().items())
+        body = ", ".join(f"{format_coalition(a)}={v}" for a, v in g.to_mapping().items())
         lines.append(f"ray {k}: {body}")
     emit(args, payload, lines or ["(no rays: the cone is trivial)"])
     return 0

@@ -14,10 +14,10 @@ from math import gcd
 
 from . import qlin
 from .errors import CrossCheckError, LatticeMismatchError, NotSupermodularError, SizeError
-from .game import Game, is_supermodular, zero_normalize
+from .game import Game, _square_slacks, is_supermodular, zero_normalize
 from .lattice import addable_pairs
 from .marginals import tight_family
-from .poset import players_from_mask
+from .poset import format_coalition, players_from_mask
 
 __all__ = [
     "FacetTriple",
@@ -54,15 +54,12 @@ class FacetTriple:
         return game.value(both) + game.value(base) - game.value(wi) - game.value(wj)
 
     def render(self):
-        """Human form such as "v(234) + v(2) >= v(23) + v(24)"."""
+        """Human form such as "v(234) + v(2) >= v(23) + v(24)"; coalitions
+        are written by format_coalition, so "v({1,10,11})" past 9 players."""
         both, base, wi, wj = self.masks()
-
-        def term(mask):
-            return "v(" + "".join(str(p) for p in players_from_mask(mask)) + ")"
-
-        lhs = [term(both)] + ([term(base)] if base else [])
-        rhs = [term(wi), term(wj)]
-        return " + ".join(lhs) + " >= " + " + ".join(rhs)
+        terms = [f"v({format_coalition(a)})" for a in (both, base, wi, wj)]
+        lhs = terms[:2] if base else terms[:1]
+        return " + ".join(lhs) + " >= " + " + ".join(terms[2:])
 
 
 def _normalized(v):
@@ -165,8 +162,8 @@ def _game_rows(w):
     coord, d = _free_coordinates(w.lattice)
     rows = []
     seen = set()
-    for t in facet_triples(w.lattice):
-        if t.value(w):
+    for t, s in zip(facet_triples(w.lattice), _square_slacks(w)):
+        if s:
             continue
         row = _facet_row(t, coord, d)
         if any(row) and tuple(row) not in seen:
@@ -352,7 +349,7 @@ def cone_dimension(lat):
     That certificate is rechecked in O(L*n^2); CrossCheckError if it fails.
     """
     w, _ = zero_normalize(Game(lat, _squares(lat)))
-    if any(t.value(w) <= 0 for t in facet_triples(lat)):
+    if not all(s > 0 for s in _square_slacks(w)):
         raise CrossCheckError("a covering square is not slack at |A|^2")
     return _free_coordinates(lat)[1]
 
@@ -366,16 +363,15 @@ def face_compare(v, w):
     so face(v) is contained in face(w) exactly when every inequality tight
     at w is tight at v.  The facet triples (covering squares) describe the
     supermodular cone, so comparing their tight sets decides the order in
-    O(L*n^2), without walking maximal chains.
+    O(L*n^2), without walking maximal chains.  One slack list per game
+    gives both its supermodularity check and its tight squares.
     """
     if v.lattice is not w.lattice and v.lattice != w.lattice:
         raise LatticeMismatchError("games are bound to different lattices")
-    for g in (v, w):
-        if not is_supermodular(g):
-            raise NotSupermodularError("face comparison needs supermodular games")
-    triples = facet_triples(v.lattice)
-    tv = {t for t in triples if not t.value(v)}
-    tw = {t for t in triples if not t.value(w)}
+    slacks = [list(_square_slacks(g)) for g in (v, w)]
+    if any(s < 0 for sl in slacks for s in sl):
+        raise NotSupermodularError("face comparison needs supermodular games")
+    tv, tw = ({k for k, s in enumerate(sl) if not s} for sl in slacks)
     if tv == tw:
         return "equal"
     if tw <= tv:

@@ -9,6 +9,7 @@ split of a game into its 0-normalized and modular parts.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import EmptyCoalitionError, LatticeMismatchError
 from .lattice import DownSetLattice, addable_pairs
@@ -194,19 +195,31 @@ def mobius_inverse(vhat):
     return Game(vhat.lattice, _zeta(vhat.lattice, vhat.values))
 
 
+def _scaled_values(v):
+    """Values of v as integers over one common denominator; returns
+    ({element: integer}, den).  den is positive, so the integers keep
+    every sign, order and zero of the values and of their sums."""
+    den = lcm(*(x.denominator for x in v.values))
+    return (
+        {a: x.numerator * (den // x.denominator) for a, x in zip(v.lattice.elements, v.values)},
+        den,
+    )
+
+
 def _square_slacks(v):
-    """Slack v(a+i+j) + v(a) - v(a+i) - v(a+j) of every covering square.
+    """Slack v(a+i+j) + v(a) - v(a+i) - v(a+j) of every covering square, in
+    addable_pairs order, scaled by the common denominator of the values.
 
     In a distributive lattice the second difference over any pair A, B is the
     sum of these slacks over the grid [A&B, A] x [A&B, B], so the squares
-    alone decide supermodularity and modularity.
+    alone decide supermodularity and modularity; the scaling keeps each
+    slack's sign.
     """
-    vals = v.values
-    idx = v.lattice.index
+    val, _ = _scaled_values(v)
     for a, i, j in addable_pairs(v.lattice):
         bi = 1 << (i - 1)
         bj = 1 << (j - 1)
-        yield vals[idx[a | bi | bj]] + vals[idx[a]] - vals[idx[a | bi]] - vals[idx[a | bj]]
+        yield val[a | bi | bj] + val[a] - val[a | bi] - val[a | bj]
 
 
 def is_supermodular(v):
@@ -223,12 +236,8 @@ def is_modular(v):
 def is_monotone(v):
     """Nondecreasing along inclusion, checked on the covering edges a < a+i."""
     lat = v.lattice
-    vals = v.values
-    return all(
-        vals[lat.index[b]] >= x
-        for a, x in zip(lat.elements, vals)
-        for b in lat.upper_covers(a)
-    )
+    val, _ = _scaled_values(v)
+    return all(val[b] >= x for a, x in val.items() for b in lat.upper_covers(a))
 
 
 def is_nonnegative(v):

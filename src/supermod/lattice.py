@@ -1,9 +1,10 @@
 """The lattice of down-sets of a poset: elements, chains, Moebius function.
 
 Meet and join of down-sets are plain intersection and union of masks, so the
-lattice stores only the element list (canonically ordered), the
-join-irreducible elements with their unique lower covers, and lazily built
-caches for addable players and chains.  Everything is exact integer work.
+lattice stores only the element list (canonically ordered), the players
+addable to each element (recorded by the breadth-first build that finds the
+elements), the join-irreducible elements with their unique lower covers, and
+a lazily built cache of maximal chains.  Everything is exact integer work.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class DownSetLattice:
 
     elements is a tuple of coalition masks sorted by (cardinality, mask
     value); index 0 is the empty set and the last entry is the full set.
-    Instances are immutable after construction; the internal caches are
+    Instances are immutable after construction; the chain cache is
     write-once and safe for concurrent readers.
     """
 
@@ -56,26 +57,31 @@ class DownSetLattice:
         self.poset = poset
         n = poset.n
         strict = [poset.strict_down_set(i + 1) for i in range(n)]
-        seen = {0}
+        addable = {0: 0}  # every element found, with its addable players
         queue = [0]
         head = 0
         while head < len(queue):
             a = queue[head]
             head += 1
+            out = 0
             for i in range(n):
                 bit = 1 << i
                 if a & bit or strict[i] & ~a:
                     continue
+                out |= bit
                 b = a | bit
-                if b not in seen:
-                    seen.add(b)
-                    if len(seen) > max_elements:
+                if b not in addable:
+                    addable[b] = 0
+                    if len(addable) > max_elements:
                         raise SizeError(
-                            f"lattice exceeds the cap of {max_elements} elements"
+                            f"lattice exceeds the cap of {max_elements} elements;"
+                            " raise it with --max-lattice or max_elements"
                         )
                     queue.append(b)
-        self.elements = tuple(sorted(seen, key=_canonical_key))
+            addable[a] = out
+        self.elements = tuple(sorted(addable, key=_canonical_key))
         self.index = {a: k for k, a in enumerate(self.elements)}
+        self._addable = tuple(addable[a] for a in self.elements)
         self.top = self.elements[-1]
         self.bottom = 0
         # join-irreducible elements are exactly the principal down-sets;
@@ -97,7 +103,6 @@ class DownSetLattice:
                     members |= 1 << i
             if members != a:
                 raise RuntimeError("down-set enumeration produced a non-down-set")
-        self._addable = {}
         self._chains = None
 
     # -- basic structure ----------------------------------------------------
@@ -138,20 +143,7 @@ class DownSetLattice:
 
     def addable_mask(self, a):
         """Mask of players that can be added to the down-set a."""
-        cached = self._addable.get(a)
-        if cached is None:
-            self.position(a)
-            p = self.poset
-            out = 0
-            for i in range(p.n):
-                bit = 1 << i
-                if a & bit:
-                    continue
-                if p.strict_down_set(i + 1) & ~a:
-                    continue
-                out |= bit
-            self._addable[a] = cached = out
-        return cached
+        return self._addable[self.position(a)]
 
     def upper_covers(self, a):
         return [a | b for b in _bits(self.addable_mask(a))]

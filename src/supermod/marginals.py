@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import ConsistencyError, NotSupermodularError
-from .game import Game, is_supermodular
+from .game import Game, _scaled_values, is_supermodular
 from .poset import format_perm, players_from_mask
 
 __all__ = [
@@ -126,16 +125,6 @@ def core_contains(v, x):
     if payoff(x, v.lattice.top) != v.value(v.lattice.top):
         return False
     return all(payoff(x, a) >= v.value(a) for a in v.lattice.elements)
-
-
-def _scaled_values(v):
-    """Values of v as integers over one common denominator; returns
-    ({element: integer}, den)."""
-    den = lcm(*(x.denominator for x in v.values))
-    return (
-        {a: x.numerator * (den // x.denominator) for a, x in zip(v.lattice.elements, v.values)},
-        den,
-    )
 
 
 def core_vertices(v):

@@ -17,6 +17,7 @@ __all__ = [
     "mask_from_players",
     "players_from_mask",
     "format_perm",
+    "format_coalition",
 ]
 
 
@@ -48,6 +49,14 @@ def format_perm(perm):
     if all(p <= 9 for p in perm):
         return "".join(str(p) for p in perm)
     return ",".join(str(p) for p in perm)
+
+
+def format_coalition(mask):
+    """Compact text of a coalition: its players as in format_perm, in braces
+    unless every player is below 10; {} for the empty coalition."""
+    players = players_from_mask(mask)
+    text = format_perm(players)
+    return text if players and players[-1] <= 9 else "{" + text + "}"
 
 
 class Poset:

@@ -21,6 +21,7 @@ from conftest import (
     oracle_payoff_system,
     payoff_equality_system,
     random_conic,
+    random_fraction,
     random_game,
     random_modular,
     random_poset,
@@ -204,6 +205,15 @@ def test_facet_triples_on_the_hierarchy(hier4):
             assert mask in hier4
         assert t.i < t.j
         assert not base >> (t.i - 1) & 1 and not base >> (t.j - 1) & 1
+
+
+def test_facet_text_past_nine_players_braces_its_coalitions():
+    # run-together digits would print v({1,10,11}) as v(11011)
+    lat = sm.build_lattice(sm.poset_from_covers(11, []))
+    t = sm.FacetTriple(1, 10, 11)
+    assert t in sm.facet_triples(lat)
+    assert t.render() == "v({1,10,11}) + v(1) >= v({1,10}) + v({1,11})"
+    assert sm.FacetTriple(0, 1, 11).render() == "v({1,11}) >= v(1) + v({11})"
 
 
 def test_facet_counts_on_flat_posets(flat4):
@@ -435,7 +445,7 @@ def test_face_compare_matches_tight_family_oracle_on_random_posets():
             g = random_modular(rng, lat)
             for a in pool:
                 if rng.random() < 0.5:
-                    g = g + rng.randint(1, 3) * sm.unanimity(lat, a)
+                    g = g + random_fraction(rng, 1, 3) * sm.unanimity(lat, a)
             return g
 
         for _ in range(4):

@@ -16,6 +16,7 @@ from conftest import (
     oracle_modular,
     oracle_monotone,
     oracle_supermodular,
+    random_fraction,
     random_game,
     random_modular,
     random_poset,
@@ -223,13 +224,28 @@ def varied_games(rng, lat):
     """Games that fall on both sides of the supermodular, modular and
     monotone predicates: a nonnegative unanimity combination plus a
     nonnegative modular game, the same game with one value moved by 1, a
-    modular game with mixed signs and a random game."""
+    modular game with mixed signs and a random game.  When the lattice has
+    a covering square, two rational games follow: a modular game with
+    denominators 2, 3 and 4 plus 1/12 times the unanimity game of the
+    square's top, which has slack exactly 1/12 on that square, and the same
+    modular game minus it, at -1/12 there."""
     base = random_modular(rng, lat, 0, 2)
     for a in rng.sample(lat.elements[1:], min(3, len(lat.elements) - 1)):
         base = base + rng.randint(0, 2) * sm.unanimity(lat, a)
     bump = [0] * len(lat.elements)
     bump[rng.randrange(1, len(lat.elements))] = rng.choice((-1, 1))
-    return [base, base + sm.Game(lat, bump), random_modular(rng, lat), random_game(rng, lat, -2, 2)]
+    games = [base, base + sm.Game(lat, bump), random_modular(rng, lat), random_game(rng, lat, -2, 2)]
+    triples = sm.facet_triples(lat)
+    if triples:
+        t = rng.choice(triples)
+        m = sm.modular_from_irreducibles(
+            lat, {i: random_fraction(rng) for i in range(1, lat.poset.n + 1)}
+        )
+        u = Fraction(1, 12) * sm.unanimity(lat, t.masks()[0])
+        for v, slack in ((m + u, Fraction(1, 12)), (m - u, Fraction(-1, 12))):
+            assert t.value(v) == slack
+            games.append(v)
+    return games
 
 
 def test_local_predicates_match_all_pairs_oracles_on_random_posets():

@@ -248,6 +248,27 @@ def test_position_and_membership(hier4):
         hier4.position(m([1, 2], n))
 
 
+def test_addable_masks_match_brute_force_on_random_posets():
+    rng = random.Random(6007)
+    refused = 0
+    for _ in range(40):
+        p = random_poset(rng, rng.randint(1, 6))
+        lat = sm.build_lattice(p)
+        for a in lat.elements:
+            expected = 0
+            for i in range(1, p.n + 1):
+                bit = 1 << (i - 1)
+                if not a & bit and not p.principal_down_set(i) & ~(a | bit):
+                    expected |= bit
+            assert lat.addable_mask(a) == expected
+        for mask in range(1 << p.n):
+            if mask not in lat:
+                refused += 1
+                with pytest.raises(ValueError):
+                    lat.addable_mask(mask)
+    assert refused
+
+
 def test_upper_and_lower_covers(hier4):
     n = 4
     m = sm.mask_from_players
