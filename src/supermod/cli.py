@@ -117,13 +117,28 @@ def _read_json(path):
         return json.load(fh)
 
 
+def cap_value(text):
+    """A size cap given as text: a nonnegative integer, else
+    ArgumentTypeError, which argparse reports under the flag's name."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return cap
+
+
 def lattice_cap(args):
     cap = getattr(args, "max_lattice", None)
     if cap is not None:
         return cap
     env = os.environ.get("SUPERMOD_MAX_LATTICE")
     if env:
-        return int(env)
+        try:
+            return cap_value(env)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"SUPERMOD_MAX_LATTICE {exc}") from None
     return DEFAULT_MAX_ELEMENTS
 
 
@@ -570,7 +585,7 @@ def build_parser():
     )
     common.add_argument(
         "--max-lattice",
-        type=int,
+        type=cap_value,
         metavar="N",
         help="cap on lattice size (or env SUPERMOD_MAX_LATTICE)",
     )
@@ -597,7 +612,7 @@ def build_parser():
     q = p_lat.add_parser("chains", parents=[common], help="maximal chains and permutations")
     q.add_argument("poset")
     q.add_argument(
-        "--max-chains", type=int, metavar="N", help="cap on the number of maximal chains"
+        "--max-chains", type=cap_value, metavar="N", help="cap on the number of maximal chains"
     )
     q.set_defaults(func=cmd_lattice_chains)
     q = p_lat.add_parser("moebius", parents=[common], help="Moebius value of a pair")
@@ -648,7 +663,7 @@ def build_parser():
     q = p_cone.add_parser("rays", parents=[common], help="extreme rays of the cone")
     q.add_argument("poset")
     q.add_argument(
-        "--max-cone", type=int, default=DEFAULT_MAX_CONE_ELEMENTS, metavar="N",
+        "--max-cone", type=cap_value, default=DEFAULT_MAX_CONE_ELEMENTS, metavar="N",
         help="element cap for enumeration (default %(default)s)",
     )
     q.set_defaults(func=cmd_cone_rays)

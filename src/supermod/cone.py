@@ -71,7 +71,8 @@ def _normalized(v):
 
 def _payoff_rows(w):
     """Linear system on per-permutation payoff vectors of a 0-normalized
-    supermodular game w; returns (rows, ncols).
+    supermodular game w; returns (rows, ncols) with each row a
+    {column: +-1} map of its nonzero entries.
 
     Unknowns are the per-permutation payoff coordinates, permutation-major
     in chain order, less the coordinates pinned to zero because the game
@@ -83,29 +84,38 @@ def _payoff_rows(w):
     lat = w.lattice
     n = lat.poset.n
     fam = tight_family(w)
-    col = {}
+    cols = []  # cols[k][i]: the column of player i+1 under chain k, or None
+    ncols = 0
     by_element = {}
     for k, p in enumerate(fam.perms):
-        for i in range(1, n + 1):
-            if i not in fam.zeros[p]:
-                col[k, i] = len(col)
+        zeros = fam.zeros[p]
+        ck = [None] * n
+        for i in range(n):
+            if i + 1 not in zeros:
+                ck[i] = ncols
+                ncols += 1
+        cols.append(ck)
         for a in fam.tight[p]:
             by_element.setdefault(a, []).append(k)
     rows = []
     seen = set()
     for a in lat.elements[1:]:
         ks = by_element[a]
-        for k, l in zip(ks, ks[1:]):
-            row = [0] * len(col)
-            for i in players_from_mask(a):
-                if (k, i) in col:
-                    row[col[k, i]] += 1
-                if (l, i) in col:
-                    row[col[l, i]] -= 1
-            if any(row) and tuple(row) not in seen:
-                seen.add(tuple(row))
+        if len(ks) < 2:
+            continue
+        members = [i - 1 for i in players_from_mask(a)]
+        # the columns of a's members along each chain tight at a, ascending;
+        # chains own disjoint columns, so a row is fixed by its +1 and -1
+        # lists, which key it with None between them
+        held = [[c for c in map(cols[k].__getitem__, members) if c is not None] for k in ks]
+        for plus, minus in zip(held, held[1:]):
+            key = (*plus, None, *minus)
+            if (plus or minus) and key not in seen:
+                seen.add(key)
+                row = dict.fromkeys(plus, 1)
+                row.update(dict.fromkeys(minus, -1))
                 rows.append(row)
-    return rows, len(col)
+    return rows, ncols
 
 
 def is_extreme(v):
@@ -140,18 +150,20 @@ def _free_coordinates(lat):
     return coord, d
 
 
-def _facet_row(triple, coord, d):
-    """The inequality of a facet triple over the free coordinates."""
-    row = [0] * d
+def _facet_row(triple, coord):
+    """The inequality of a facet triple over the free coordinates, as a
+    {coordinate: int} map of its nonzero entries."""
+    row = {}
     for mask, sign in zip(triple.masks(), (1, 1, -1, -1)):
-        if coord[mask] is not None:
-            row[coord[mask]] += sign
-    return row
+        c = coord[mask]
+        if c is not None:
+            row[c] = row.get(c, 0) + sign
+    return {c: x for c, x in row.items() if x}
 
 
 def _game_rows(w):
-    """Facet rows tight at a 0-normalized supermodular game w; returns
-    (rows, d).
+    """Facet rows tight at a 0-normalized supermodular game w, as
+    _facet_row maps without zero or repeated rows; returns (rows, d).
 
     The tight covering squares span the modularity constraints of every
     pair of elements where w is modular, since the second difference of a
@@ -165,9 +177,10 @@ def _game_rows(w):
     for t, s in zip(facet_triples(w.lattice), _square_slacks(w)):
         if s:
             continue
-        row = _facet_row(t, coord, d)
-        if any(row) and tuple(row) not in seen:
-            seen.add(tuple(row))
+        row = _facet_row(t, coord)
+        key = frozenset(row.items())
+        if row and key not in seen:
+            seen.add(key)
             rows.append(row)
     return rows, d
 
@@ -217,8 +230,9 @@ def _squares(lat):
     return [a.bit_count() ** 2 for a in lat.elements]
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+def _dot(row, z):
+    """Value of a sparse row at a dense vector z."""
+    return sum(x * z[j] for j, x in row.items())
 
 
 def _reduce(vec):
@@ -232,6 +246,9 @@ def _reduce(vec):
 
 def double_description(rows, dim):
     """Extreme rays of the pointed cone {z in Q^dim : row . z >= 0}.
+
+    Each row is a {coordinate: int} map of its nonzero entries, as
+    _facet_row builds it; rays are dense integer tuples.
 
     Insertion algorithm over exact integers.  A basis of the ambient space
     acts as the initial lineality: a constraint that meets it pivots one
@@ -324,7 +341,7 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, verify=True):
     coord, d = _free_coordinates(lat)
     if d == 0:
         return []
-    rows = [_facet_row(t, coord, d) for t in facet_triples(lat)]
+    rows = [_facet_row(t, coord) for t in facet_triples(lat)]
     games = []
     for z in double_description(rows, d):
         vals = _reduce([0 if coord[a] is None else z[coord[a]] for a in lat.elements])

@@ -200,9 +200,16 @@ class DownSetLattice:
     def maximal_chains(self, max_chains=DEFAULT_MAX_CHAINS):
         """All maximal chains, in lexicographic order of their permutations.
 
-        The count equals the number of order-compatible permutations; the
-        walk aborts with SizeError if it exceeds max_chains.
+        The count equals the number of order-compatible permutations.  It is
+        counted in O(L*n) before any chain is built, and SizeError refuses a
+        lattice with more than max_chains of them.
         """
+        count = len(self._chains) if self._chains is not None else self._chain_count()
+        if count > max_chains:
+            raise SizeError(
+                f"more than {max_chains} maximal chains: the lattice has {count},"
+                " over the cap; raise it with --max-chains or max_chains"
+            )
         if self._chains is None:
             chains = []
             sets = [0]
@@ -210,10 +217,6 @@ class DownSetLattice:
 
             def walk(a):
                 if a == self.top:
-                    if len(chains) >= max_chains:
-                        raise SizeError(
-                            f"more than {max_chains} maximal chains"
-                        )
                     chains.append(MaximalChain(tuple(sets), tuple(perm)))
                     return
                 for b in _bits(self.addable_mask(a)):
@@ -226,9 +229,17 @@ class DownSetLattice:
 
             walk(0)
             self._chains = tuple(chains)
-        if len(self._chains) > max_chains:
-            raise SizeError(f"more than {max_chains} maximal chains")
         return self._chains
+
+    def _chain_count(self):
+        """Number of maximal chains: paths from the bottom to the top along
+        covering edges, summed in element order."""
+        paths = dict.fromkeys(self.elements, 0)
+        paths[0] = 1
+        for a, out in zip(self.elements, self._addable):
+            for b in _bits(out):
+                paths[a | b] += paths[a]
+        return paths[self.top]
 
     def chain_from_perm(self, perm):
         """The maximal chain of a compatible permutation; ValueError otherwise."""

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import eq
 
 from .errors import ConsistencyError, NotSupermodularError
 from .game import Game, _scaled_values, is_supermodular
@@ -78,19 +80,30 @@ def _tight_zeros(v, chains):
     """(tight elements, zero-increment players) of v along each chain.
 
     The marginal vectors are built from the values of v scaled to integers
-    over one common denominator, and each element is tested as the sum of
-    the increments of its members, listed once for all chains.
+    over one common denominator.  Every nonempty element is written once
+    per call as an earlier element plus one player addable to it, so the
+    coalition totals x(a) = x(parent) + x[player] of a chain's vector take
+    one addition per element.
     """
     lat = v.lattice
     n = lat.poset.n
     val, _ = _scaled_values(v)
-    members = [(a, [i - 1 for i in players_from_mask(a)]) for a in lat.elements]
+    els = lat.elements
+    vals = [val[a] for a in els]
+    split = {}
+    for k, a in enumerate(els):
+        for i in players_from_mask(lat.addable_mask(a)):
+            split.setdefault(a | 1 << (i - 1), (k, i - 1))
+    plan = [split[a] for a in els[1:]]
     for c in chains:
         x = [0] * n
         for below, a, player in zip(c.sets, c.sets[1:], c.perm):
             x[player - 1] = val[a] - val[below]
+        tot = [0]
+        for k, i in plan:
+            tot.append(tot[k] + x[i])
         yield (
-            frozenset(a for a, mem in members if sum(map(x.__getitem__, mem)) == val[a]),
+            frozenset(compress(els, map(eq, tot, vals))),
             frozenset(i + 1 for i, t in enumerate(x) if not t),
         )
 

@@ -1,26 +1,27 @@
 """Exact rank over the rationals of sparse matrices.
 
-A matrix is a sequence of rows; entries may be ints or Fractions.  Each row
-is scaled to integers and kept as a {column: entry} dict of its nonzero
-entries, so nothing here ever touches floating point, and the equality
-systems of the extremality criteria (rows of a few +-1 entries each) are
-eliminated without touching their zeros.
+A matrix is a sequence of rows, and a row is a mapping {column: entry} of
+its nonzero entries; a column it does not name holds zero, so an empty
+mapping is a zero row.  Entries may be ints or Fractions.  Each row is
+copied and scaled to integers, so nothing here ever touches floating point
+or the caller's rows, and the equality systems of the extremality criteria
+(rows of a few +-1 entries each) are eliminated without touching their
+zeros.
 """
 
-from itertools import compress
 from math import gcd, lcm
 
 __all__ = ["rank"]
 
 
-def _sparse(row):
-    """The nonzero entries of a row as {column: int}, scaled by their
-    denominator lcm; None for a zero row."""
-    cols = list(compress(range(len(row)), row))
-    if not cols:
-        return None
-    den = lcm(*(row[j].denominator for j in cols))
-    return {j: int(row[j] * den) for j in cols}
+def _scaled(row):
+    """A {column: int} copy of the row's nonzero entries, scaled by their
+    denominator lcm."""
+    out = {j: x for j, x in row.items() if x}
+    if all(type(x) is int for x in out.values()):
+        return out
+    den = lcm(*(x.denominator for x in out.values()))
+    return {j: int(x * den) for j, x in out.items()}
 
 
 def rank(rows):
@@ -37,7 +38,7 @@ def rank(rows):
     their count is the rank.
     """
     pivots = {}
-    for row in sorted(filter(None, map(_sparse, rows)), key=len):
+    for row in sorted(filter(None, map(_scaled, rows)), key=len):
         while row:
             c = min(row)
             piv = pivots.get(c)

@@ -14,7 +14,7 @@ import pytest
 
 import supermod as sm
 from supermod import cone, qlin
-from supermod.cone import _dot, _reduce
+from supermod.cone import _reduce
 
 # The six minimal integer generators of the supermodular cone on the
 # 4-player hierarchy lattice (players 2 and 3 below player 1, player 4
@@ -255,6 +255,24 @@ def oracle_rank(rows):
     return len(_echelon(m))
 
 
+def sparse_rows(dense):
+    """Dense rows (lists of entries) as the {column: entry} maps of their
+    nonzero entries that qlin.rank and double_description read."""
+    return [{j: x for j, x in enumerate(row) if x} for row in dense]
+
+
+def dense_rows(rows, ncols):
+    """Sparse {column: entry} rows as lists of ncols entries, for the
+    dense oracles."""
+    out = []
+    for row in rows:
+        dense = [0] * ncols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(dense)
+    return out
+
+
 def nullspace(rows, cols=None):
     """Canonical integer basis of the right nullspace.
 
@@ -377,14 +395,57 @@ def core_structure(v):
 
 def payoff_equality_system(v):
     """The payoff system that is_extreme ranks, for any supermodular game;
-    returns (rows, ncols)."""
+    returns (rows, ncols) with sparse {column: entry} rows (dense_rows
+    turns them into the lists oracle_rank reads)."""
     return cone._payoff_rows(cone._normalized(v))
 
 
 def game_equality_system(v):
     """The tight facet rows that is_extreme_via_games ranks, for any
-    supermodular game; returns (rows, d)."""
+    supermodular game; returns (rows, d) with sparse rows, as above."""
     return cone._game_rows(cone._normalized(v))
+
+
+def oracle_payoff_rows(w):
+    """The payoff system of a 0-normalized supermodular game w built
+    densely, one list of ncols entries per row; returns (rows, ncols).
+
+    Columns are keyed by (chain index, player) in permutation-major order,
+    less the players with a zero increment along the chain.  For every
+    element, each pair of consecutive chains tight there gets a row
+    equating their coalition totals; zero rows and repeated rows are
+    dropped.
+    """
+    lat = w.lattice
+    n = lat.poset.n
+    fam = sm.tight_family(w)
+    col = {}
+    by_element = {}
+    for k, p in enumerate(fam.perms):
+        for i in range(1, n + 1):
+            if i not in fam.zeros[p]:
+                col[k, i] = len(col)
+        for a in fam.tight[p]:
+            by_element.setdefault(a, []).append(k)
+    rows = []
+    seen = set()
+    for a in lat.elements[1:]:
+        ks = by_element[a]
+        for k, l in zip(ks, ks[1:]):
+            row = [0] * len(col)
+            for i in sm.players_from_mask(a):
+                if (k, i) in col:
+                    row[col[k, i]] += 1
+                if (l, i) in col:
+                    row[col[l, i]] -= 1
+            if any(row) and tuple(row) not in seen:
+                seen.add(tuple(row))
+                rows.append(row)
+    return rows, len(col)
+
+
+def _dense_dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def oracle_double_description(rows, dim):
@@ -398,12 +459,15 @@ def oracle_double_description(rows, dim):
     constraints processed so far that are tight at both rays must have rank
     dim - |lineality| - 2.  Raises ValueError if a lineality direction
     survives every constraint (non-pointed input).
+
+    Rows are sparse {column: entry} maps, as double_description reads
+    them; they are densified once, and only the rank test reads the maps.
     """
     lin = [[1 if k == t else 0 for k in range(dim)] for t in range(dim)]
     rays = []
     processed = []
-    for a in rows:
-        sdots = [_dot(a, b) for b in lin]
+    for a, sparse in zip(dense_rows(rows, dim), rows):
+        sdots = [_dense_dot(a, b) for b in lin]
         pivot = next((t for t, s in enumerate(sdots) if s), None)
         if pivot is not None:
             b0 = lin.pop(pivot)
@@ -415,7 +479,7 @@ def oracle_double_description(rows, dim):
             sign = 1 if s0 > 0 else -1
             new_rays = []
             for r in rays:
-                t = _dot(a, r)
+                t = _dense_dot(a, r)
                 new_rays.append(
                     _reduce([abs(s0) * x - sign * t * y for x, y in zip(r, b0)])
                 )
@@ -424,7 +488,7 @@ def oracle_double_description(rows, dim):
             new_rays.append(_reduce(b0))
             rays = new_rays
         else:
-            dots = [_dot(a, r) for r in rays]
+            dots = [_dense_dot(a, r) for r in rays]
             plus = [(r, t) for r, t in zip(rays, dots) if t > 0]
             zero = [r for r, t in zip(rays, dots) if t == 0]
             minus = [(r, t) for r, t in zip(rays, dots) if t < 0]
@@ -433,8 +497,8 @@ def oracle_double_description(rows, dim):
 
                 def tight_mask(r):
                     mask = 0
-                    for idx, p in enumerate(processed):
-                        if _dot(p, r) == 0:
+                    for idx, (p, _) in enumerate(processed):
+                        if _dense_dot(p, r) == 0:
                             mask |= 1 << idx
                     return mask
 
@@ -447,7 +511,7 @@ def oracle_double_description(rows, dim):
                         if common.bit_count() < target:
                             continue
                         zrows = [
-                            processed[idx]
+                            processed[idx][1]
                             for idx in range(len(processed))
                             if common >> idx & 1
                         ]
@@ -456,7 +520,7 @@ def oracle_double_description(rows, dim):
                                 _reduce([tp * xm - tm * xp for xp, xm in zip(rp, rm)])
                             )
                 rays = [r for r, _ in plus] + zero + combos
-        processed.append(a)
+        processed.append((a, sparse))
     if lin:
         raise ValueError("the inequality system leaves a lineality space")
     return rays

@@ -431,7 +431,11 @@ def test_size_caps(ws, capsys, monkeypatch):
     # a cap of 0 is a cap, not "use the default"
     for cmd, flag, cap_texts in (
         (("lattice", "downsets"), "--max-lattice", ("cap of 0 elements", "--max-lattice")),
-        (("lattice", "chains"), "--max-chains", ("more than 0 maximal chains",)),
+        (
+            ("lattice", "chains"),
+            "--max-chains",
+            ("more than 0 maximal chains", "has 8", "--max-chains"),
+        ),
         (("cone", "rays"), "--max-cone", ("capped at 0 lattice elements", "--max-cone")),
     ):
         code, out, err = run(capsys, *cmd, ws["hier4.json"], flag, "0")
@@ -440,6 +444,25 @@ def test_size_caps(ws, capsys, monkeypatch):
     monkeypatch.setenv("SUPERMOD_MAX_LATTICE", "0")
     code, _, err = run(capsys, "lattice", "downsets", ws["hier4.json"])
     assert code == 2 and "cap of 0 elements" in err
+
+    # a negative or non-integer cap is refused before any work, naming the
+    # flag or the environment variable it came from
+    for cmd, flag in (
+        (("lattice", "downsets"), "--max-lattice"),
+        (("lattice", "chains"), "--max-chains"),
+        (("cone", "rays"), "--max-cone"),
+    ):
+        for value in ("-3", "abc"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*cmd, ws["hier4.json"], flag, value])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and f"argument {flag}: must be a nonnegative integer" in err
+    for value in ("abc", "-3"):
+        monkeypatch.setenv("SUPERMOD_MAX_LATTICE", value)
+        code, out, err = run(capsys, "lattice", "downsets", ws["hier4.json"])
+        assert code == 2 and out == ""
+        assert err == f"error: SUPERMOD_MAX_LATTICE must be a nonnegative integer, got '{value}'\n"
 
 
 def test_cone_rays_applies_the_default_cap(tmp_path, capsys, monkeypatch):

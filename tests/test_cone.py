@@ -18,6 +18,7 @@ from conftest import (
     oracle_face_compare,
     oracle_double_description,
     oracle_incomparable_pairs,
+    oracle_payoff_rows,
     oracle_payoff_system,
     payoff_equality_system,
     random_conic,
@@ -26,6 +27,8 @@ from conftest import (
     random_modular,
     random_poset,
     random_supermodular,
+    random_unanimity_sum,
+    sparse_rows,
 )
 
 
@@ -96,7 +99,7 @@ def equality_pair_solution_dimension(v):
         row((1, e.a | e.b), (1, e.a & e.b), (-1, e.a), (-1, e.b))
         for e in equality_pairs(v)
     ]
-    return size - qlin.rank(rows)
+    return size - qlin.rank(sparse_rows(rows))
 
 
 def test_tight_squares_span_the_equality_pair_rows_on_random_posets():
@@ -183,7 +186,41 @@ def test_unreduced_payoff_system_has_the_same_solution_dimension(hier4, hier4_ga
     for v in probes:
         r_red, c_red = payoff_equality_system(v)
         r_full, c_full = oracle_payoff_system(v)
-        assert c_red - qlin.rank(r_red) == c_full - qlin.rank(r_full)
+        assert c_red - qlin.rank(r_red) == c_full - qlin.rank(sparse_rows(r_full))
+
+
+def test_sparse_payoff_rows_match_the_dense_builder(
+    hier4_rays, flat4_rays, mixed5, one_rel5_rays
+):
+    # the same rows, as sets of {column: entry} maps, and the same column
+    # count: on the ray ladder, on a seeded sample of one-rel5 rays, and on
+    # rational unanimity sums over random posets (where chains tie on many
+    # elements and zero increments pin columns)
+    def same_system(v):
+        w = cone._normalized(v)
+        rows, ncols = cone._payoff_rows(w)
+        dense, dense_ncols = oracle_payoff_rows(w)
+        assert ncols == dense_ncols
+        assert all(rows) and all(0 <= j < ncols for row in rows for j in row)
+        assert len({frozenset(row.items()) for row in rows}) == len(rows)
+        assert {frozenset(row.items()) for row in rows} == {
+            frozenset(row.items()) for row in sparse_rows(dense)
+        }
+        return len(rows)
+
+    rng = random.Random(2719)
+    probes = hier4_rays + flat4_rays + sm.extreme_rays(mixed5, verify=False)
+    probes += rng.sample(one_rel5_rays, 12)
+    assert min(map(same_system, probes)) > 0
+    lattices = 0
+    while lattices < 40:
+        lat = sm.build_lattice(random_poset(rng, rng.randint(3, 5)))
+        if len(lat.maximal_chains()) > 40:
+            continue
+        lattices += 1
+        v = random_unanimity_sum(rng, lat)
+        same_system(v)
+        same_system(v + random_unanimity_sum(rng, lat, terms=1))
 
 
 def test_facet_triples_on_the_hierarchy(hier4):
@@ -321,7 +358,7 @@ def test_rays_satisfy_all_facets_and_sit_on_a_corank_one_face(hier4, flat3):
                     row[pos[wi]] -= 1
                     row[pos[wj]] -= 1
                     tight_rows.append(row)
-            assert qlin.rank(tight_rows) == d - 1
+            assert qlin.rank(sparse_rows(tight_rows)) == d - 1
 
 
 def test_chain_lattices_have_no_rays(chain3, chain4):
@@ -347,7 +384,7 @@ def test_cone_dimension(hier4, flat3, flat4, chain3, single1, mixed5):
         assert sm.cone_dimension(lat) == len(lat.elements) - 1 - lat.poset.n
         # the enumerated rays span the whole cone
         rays = sm.extreme_rays(lat)
-        rank = qlin.rank([list(g.values) for g in rays]) if rays else 0
+        rank = qlin.rank(sparse_rows(g.values for g in rays)) if rays else 0
         assert rank == sm.cone_dimension(lat)
 
 
@@ -362,7 +399,7 @@ def test_extremality_criteria_agree_on_random_posets():
             continue
         lattices += 1
         rays = sm.extreme_rays(lat, verify=False)
-        rank = qlin.rank([list(g.values) for g in rays]) if rays else 0
+        rank = qlin.rank(sparse_rows(g.values for g in rays)) if rays else 0
         assert rank == sm.cone_dimension(lat)
         probes = [(g, True) for g in rays] + [(sm.zero_game(lat), False)]
         if len(rays) >= 2:
@@ -377,18 +414,18 @@ def test_ray_enumeration_size_cap(flat4):
 
 
 def test_double_description_basics():
-    rays = sm.double_description([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
+    rays = sm.double_description(sparse_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3)
     assert sorted(rays) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    rays = sm.double_description([[1, 1], [1, -1]], 2)
+    rays = sm.double_description(sparse_rows([[1, 1], [1, -1]]), 2)
     assert sorted(rays) == [(1, -1), (1, 1)]
     with pytest.raises(ValueError):
-        sm.double_description([[1, 1]], 2)  # a lineality direction survives
+        sm.double_description(sparse_rows([[1, 1]]), 2)  # a lineality direction survives
 
 
 def test_double_description_prunes_non_extreme_directions():
     # the cone over a square: four facets in three dimensions
     rows = [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]
-    rays = sm.double_description(rows, 3)
+    rays = sm.double_description(sparse_rows(rows), 3)
     assert sorted(rays) == [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
 
 
@@ -398,7 +435,7 @@ def test_double_description_matches_the_algebraic_oracle():
     # in the facet order
     def facet_rows(lat):
         coord, d = cone._free_coordinates(lat)
-        return [cone._facet_row(t, coord, d) for t in sm.facet_triples(lat)], d
+        return [cone._facet_row(t, coord) for t in sm.facet_triples(lat)], d
 
     def same_rays(rows, d):
         rays = sorted(sm.double_description(rows, d))

@@ -8,6 +8,7 @@ from supermod import qlin
 from conftest import (
     HIER4_GENERATORS,
     ZeroVectorError,
+    dense_rows,
     game_equality_system,
     game_from_table,
     normalize_ray,
@@ -16,15 +17,37 @@ from conftest import (
     oracle_rank,
     payoff_equality_system,
     solve_unique,
+    sparse_rows,
 )
 
 
 def test_rank_examples():
-    assert qlin.rank([[1, 0], [0, 1]]) == 2
-    assert qlin.rank([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]) == 0
-    assert qlin.rank([[1, 1, 0], [0, 1, 1], [1, 2, 1]]) == 2
+    # rows are maps of their nonzero entries: an empty map is a zero row,
+    # a column a row does not name holds zero, and entries may be Fractions
+    assert qlin.rank([{0: 1}, {1: 1}]) == 2
+    assert qlin.rank([{}, {}, {}]) == 0
+    assert qlin.rank(sparse_rows([[1, 1, 0], [0, 1, 1], [1, 2, 1]])) == 2
     assert qlin.rank([]) == 0
-    assert qlin.rank([[Fraction(1, 2), Fraction(1, 3)]]) == 1
+    assert qlin.rank([{0: Fraction(1, 2), 1: Fraction(1, 3)}]) == 1
+    assert qlin.rank([{0: Fraction(1, 2), 1: 1}, {0: 3, 1: Fraction(6)}, {}]) == 1
+    assert qlin.rank([{7: 1}, {3: -2, 9: 1}, {3: 4, 9: -2}, {1000: Fraction(-5, 3)}]) == 3
+    assert qlin.rank([{5: 2, 2: 1}, {2: 1, 5: 2}]) == 1  # key order is free
+
+
+def test_rank_leaves_its_rows_unchanged():
+    # elimination works on copies: the pivots and reduced rows never alias
+    # the caller's maps, whose entries and key order stay as they were
+    rows = [
+        {0: 2, 1: 4},
+        {0: 3, 1: 1, 2: Fraction(1, 2)},
+        {2: 1, 0: 1},
+        {},
+        {1: Fraction(2, 3), 2: -1},
+    ]
+    before = [list(row.items()) for row in rows]
+    assert qlin.rank(rows) == 3
+    assert [list(row.items()) for row in rows] == before
+    assert qlin.rank(rows) == 3
 
 
 def test_rank_matches_bareiss_oracle_on_random_matrices():
@@ -45,9 +68,46 @@ def test_rank_matches_bareiss_oracle_on_random_matrices():
             else:
                 rows.append([rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(ncols)])
         rng.shuffle(rows)
-        assert qlin.rank(rows) == oracle_rank(rows)
-        ranks.add(qlin.rank(rows))
+        assert qlin.rank(sparse_rows(rows)) == oracle_rank(rows)
+        ranks.add(qlin.rank(sparse_rows(rows)))
     assert len(ranks) > 5
+
+
+def test_rank_matches_bareiss_oracle_on_random_sparse_systems():
+    # a few entries per row over many columns, like the equality systems:
+    # +-1 entries, larger ints and Fractions, empty maps and rows that share
+    # their support; every system is ranked twice to catch aliasing
+    rng = random.Random(8821)
+    ranks = set()
+    for _ in range(150):
+        ncols = rng.randint(1, 40)
+        rows = []
+        for _ in range(rng.randint(0, 30)):
+            if rng.random() < 0.1:
+                rows.append({})
+                continue
+            if rows and rng.random() < 0.2:
+                # a combination of two earlier rows on the same columns
+                a, b = rng.choice(rows), rng.choice(rows)
+                row = {j: 2 * a.get(j, 0) - b.get(j, 0) for j in set(a) | set(b)}
+                rows.append({j: x for j, x in row.items() if x})
+                continue
+            row = {}
+            for j in rng.sample(range(ncols), rng.randint(1, min(ncols, 5))):
+                pick = rng.random()
+                if pick < 0.6:
+                    row[j] = rng.choice((1, -1))
+                elif pick < 0.85:
+                    row[j] = rng.choice((-1, 1)) * rng.randint(2, 9)
+                else:
+                    row[j] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(2, 5))
+            rows.append(row)
+        copies = [dict(row) for row in rows]
+        k = qlin.rank(rows)
+        assert k == qlin.rank(rows) == oracle_rank(dense_rows(rows, ncols))
+        assert rows == copies
+        ranks.add(k)
+    assert len(ranks) > 10
 
 
 def test_rank_with_growing_non_unit_pivots():
@@ -56,11 +116,11 @@ def test_rank_with_growing_non_unit_pivots():
     # (with Fraction weights) adds nothing
     hilbert = [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)]
     scaled = [[x * 720720 for x in row] for row in hilbert]
-    assert qlin.rank(scaled) == oracle_rank(scaled) == 8
-    assert qlin.rank(hilbert) == 8
+    assert qlin.rank(sparse_rows(scaled)) == oracle_rank(scaled) == 8
+    assert qlin.rank(sparse_rows(hilbert)) == 8
     combo = [sum(Fraction(k + 1, 7) * row[j] for k, row in enumerate(hilbert[:5])) for j in range(8)]
-    assert qlin.rank(hilbert[:5] + [combo]) == oracle_rank(hilbert[:5] + [combo]) == 5
-    assert qlin.rank([row[:6] for row in scaled]) == 6
+    assert qlin.rank(sparse_rows(hilbert[:5] + [combo])) == oracle_rank(hilbert[:5] + [combo]) == 5
+    assert qlin.rank(sparse_rows(row[:6] for row in scaled)) == 6
 
 
 def test_rank_matches_bareiss_oracle_on_one_rel5_systems(one_rel5_rays):
@@ -69,19 +129,19 @@ def test_rank_matches_bareiss_oracle_on_one_rel5_systems(one_rel5_rays):
     # the payoff systems of all 241 rays, so it sees a seeded sample of them
     for r in one_rel5_rays:
         rows, d = game_equality_system(r)
-        assert qlin.rank(rows) == oracle_rank(rows) == d - 1
+        assert qlin.rank(rows) == oracle_rank(dense_rows(rows, d)) == d - 1
         rows, ncols = payoff_equality_system(r)
         assert qlin.rank(rows) == ncols - 1
     rng = random.Random(7301)
     for r in rng.sample(one_rel5_rays, 6):
         rows, ncols = payoff_equality_system(r)
-        assert oracle_rank(rows) == ncols - 1
+        assert oracle_rank(dense_rows(rows, ncols)) == ncols - 1
     nullities = set()
     for _ in range(8):
         a, b = rng.sample(one_rel5_rays, 2)
         for rows, ncols in (payoff_equality_system(a + b), game_equality_system(a + b)):
             k = qlin.rank(rows)
-            assert k == oracle_rank(rows)
+            assert k == oracle_rank(dense_rows(rows, ncols))
             nullities.add(ncols - k)
     assert min(nullities) == 2 and max(nullities) > 2
 
@@ -99,7 +159,7 @@ def test_nullspace_vectors_satisfy_system_exactly():
     for _ in range(50):
         rows = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(rng.randint(1, 5))]
         basis = nullspace(rows)
-        assert qlin.rank(rows) + len(basis) == 6
+        assert qlin.rank(sparse_rows(rows)) + len(basis) == 6
         for b in basis:
             for row in rows:
                 assert sum(x * y for x, y in zip(row, b)) == 0
