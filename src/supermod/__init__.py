@@ -3,7 +3,7 @@
 Players live in a finite poset; feasible coalitions are its down-sets, which
 form a distributive lattice.  The package builds that lattice, works with
 games on it (Moebius transforms, normalization, supermodularity), computes
-core vertices from maximal chains, and describes the cone of supermodular
+core vertices from marginal vectors, and describes the cone of supermodular
 games by facets and extreme rays, all over exact rationals.
 """
 
@@ -44,7 +44,6 @@ from .game import (
 )
 from .lattice import DownSetLattice, MaximalChain, addable_pairs, build_lattice
 from .marginals import (
-    TightFamily,
     core_contains,
     core_h_representation,
     core_vertices,
@@ -53,7 +52,6 @@ from .marginals import (
     marginal_vector,
     payoff,
     point_configuration,
-    tight_family,
     tight_sets,
     unboundedness_witness,
     zero_coords,
@@ -84,7 +82,6 @@ __all__ = [
     "Poset",
     "SizeError",
     "SupermodError",
-    "TightFamily",
     "addable_pairs",
     "build_lattice",
     "cone_dimension",
@@ -115,7 +112,6 @@ __all__ = [
     "poset_from_covers",
     "poset_from_dict",
     "poset_to_dict",
-    "tight_family",
     "tight_sets",
     "unanimity",
     "unboundedness_witness",

@@ -288,7 +288,7 @@ def cmd_game_normalize(args):
 
 def cmd_core_vertices(args):
     g = load_game(args.game, args)
-    verts = core_vertices(g)
+    verts = core_vertices(g, max_chains=chain_cap(args))
     payload = {"count": len(verts), "vertices": [vector_payload(x) for x in verts]}
     emit(args, payload, ["(" + ", ".join(str(t) for t in x) + ")" for x in verts])
     return 0
@@ -339,7 +339,7 @@ def cmd_cone_is_extreme(args):
     g = load_game(args.game, args)
     results = {}
     if args.method in ("system", "both"):
-        results["system"] = is_extreme(g)
+        results["system"] = is_extreme(g, max_chains=chain_cap(args))
     if args.method in ("games", "both"):
         results["games"] = is_extreme_via_games(g)
     if len(results) == 2 and results["system"] != results["games"]:
@@ -589,6 +589,14 @@ def build_parser():
         metavar="N",
         help="cap on lattice size (or env SUPERMOD_MAX_LATTICE)",
     )
+    # for the commands that list maximal chains or walk their marginal vectors
+    chains = argparse.ArgumentParser(add_help=False)
+    chains.add_argument(
+        "--max-chains",
+        type=cap_value,
+        metavar="N",
+        help="cap on the maximal chains, or on the partial marginal vectors one rank holds",
+    )
 
     parser = argparse.ArgumentParser(
         prog="supermod",
@@ -609,11 +617,10 @@ def build_parser():
     q = p_lat.add_parser("downsets", parents=[common], help="list all down-sets")
     q.add_argument("poset")
     q.set_defaults(func=cmd_lattice_downsets)
-    q = p_lat.add_parser("chains", parents=[common], help="maximal chains and permutations")
-    q.add_argument("poset")
-    q.add_argument(
-        "--max-chains", type=cap_value, metavar="N", help="cap on the number of maximal chains"
+    q = p_lat.add_parser(
+        "chains", parents=[common, chains], help="maximal chains and permutations"
     )
+    q.add_argument("poset")
     q.set_defaults(func=cmd_lattice_chains)
     q = p_lat.add_parser("moebius", parents=[common], help="Moebius value of a pair")
     q.add_argument("poset")
@@ -638,7 +645,9 @@ def build_parser():
     p_core = sub.add_parser("core", help="cores and marginal vectors").add_subparsers(
         dest="cmd", required=True
     )
-    q = p_core.add_parser("vertices", parents=[common], help="core vertices (supermodular)")
+    q = p_core.add_parser(
+        "vertices", parents=[common, chains], help="core vertices (supermodular)"
+    )
     q.add_argument("game")
     q.set_defaults(func=cmd_core_vertices)
     q = p_core.add_parser("tight", parents=[common], help="tight sets along one chain")
@@ -656,7 +665,7 @@ def build_parser():
     p_cone = sub.add_parser("cone", help="the supermodular cone").add_subparsers(
         dest="cmd", required=True
     )
-    q = p_cone.add_parser("is-extreme", parents=[common], help="extremality of a game")
+    q = p_cone.add_parser("is-extreme", parents=[common, chains], help="extremality of a game")
     q.add_argument("game")
     q.add_argument("--method", choices=("system", "games", "both"), default="both")
     q.set_defaults(func=cmd_cone_is_extreme)

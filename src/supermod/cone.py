@@ -14,9 +14,9 @@ from math import gcd
 
 from . import qlin
 from .errors import CrossCheckError, LatticeMismatchError, NotSupermodularError, SizeError
-from .game import Game, _square_slacks, is_supermodular, zero_normalize
-from .lattice import addable_pairs
-from .marginals import tight_family
+from .game import Game, _scaled_values, _square_slacks, is_supermodular, zero_normalize
+from .lattice import DEFAULT_MAX_CHAINS, addable_pairs
+from .marginals import _tight_zeros, _vertex_walk
 from .poset import format_coalition, players_from_mask
 
 __all__ = [
@@ -69,33 +69,39 @@ def _normalized(v):
     return w
 
 
-def _payoff_rows(w):
-    """Linear system on per-permutation payoff vectors of a 0-normalized
+def _payoff_rows(w, max_chains=DEFAULT_MAX_CHAINS):
+    """Linear system on per-vertex payoff vectors of a 0-normalized
     supermodular game w; returns (rows, ncols) with each row a
     {column: +-1} map of its nonzero entries.
 
-    Unknowns are the per-permutation payoff coordinates, permutation-major
-    in chain order, less the coordinates pinned to zero because the game
-    adds nothing there; ncols counts the rest.  For every element a row
-    equates its coalition total along each pair of consecutive chains where
-    it is tight.  The game spans an extreme ray of the supermodular cone
-    exactly when the solution space of this system is one line.
+    The paper's system gives every maximal chain a block of unknowns, one
+    per player.  Chains with the same marginal vector have the same tight
+    elements and zero coordinates, and the rows at their own down-sets,
+    whose indicator vectors span Q^n, force their blocks equal; so one
+    block per distinct marginal vector (core vertex, in core_vertices
+    order) leaves ncols - rank unchanged, and no chain is built.  A block
+    holds the vertex's coordinates less those pinned to zero because the
+    game adds nothing there; ncols counts them all.  For every element a
+    row equates its coalition total along each pair of consecutive
+    vertices where it is tight.  The game spans an extreme ray of the
+    supermodular cone exactly when the solution space of this system is
+    one line.  max_chains caps the vertex walk (marginals._vertex_walk).
     """
     lat = w.lattice
     n = lat.poset.n
-    fam = tight_family(w)
-    cols = []  # cols[k][i]: the column of player i+1 under chain k, or None
+    val, _ = _scaled_values(w)
+    verts = sorted(_vertex_walk(lat, val, max_chains))
+    cols = []  # cols[k][i]: the column of player i+1 under vertex k, or None
     ncols = 0
     by_element = {}
-    for k, p in enumerate(fam.perms):
-        zeros = fam.zeros[p]
+    for k, (tight, zeros) in enumerate(_tight_zeros(lat, val, verts)):
         ck = [None] * n
         for i in range(n):
             if i + 1 not in zeros:
                 ck[i] = ncols
                 ncols += 1
         cols.append(ck)
-        for a in fam.tight[p]:
+        for a in tight:
             by_element.setdefault(a, []).append(k)
     rows = []
     seen = set()
@@ -104,8 +110,8 @@ def _payoff_rows(w):
         if len(ks) < 2:
             continue
         members = [i - 1 for i in players_from_mask(a)]
-        # the columns of a's members along each chain tight at a, ascending;
-        # chains own disjoint columns, so a row is fixed by its +1 and -1
+        # the columns of a's members at each vertex tight at a, ascending;
+        # vertices own disjoint columns, so a row is fixed by its +1 and -1
         # lists, which key it with None between them
         held = [[c for c in map(cols[k].__getitem__, members) if c is not None] for k in ks]
         for plus, minus in zip(held, held[1:]):
@@ -118,15 +124,17 @@ def _payoff_rows(w):
     return rows, ncols
 
 
-def is_extreme(v):
+def is_extreme(v, max_chains=DEFAULT_MAX_CHAINS):
     """Extremality of the ray spanned by the 0-normalization of v.
 
     The zero game (hence any modular game) is non-extreme by convention.
+    max_chains caps the partial marginal vectors one rank of the vertex
+    walk holds; SizeError past it.
     """
     w = _normalized(v)
     if w.is_zero():
         return False
-    rows, ncols = _payoff_rows(w)
+    rows, ncols = _payoff_rows(w, max_chains)
     return ncols - qlin.rank(rows) == 1
 
 
@@ -266,7 +274,9 @@ def double_description(rows, dim):
     out so far, so a plus ray and a minus ray are adjacent, and their
     combination is extreme, exactly when no third ray is tight on every row
     tight at both: the smallest face holding the two then holds no other
-    ray.
+    ray.  That face has dimension two over the lineality, so the rows
+    tight at both have rank dim - len(lin) - 2; a pair sharing fewer
+    tight rows is skipped before the scan of the masks.
     """
     lin = [[1 if k == t else 0 for k in range(dim)] for t in range(dim)]
     rays = []
@@ -303,11 +313,12 @@ def double_description(rows, dim):
             if minus:
                 combos = []
                 combo_masks = []
+                need = dim - len(lin) - 2
                 for p in plus:
                     rp, tp, zp = rays[p], dots[p], masks[p]
                     for m in minus:
                         common = zp & masks[m]
-                        if any(
+                        if common.bit_count() < need or any(
                             z & common == common
                             for k, z in enumerate(masks)
                             if k != p and k != m

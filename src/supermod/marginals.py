@@ -1,4 +1,4 @@
-"""Marginal vectors, cores, tight families, and payoff-array reconstruction.
+"""Marginal vectors, tight sets, cores, and payoff-array reconstruction.
 
 A payoff vector is a tuple of n Fractions, one per player.  The payoff array
 of a game collects its marginal vector along every maximal chain; it is
@@ -9,13 +9,13 @@ game_from_configuration hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import eq
 
-from .errors import ConsistencyError, NotSupermodularError
+from .errors import ConsistencyError, NotSupermodularError, SizeError
 from .game import Game, _scaled_values, is_supermodular
+from .lattice import DEFAULT_MAX_CHAINS
 from .poset import format_perm, players_from_mask
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "marginal_vector",
     "tight_sets",
     "zero_coords",
-    "TightFamily",
-    "tight_family",
     "point_configuration",
     "core_contains",
     "core_vertices",
@@ -68,26 +66,34 @@ def marginal_vector(v, chain):
 
 def tight_sets(v, chain):
     """Elements where v meets the marginal vector of the chain."""
-    return next(_tight_zeros(v, [chain]))[0]
+    return _along(v, chain)[0]
 
 
 def zero_coords(v, chain):
     """Players whose marginal increment along the chain is zero."""
-    return next(_tight_zeros(v, [chain]))[1]
+    return _along(v, chain)[1]
 
 
-def _tight_zeros(v, chains):
-    """(tight elements, zero-increment players) of v along each chain.
-
-    The marginal vectors are built from the values of v scaled to integers
-    over one common denominator.  Every nonempty element is written once
-    per call as an earlier element plus one player addable to it, so the
-    coalition totals x(a) = x(parent) + x[player] of a chain's vector take
-    one addition per element.
-    """
-    lat = v.lattice
-    n = lat.poset.n
+def _along(v, chain):
+    """(tight elements, zero-increment players) of v along one chain."""
     val, _ = _scaled_values(v)
+    x = [0] * v.lattice.poset.n
+    for below, a, player in zip(chain.sets, chain.sets[1:], chain.perm):
+        x[player - 1] = val[a] - val[below]
+    return next(_tight_zeros(v.lattice, val, [x]))
+
+
+def _tight_zeros(lat, val, vectors):
+    """(tight elements, zero players) of each integer marginal vector x:
+    the elements a where x(a) equals val[a], and the players whose
+    coordinate is zero.
+
+    val maps every element to an integer, the values of a game scaled over
+    one common denominator (game._scaled_values).  Every nonempty element
+    is written once per call as an earlier element plus one player addable
+    to it, so the coalition totals x(a) = x(parent) + x[player] take one
+    addition per element: O(L) per vector after an O(L*n) plan.
+    """
     els = lat.elements
     vals = [val[a] for a in els]
     split = {}
@@ -95,10 +101,7 @@ def _tight_zeros(v, chains):
         for i in players_from_mask(lat.addable_mask(a)):
             split.setdefault(a | 1 << (i - 1), (k, i - 1))
     plan = [split[a] for a in els[1:]]
-    for c in chains:
-        x = [0] * n
-        for below, a, player in zip(c.sets, c.sets[1:], c.perm):
-            x[player - 1] = val[a] - val[below]
+    for x in vectors:
         tot = [0]
         for k, i in plan:
             tot.append(tot[k] + x[i])
@@ -108,21 +111,44 @@ def _tight_zeros(v, chains):
         )
 
 
-@dataclass(frozen=True)
-class TightFamily:
-    """Per permutation: the tight elements and the zero-increment players."""
+def _vertex_walk(lat, val, max_chains):
+    """The distinct integer marginal vectors of val over all maximal chains,
+    as a set of n-tuples; val maps every element to an integer.
 
-    perms: tuple
-    tight: dict
-    zeros: dict
-
-
-def tight_family(v):
-    """TightFamily of v over all maximal chains."""
-    chains = v.lattice.maximal_chains()
-    perms = tuple(c.perm for c in chains)
-    tight, zeros = zip(*_tight_zeros(v, chains))
-    return TightFamily(perms, dict(zip(perms, tight)), dict(zip(perms, zeros)))
+    One pass over the lattice in element order carries, for every down-set
+    a, the distinct partial marginal vectors of the chains from the bottom
+    to a, and extends each by the increment val[a+i] - val[a] of every
+    addable player i.  Only the sets of the rank being read and the next
+    one are alive, and no maximal chain is built.  The chains through one
+    rank are split by the element they pass there, so the partial vectors
+    of a rank are never more than the maximal chains; SizeError refuses a
+    rank holding more than max_chains of them.  Cost: O(n) for each
+    partial vector and covering edge leaving its down-set, at most e*n!
+    pairs (reached on a flat poset whose marginal vectors are all
+    distinct) and far fewer when marginal vectors coincide.
+    """
+    reach = {0: {(0,) * lat.poset.n}}
+    rank = 0
+    held = 0  # the partial vectors built so far at rank + 1
+    for a in lat.elements[:-1]:
+        if a.bit_count() != rank:
+            rank += 1
+            held = 0
+        vecs = reach.pop(a)
+        for i in players_from_mask(lat.addable_mask(a)):
+            b = a | 1 << (i - 1)
+            d = (val[b] - val[a],)
+            out = reach.setdefault(b, set())
+            size = len(out)
+            out.update(x[: i - 1] + d + x[i:] for x in vecs)
+            held += len(out) - size
+            if held > max_chains:
+                raise SizeError(
+                    f"the vertex walk holds {held} partial marginal vectors at rank"
+                    f" {rank + 1}, over the cap of {max_chains}; raise it with"
+                    " --max-chains or max_chains"
+                )
+    return reach.pop(lat.top)
 
 
 def point_configuration(v):
@@ -140,35 +166,21 @@ def core_contains(v, x):
     return all(payoff(x, a) >= v.value(a) for a in v.lattice.elements)
 
 
-def core_vertices(v):
+def core_vertices(v, max_chains=DEFAULT_MAX_CHAINS):
     """Vertices of the core of a supermodular game: the distinct marginal
     vectors, in lexicographic order.
 
-    One pass over the lattice in element order carries, for every down-set
-    a, the distinct partial marginal vectors of the chains from the bottom
-    to a, and extends each by the increment v(a+i) - v(a) of every addable
-    player i; only the sets of the rank being read and the next one are
-    alive, and no maximal chain is built.  Cost: O(L*n^2) for the
-    supermodularity check, then O(n) for each partial vector and covering
-    edge leaving its down-set.  There are at most e*n! such pairs (reached
-    on a flat poset whose marginal vectors are all distinct) and far fewer
-    when marginal vectors coincide.
+    After the O(L*n^2) supermodularity check, one vertex walk over the
+    covering edges (_vertex_walk) collects them in integers; max_chains
+    caps the partial vectors it holds per rank.
     """
     if not is_supermodular(v):
         raise NotSupermodularError(
             "core vertices coincide with the marginal vectors only for"
             " supermodular games"
         )
-    lat = v.lattice
     val, den = _scaled_values(v)
-    reach = {0: {(0,) * lat.poset.n}}
-    for a in lat.elements[:-1]:
-        vecs = reach.pop(a)
-        for i in players_from_mask(lat.addable_mask(a)):
-            b = a | 1 << (i - 1)
-            d = (val[b] - val[a],)
-            reach.setdefault(b, set()).update(x[: i - 1] + d + x[i:] for x in vecs)
-    top = sorted(reach.pop(lat.top))
+    top = sorted(_vertex_walk(v.lattice, val, max_chains))
     frac = {t: Fraction(t, den) for t in {t for x in top for t in x}}
     return [tuple(map(frac.__getitem__, x)) for x in top]
 

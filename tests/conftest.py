@@ -15,6 +15,8 @@ import pytest
 import supermod as sm
 from supermod import cone, qlin
 from supermod.cone import _reduce
+from supermod.game import _scaled_values
+from supermod.marginals import _tight_zeros
 
 # The six minimal integer generators of the supermodular cone on the
 # 4-player hierarchy lattice (players 2 and 3 below player 1, player 4
@@ -386,11 +388,37 @@ def equality_pairs(v):
     ]
 
 
+@dataclass(frozen=True)
+class TightFamily:
+    """Per permutation: the tight elements and the zero-increment players."""
+
+    perms: tuple
+    tight: dict
+    zeros: dict
+
+
+def tight_family(v):
+    """TightFamily of v over all maximal chains, from one call of the
+    package's tight kernel on the integer marginal vectors of every chain."""
+    lat = v.lattice
+    val, _ = _scaled_values(v)
+    chains = lat.maximal_chains()
+    vectors = []
+    for c in chains:
+        x = [0] * lat.poset.n
+        for below, a, player in zip(c.sets, c.sets[1:], c.perm):
+            x[player - 1] = val[a] - val[below]
+        vectors.append(x)
+    perms = tuple(c.perm for c in chains)
+    tight, zeros = zip(*_tight_zeros(lat, val, vectors))
+    return TightFamily(perms, dict(zip(perms, tight)), dict(zip(perms, zeros)))
+
+
 def core_structure(v):
     """TightFamily of a supermodular game."""
     if not sm.is_supermodular(v):
         raise sm.NotSupermodularError("core structure needs a supermodular game")
-    return sm.tight_family(v)
+    return tight_family(v)
 
 
 def payoff_equality_system(v):
@@ -418,7 +446,7 @@ def oracle_payoff_rows(w):
     """
     lat = w.lattice
     n = lat.poset.n
-    fam = sm.tight_family(w)
+    fam = tight_family(w)
     col = {}
     by_element = {}
     for k, p in enumerate(fam.perms):
@@ -564,8 +592,8 @@ def oracle_lower_envelope(v, mask):
 def oracle_face_compare(v, w):
     """Face relation read off the tight families of all maximal chains: a
     smaller face has larger tight sets along every chain."""
-    tv = sm.tight_family(v).tight
-    tw = sm.tight_family(w).tight
+    tv = tight_family(v).tight
+    tw = tight_family(w).tight
     w_inside_v = all(tw[p] <= tv[p] for p in tv)
     v_inside_w = all(tv[p] <= tw[p] for p in tv)
     if w_inside_v and v_inside_w:

@@ -498,20 +498,48 @@ def test_removed_options_are_refused(ws, capsys):
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_max_chains_belongs_to_lattice_chains_only(ws, capsys):
-    # only `lattice chains` lists chains; elsewhere the option is refused
-    # rather than silently ignored
+def test_max_chains_is_refused_by_commands_it_does_not_cap(ws, capsys):
+    # `lattice chains`, `core vertices` and `cone is-extreme` take the cap;
+    # elsewhere the option is refused rather than silently ignored
     for argv in (
-        ("core", "vertices", ws["v1.json"]),
         ("core", "envelope", ws["v1.json"], "--coalition", "34"),
         ("core", "tight", ws["v1.json"], "--perm", "2314"),
         ("cone", "face-compare", ws["v1.json"], ws["v2.json"]),
-        ("cone", "is-extreme", ws["v1.json"]),
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--max-chains", "0"])
         assert exc.value.code == 2
         assert "--max-chains" in capsys.readouterr().err
+
+
+def test_max_chains_caps_the_vertex_walk(tmp_path, capsys):
+    # u_{1..11} on flat11: 11 core vertices but 11! maximal chains, more
+    # than the default cap, so only a walk that builds no chain answers
+    (tmp_path / "flat11.json").write_text(json.dumps({"n": 11, "covers": []}))
+    top = json.dumps(list(range(1, 12)), separators=(",", ":"))
+    u11 = tmp_path / "u11.json"
+    u11.write_text(json.dumps({"poset": "flat11.json", "values": {top: 1}}))
+    code, out, err = run(capsys, "cone", "is-extreme", str(u11))
+    assert (code, err) == (0, "")
+    assert payload_of(out)["extreme"] is True
+
+    # |A|^2 on flat6 has 720 distinct marginal vectors, and rank 3 alone
+    # holds 120 partial ones
+    (tmp_path / "flat6.json").write_text(json.dumps({"n": 6, "covers": []}))
+    values = {
+        json.dumps(sm.players_from_mask(a), separators=(",", ":")): a.bit_count() ** 2
+        for a in range(1, 64)
+    }
+    sq6 = tmp_path / "sq6.json"
+    sq6.write_text(json.dumps({"poset": "flat6.json", "values": values}))
+    for group, cmd in (("cone", "is-extreme"), ("core", "vertices")):
+        code, out, err = run(capsys, group, cmd, str(sq6), "--max-chains", "100")
+        assert (code, out) == (2, "")
+        held = int(err.split(" holds ")[1].split()[0])
+        assert held > 100
+        assert "over the cap of 100" in err and "--max-chains" in err
+    code, out, _ = run(capsys, "core", "vertices", str(sq6), "--max-chains", "720")
+    assert code == 0 and payload_of(out)["count"] == 720
 
 
 def test_reproduce_paper_passes(ws, capsys):

@@ -7,6 +7,8 @@ import pytest
 import supermod as sm
 from supermod import cone, qlin
 from supermod.cone import facet_witness
+from supermod.game import _scaled_values
+from supermod.marginals import _tight_zeros, _vertex_walk
 
 from conftest import (
     HIER4_GENERATORS,
@@ -20,6 +22,7 @@ from conftest import (
     oracle_incomparable_pairs,
     oracle_payoff_rows,
     oracle_payoff_system,
+    oracle_tight_family,
     payoff_equality_system,
     random_conic,
     random_fraction,
@@ -29,6 +32,7 @@ from conftest import (
     random_supermodular,
     random_unanimity_sum,
     sparse_rows,
+    tight_family,
 )
 
 
@@ -53,7 +57,7 @@ def test_equality_pairs_empty_inside_the_cone(hier4, hier4_rays):
 def test_tight_incomparable_pairs_are_equality_pairs(hier4, hier4_games):
     v1 = hier4_games[0]
     fv = {(e.a, e.b) for e in equality_pairs(v1)}
-    fam = sm.tight_family(v1)
+    fam = tight_family(v1)
     for perm in fam.perms:
         tight = sorted(fam.tight[perm], key=lambda a: (a.bit_count(), a))
         for k, a in enumerate(tight):
@@ -192,20 +196,18 @@ def test_unreduced_payoff_system_has_the_same_solution_dimension(hier4, hier4_ga
 def test_sparse_payoff_rows_match_the_dense_builder(
     hier4_rays, flat4_rays, mixed5, one_rel5_rays
 ):
-    # the same rows, as sets of {column: entry} maps, and the same column
-    # count: on the ray ladder, on a seeded sample of one-rel5 rays, and on
-    # rational unanimity sums over random posets (where chains tie on many
-    # elements and zero increments pin columns)
+    # one block per core vertex against the dense builder's block per
+    # chain: the same solution dimension, with every row nonempty, in range
+    # and unrepeated; on the ray ladder, on a seeded sample of one-rel5
+    # rays, and on rational unanimity sums over random posets (where chains
+    # tie on many elements and zero increments pin columns)
     def same_system(v):
         w = cone._normalized(v)
         rows, ncols = cone._payoff_rows(w)
         dense, dense_ncols = oracle_payoff_rows(w)
-        assert ncols == dense_ncols
+        assert ncols - qlin.rank(rows) == dense_ncols - qlin.rank(sparse_rows(dense))
         assert all(rows) and all(0 <= j < ncols for row in rows for j in row)
         assert len({frozenset(row.items()) for row in rows}) == len(rows)
-        assert {frozenset(row.items()) for row in rows} == {
-            frozenset(row.items()) for row in sparse_rows(dense)
-        }
         return len(rows)
 
     rng = random.Random(2719)
@@ -221,6 +223,39 @@ def test_sparse_payoff_rows_match_the_dense_builder(
         v = random_unanimity_sum(rng, lat)
         same_system(v)
         same_system(v + random_unanimity_sum(rng, lat, terms=1))
+
+
+def test_is_extreme_builds_no_maximal_chain():
+    # flat8 has 40,320 maximal chains; u_{1234} has 4 core vertices
+    lat = sm.build_lattice(sm.poset_from_covers(8, []))
+    u1234 = sm.unanimity(lat, sm.mask_from_players([1, 2, 3, 4], 8))
+    u235 = sm.unanimity(lat, sm.mask_from_players([2, 3, 5], 8))
+    for v, extreme in ((u1234, True), (u1234 + u235, False)):
+        assert sm.is_extreme(v) is extreme
+        assert sm.is_extreme_via_games(v) is extreme
+    assert lat._chains is None
+
+
+def test_vertices_carry_every_tight_structure_of_the_chains():
+    # the distinct (tight elements, zero players) pairs over all maximal
+    # chains, from Fraction marginal vectors, are those the tight kernel
+    # gives over the vertex walk's integer vectors: a supermodular sum and
+    # an arbitrary game on each of 30 posets with at most 5 players
+    rng = random.Random(4409)
+    merged = 0
+    for _ in range(30):
+        lat = sm.build_lattice(random_poset(rng, rng.randint(1, 5)))
+        arbitrary = sm.Game(lat, [0] + [random_fraction(rng, -2, 2) for _ in lat.elements[1:]])
+        for v in (random_unanimity_sum(rng, lat), arbitrary):
+            tight, zeros = oracle_tight_family(v)
+            by_chain = {(tight[p], zeros[p]) for p in tight}
+            val, _ = _scaled_values(v)
+            verts = _vertex_walk(lat, val, len(tight))
+            by_vertex = list(_tight_zeros(lat, val, verts))
+            assert len(set(by_vertex)) == len(by_vertex)
+            assert set(by_vertex) == by_chain
+            merged += len(tight) - len(verts)
+    assert merged > 0
 
 
 def test_facet_triples_on_the_hierarchy(hier4):

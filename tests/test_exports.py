@@ -35,8 +35,10 @@ def test_test_oracles_are_not_exported():
         "game_equality_system",
         "lower_covers",
         "ZeroVectorError",
+        "tight_family",
+        "TightFamily",
     )
-    for owner in (sm, sm.errors, cone, qlin, sm.DownSetLattice):
+    for owner in (sm, sm.errors, sm.marginals, cone, qlin, sm.DownSetLattice):
         for name in moved:
             assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
     assert qlin.__all__ == ["rank"]

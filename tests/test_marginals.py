@@ -18,6 +18,7 @@ from conftest import (
     random_poset,
     random_supermodular,
     random_unanimity_sum,
+    tight_family,
 )
 
 
@@ -99,7 +100,7 @@ def test_tight_sets_of_the_detailed_generator(hier4, v1):
 
 
 def test_tight_family_aggregates_all_chains(hier4, v1):
-    fam = sm.tight_family(v1)
+    fam = tight_family(v1)
     assert set(fam.perms) == {c.perm for c in hier4.maximal_chains()}
     for c in hier4.maximal_chains():
         assert fam.tight[c.perm] == sm.tight_sets(v1, c)
@@ -123,7 +124,7 @@ def test_tight_family_matches_fraction_oracle_on_random_posets():
         arbitrary = sm.Game(lat, [0] + [random_fraction(rng, -2, 2) for _ in lat.elements[1:]])
         for v in (random_unanimity_sum(rng, lat), arbitrary):
             tight, zeros = oracle_tight_family(v)
-            fam = sm.tight_family(v)
+            fam = tight_family(v)
             assert fam.tight == tight and fam.zeros == zeros
             assert fam.perms == tuple(c.perm for c in lat.maximal_chains())
             for c in lat.maximal_chains():
