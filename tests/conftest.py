@@ -399,7 +399,8 @@ class TightFamily:
 
 def tight_family(v):
     """TightFamily of v over all maximal chains, from one call of the
-    package's tight kernel on the integer marginal vectors of every chain."""
+    package's tight kernel on the integer marginal vectors of every chain
+    (tight_sets and zero_coords are its one-chain case)."""
     lat = v.lattice
     val, _ = _scaled_values(v)
     chains = lat.maximal_chains()
