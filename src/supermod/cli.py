@@ -130,9 +130,8 @@ def cap_value(text):
 
 
 def lattice_cap(args):
-    cap = getattr(args, "max_lattice", None)
-    if cap is not None:
-        return cap
+    if args.max_lattice is not None:
+        return args.max_lattice
     env = os.environ.get("SUPERMOD_MAX_LATTICE")
     if env:
         try:
@@ -140,10 +139,6 @@ def lattice_cap(args):
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"SUPERMOD_MAX_LATTICE {exc}") from None
     return DEFAULT_MAX_ELEMENTS
-
-
-def chain_cap(args):
-    return DEFAULT_MAX_CHAINS if args.max_chains is None else args.max_chains
 
 
 def load_poset(path):
@@ -173,8 +168,8 @@ def load_game(path, args):
     return Game.from_values(lat, mapping)
 
 
-def emit(args, payload, lines=None):
-    if getattr(args, "format", "json") == "table" and lines is not None:
+def emit(args, payload, lines):
+    if args.format == "table":
         for line in lines:
             print(line)
     else:
@@ -219,7 +214,7 @@ def cmd_lattice_downsets(args):
 
 def cmd_lattice_chains(args):
     lat = load_lattice(args.poset, args)
-    chains = lat.maximal_chains(max_chains=chain_cap(args))
+    chains = lat.maximal_chains(max_chains=args.max_chains)
     payload = {
         "count": len(chains),
         "chains": [
@@ -288,7 +283,7 @@ def cmd_game_normalize(args):
 
 def cmd_core_vertices(args):
     g = load_game(args.game, args)
-    verts = core_vertices(g, max_chains=chain_cap(args))
+    verts = core_vertices(g, max_chains=args.max_chains)
     payload = {"count": len(verts), "vertices": [vector_payload(x) for x in verts]}
     emit(args, payload, ["(" + ", ".join(str(t) for t in x) + ")" for x in verts])
     return 0
@@ -339,7 +334,7 @@ def cmd_cone_is_extreme(args):
     g = load_game(args.game, args)
     results = {}
     if args.method in ("system", "both"):
-        results["system"] = is_extreme(g, max_chains=chain_cap(args))
+        results["system"] = is_extreme(g, max_chains=args.max_chains)
     if args.method in ("games", "both"):
         results["games"] = is_extreme_via_games(g)
     if len(results) == 2 and results["system"] != results["games"]:
@@ -594,6 +589,7 @@ def build_parser():
     chains.add_argument(
         "--max-chains",
         type=cap_value,
+        default=DEFAULT_MAX_CHAINS,
         metavar="N",
         help="cap on the maximal chains, or on the partial marginal vectors one rank holds",
     )

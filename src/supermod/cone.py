@@ -62,13 +62,6 @@ class FacetTriple:
         return " + ".join(lhs) + " >= " + " + ".join(terms[2:])
 
 
-def _normalized(v):
-    if not is_supermodular(v):
-        raise NotSupermodularError("extremality is defined for supermodular games")
-    w, _ = zero_normalize(v)
-    return w
-
-
 def _payoff_rows(w, max_chains=DEFAULT_MAX_CHAINS):
     """Linear system on per-vertex payoff vectors of a 0-normalized
     supermodular game w; returns (rows, ncols) with each row a
@@ -127,14 +120,14 @@ def _payoff_rows(w, max_chains=DEFAULT_MAX_CHAINS):
 def is_extreme(v, max_chains=DEFAULT_MAX_CHAINS):
     """Extremality of the ray spanned by the 0-normalization of v.
 
-    The zero game (hence any modular game) is non-extreme by convention.
-    max_chains caps the partial marginal vectors one rank of the vertex
-    walk holds; SizeError past it.
+    A modular game is not extreme: its 0-normalization is zero, which pins
+    every payoff coordinate, so the system has no column.  max_chains caps
+    the partial marginal vectors one rank of the vertex walk holds;
+    SizeError past it.
     """
-    w = _normalized(v)
-    if w.is_zero():
-        return False
-    rows, ncols = _payoff_rows(w, max_chains)
+    if not is_supermodular(v):
+        raise NotSupermodularError("extremality is defined for supermodular games")
+    rows, ncols = _payoff_rows(zero_normalize(v)[0], max_chains)
     return ncols - qlin.rank(rows) == 1
 
 
@@ -169,36 +162,34 @@ def _facet_row(triple, coord):
     return {c: x for c, x in row.items() if x}
 
 
-def _game_rows(w):
-    """Facet rows tight at a 0-normalized supermodular game w, as
-    _facet_row maps without zero or repeated rows; returns (rows, d).
+def _game_rows(v):
+    """Facet rows tight at a supermodular game v, as _facet_row maps, empty
+    or repeated ones left for qlin.rank to drop; returns (rows, d).
 
     The tight covering squares span the modularity constraints of every
-    pair of elements where w is modular, since the second difference of a
-    pair is the sum of the square slacks in its grid.  A 0-normalized game
-    satisfying all of them is a multiple of w exactly when w spans an
-    extreme ray, so the solution dimension mirrors _payoff_rows.
+    pair of elements where v is modular, since the second difference of a
+    pair is the sum of the square slacks in its grid.  A modular shift
+    changes no slack, and a 0-normalized game satisfying all of them is a
+    multiple of the 0-normalization of v exactly when v spans an extreme
+    ray, so the solution dimension mirrors _payoff_rows.
     """
-    coord, d = _free_coordinates(w.lattice)
+    coord, d = _free_coordinates(v.lattice)
     rows = []
-    seen = set()
-    for t, s in zip(facet_triples(w.lattice), _square_slacks(w)):
-        if s:
-            continue
-        row = _facet_row(t, coord)
-        key = frozenset(row.items())
-        if row and key not in seen:
-            seen.add(key)
-            rows.append(row)
+    for t, s in zip(facet_triples(v.lattice), _square_slacks(v)):
+        if s < 0:
+            raise NotSupermodularError("extremality is defined for supermodular games")
+        if not s:
+            rows.append(_facet_row(t, coord))
     return rows, d
 
 
 def is_extreme_via_games(v):
-    """Extremality via the space of games modular on the equality pairs of v."""
-    w = _normalized(v)
-    if w.is_zero():
-        return False
-    rows, d = _game_rows(w)
+    """Extremality via the space of games modular on the equality pairs of v.
+
+    A modular game is not extreme: every facet row is tight at it, and they
+    have rank d because the cone is pointed.
+    """
+    rows, d = _game_rows(v)
     return d - qlin.rank(rows) == 1
 
 
@@ -374,10 +365,10 @@ def cone_dimension(lat):
     count of free coordinates, and fills it: the 0-normalization of
     g(A) = |A|^2 is strictly inside every facet, since g has slack 2 on
     every covering square and a modular shift leaves the slacks unchanged.
-    That certificate is rechecked in O(L*n^2); CrossCheckError if it fails.
+    That certificate is rechecked on g itself in O(L*n^2); CrossCheckError
+    if it fails.
     """
-    w, _ = zero_normalize(Game(lat, _squares(lat)))
-    if not all(s > 0 for s in _square_slacks(w)):
+    if not all(s > 0 for s in _square_slacks(Game(lat, _squares(lat)))):
         raise CrossCheckError("a covering square is not slack at |A|^2")
     return _free_coordinates(lat)[1]
 

@@ -3,8 +3,8 @@
 Meet and join of down-sets are plain intersection and union of masks, so the
 lattice stores only the element list (canonically ordered), the players
 addable to each element (recorded by the breadth-first build that finds the
-elements), the join-irreducible elements with their unique lower covers, and
-a lazily built cache of maximal chains.  Everything is exact integer work.
+elements) and the join-irreducible elements with their unique lower covers.
+Everything is exact integer work.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ class DownSetLattice:
 
     elements is a tuple of coalition masks sorted by (cardinality, mask
     value); index 0 is the empty set and the last entry is the full set.
-    Instances are immutable after construction; the chain cache is
-    write-once and safe for concurrent readers.
+    Instances are immutable after construction.
     """
 
     def __init__(self, poset, max_elements=DEFAULT_MAX_ELEMENTS):
@@ -103,7 +102,6 @@ class DownSetLattice:
                     members |= 1 << i
             if members != a:
                 raise RuntimeError("down-set enumeration produced a non-down-set")
-        self._chains = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -204,32 +202,30 @@ class DownSetLattice:
         counted in O(L*n) before any chain is built, and SizeError refuses a
         lattice with more than max_chains of them.
         """
-        count = len(self._chains) if self._chains is not None else self._chain_count()
+        count = self._chain_count()
         if count > max_chains:
             raise SizeError(
                 f"more than {max_chains} maximal chains: the lattice has {count},"
                 " over the cap; raise it with --max-chains or max_chains"
             )
-        if self._chains is None:
-            chains = []
-            sets = [0]
-            perm = []
+        chains = []
+        sets = [0]
+        perm = []
 
-            def walk(a):
-                if a == self.top:
-                    chains.append(MaximalChain(tuple(sets), tuple(perm)))
-                    return
-                for b in _bits(self.addable_mask(a)):
-                    nxt = a | b
-                    sets.append(nxt)
-                    perm.append(b.bit_length())
-                    walk(nxt)
-                    sets.pop()
-                    perm.pop()
+        def walk(a):
+            if a == self.top:
+                chains.append(MaximalChain(tuple(sets), tuple(perm)))
+                return
+            for b in _bits(self.addable_mask(a)):
+                nxt = a | b
+                sets.append(nxt)
+                perm.append(b.bit_length())
+                walk(nxt)
+                sets.pop()
+                perm.pop()
 
-            walk(0)
-            self._chains = tuple(chains)
-        return self._chains
+        walk(0)
+        return tuple(chains)
 
     def _chain_count(self):
         """Number of maximal chains: paths from the bottom to the top along
@@ -268,10 +264,8 @@ def _bits(mask):
         mask ^= b
 
 
-def build_lattice(poset, max_elements=None):
+def build_lattice(poset, max_elements=DEFAULT_MAX_ELEMENTS):
     """The down-set lattice of a poset, capped at max_elements."""
-    if max_elements is None:
-        max_elements = DEFAULT_MAX_ELEMENTS
     return DownSetLattice(poset, max_elements=max_elements)
 
 

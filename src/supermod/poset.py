@@ -112,27 +112,17 @@ class Poset:
         return True
 
     def covers(self):
-        """Cover pairs (i, j), i immediately below j: the transitive reduction."""
+        """Cover pairs (i, j), i immediately below j: the transitive reduction.
+
+        The covers of j are the players strictly below j that lie strictly
+        below no other player strictly below j."""
         out = []
         for j in range(self.n):
             strict = self._down[j] & ~(1 << j)
-            m = strict
-            while m:
-                b = m & -m
-                i = b.bit_length() - 1
-                m ^= b
-                rest = strict & ~b
-                blocked = False
-                mm = rest
-                while mm:
-                    bb = mm & -mm
-                    k = bb.bit_length() - 1
-                    mm ^= bb
-                    if self._down[k] >> i & 1:
-                        blocked = True
-                        break
-                if not blocked:
-                    out.append((i + 1, j + 1))
+            shadowed = 0
+            for i in players_from_mask(strict):
+                shadowed |= self._down[i - 1] & ~(1 << (i - 1))
+            out += [(i, j + 1) for i in players_from_mask(strict & ~shadowed)]
         out.sort()
         return out
 

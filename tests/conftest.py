@@ -46,6 +46,19 @@ def brute_downsets(p):
     return out
 
 
+def oracle_covers(p):
+    """Cover pairs by definition: i < j with no k strictly between them."""
+    n = range(1, p.n + 1)
+    return [
+        (i, j)
+        for i in n
+        for j in n
+        if i != j
+        and p.leq(i, j)
+        and not any(k not in (i, j) and p.leq(i, k) and p.leq(k, j) for k in n)
+    ]
+
+
 def brute_linear_extensions(p):
     """Order-preserving player sequences, filtered out of all n! of them."""
     exts = []
@@ -426,13 +439,13 @@ def payoff_equality_system(v):
     """The payoff system that is_extreme ranks, for any supermodular game;
     returns (rows, ncols) with sparse {column: entry} rows (dense_rows
     turns them into the lists oracle_rank reads)."""
-    return cone._payoff_rows(cone._normalized(v))
+    return cone._payoff_rows(sm.zero_normalize(v)[0])
 
 
 def game_equality_system(v):
     """The tight facet rows that is_extreme_via_games ranks, for any
     supermodular game; returns (rows, d) with sparse rows, as above."""
-    return cone._game_rows(cone._normalized(v))
+    return cone._game_rows(v)
 
 
 def oracle_payoff_rows(w):

@@ -294,12 +294,16 @@ def test_cone_is_extreme_normalizes_once_per_criterion(ws, capsys, monkeypatch):
         for mod in modules:
             if getattr(mod, fname, None) is original:
                 monkeypatch.setattr(mod, fname, counted)
+    # only the payoff criterion normalizes; the game criterion and the
+    # dimension certificate read square slacks, which a modular shift keeps
     for game in ("v1.json", "card.json"):
         calls.update(is_supermodular=0, zero_normalize=0)
         code, _, _ = run(capsys, "cone", "is-extreme", ws[game], "--method", "both")
         assert code in (0, 1)
-        assert 1 <= calls["is_supermodular"] <= 2
-        assert 1 <= calls["zero_normalize"] <= 2
+        assert calls == {"is_supermodular": 1, "zero_normalize": 1}
+    calls.update(is_supermodular=0, zero_normalize=0)
+    code, _, _ = run(capsys, "cone", "dim", ws["hier4.json"])
+    assert code == 0 and calls["zero_normalize"] == 0
 
 
 def test_failed_cross_checks_exit_with_code_3(ws, capsys, monkeypatch):

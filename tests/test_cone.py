@@ -106,6 +106,21 @@ def equality_pair_solution_dimension(v):
     return size - qlin.rank(sparse_rows(rows))
 
 
+def test_game_rows_ignore_a_modular_shift_on_random_posets():
+    # the criterion reads v's own square slacks, so v, v + m and the
+    # 0-normalization of v give the same rows in the same order
+    rng = random.Random(6113)
+    counts = set()
+    for _ in range(40):
+        lat = sm.build_lattice(random_poset(rng, rng.randint(2, 6)))
+        v = random_unanimity_sum(rng, lat)
+        rows = cone._game_rows(v)
+        assert cone._game_rows(v + random_modular(rng, lat)) == rows
+        assert cone._game_rows(sm.zero_normalize(v)[0]) == rows
+        counts.add(len(rows[0]))
+    assert 0 in counts and max(counts) > 10
+
+
 def test_tight_squares_span_the_equality_pair_rows_on_random_posets():
     rng = random.Random(9091)
     lattices = 0
@@ -202,7 +217,7 @@ def test_sparse_payoff_rows_match_the_dense_builder(
     # rays, and on rational unanimity sums over random posets (where chains
     # tie on many elements and zero increments pin columns)
     def same_system(v):
-        w = cone._normalized(v)
+        w = sm.zero_normalize(v)[0]
         rows, ncols = cone._payoff_rows(w)
         dense, dense_ncols = oracle_payoff_rows(w)
         assert ncols - qlin.rank(rows) == dense_ncols - qlin.rank(sparse_rows(dense))
@@ -225,15 +240,20 @@ def test_sparse_payoff_rows_match_the_dense_builder(
         same_system(v + random_unanimity_sum(rng, lat, terms=1))
 
 
-def test_is_extreme_builds_no_maximal_chain():
-    # flat8 has 40,320 maximal chains; u_{1234} has 4 core vertices
+def test_is_extreme_builds_no_maximal_chain(monkeypatch):
+    # flat8 has 40,320 maximal chains; u_{1234} has 4 core vertices, and
+    # neither criterion builds or even counts a chain
+    def refuse(*args, **kwargs):
+        raise AssertionError("maximal chains walked")
+
+    monkeypatch.setattr(sm.DownSetLattice, "maximal_chains", refuse)
+    monkeypatch.setattr(sm.DownSetLattice, "_chain_count", refuse)
     lat = sm.build_lattice(sm.poset_from_covers(8, []))
     u1234 = sm.unanimity(lat, sm.mask_from_players([1, 2, 3, 4], 8))
     u235 = sm.unanimity(lat, sm.mask_from_players([2, 3, 5], 8))
     for v, extreme in ((u1234, True), (u1234 + u235, False)):
         assert sm.is_extreme(v) is extreme
         assert sm.is_extreme_via_games(v) is extreme
-    assert lat._chains is None
 
 
 def test_vertices_carry_every_tight_structure_of_the_chains():

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 import supermod as sm
-from conftest import brute_downsets
+from conftest import brute_downsets, oracle_covers, random_poset
 
 
 def test_mask_player_convention():
@@ -111,3 +113,15 @@ def test_poset_equality_and_repr():
     q = sm.poset_from_covers(2, [(1, 2)])
     assert p == q and hash(p) == hash(q)
     assert "covers" in repr(p)
+
+
+def test_covers_match_the_definition_on_random_posets():
+    rng = random.Random(4409)
+    sizes = set()
+    for _ in range(300):
+        p = random_poset(rng, rng.randint(1, 9))
+        covers = p.covers()
+        assert covers == oracle_covers(p)
+        assert sm.poset_from_covers(p.n, covers) == p
+        sizes.add(len(covers))
+    assert 0 in sizes and max(sizes) >= 8
