@@ -9,6 +9,7 @@ uses the compact digit notation for coalitions.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -100,6 +101,23 @@ def parse_value(val):
     raise ValueError(f"game values must be integers or 'p/q' strings, got {val!r}")
 
 
+def parse_values(table, n):
+    """{mask: Fraction} from a game file's "values" table; ValueError when
+    two keys name one coalition, such as "12" and "[2,1]"."""
+    mapping = {}
+    keys = {}
+    for key, val in table.items():
+        mask = parse_coalition(key, n)
+        if mask in keys:
+            raise ValueError(
+                f"coalition {coalition_key(mask)} is given twice, as {keys[mask]!r}"
+                f" and as {key!r}"
+            )
+        keys[mask] = key
+        mapping[mask] = parse_value(val)
+    return mapping
+
+
 def game_payload(game):
     """Nonzero values keyed by coalition, reusable as a game file "values"."""
     return {coalition_key(a): str(v) for a, v in game.to_mapping().items()}
@@ -162,10 +180,7 @@ def load_game(path, args):
     else:
         raise ValueError('"poset" must be a file name or an inline object')
     lat = build_lattice(p, max_elements=lattice_cap(args))
-    mapping = {}
-    for key, val in data.get("values", {}).items():
-        mapping[parse_coalition(key, p.n)] = parse_value(val)
-    return Game.from_values(lat, mapping)
+    return Game.from_values(lat, parse_values(data.get("values", {}), p.n))
 
 
 def emit(args, payload, lines):
@@ -469,10 +484,7 @@ def reproduce_paper(golden_path=None, max_lattice=DEFAULT_MAX_ELEMENTS):
     detail = ref["detailed_ray"]
 
     def load_ref_game(table):
-        mapping = {
-            parse_coalition(key, poset.n): parse_value(val) for key, val in table.items()
-        }
-        return Game.from_values(lat, mapping)
+        return Game.from_values(lat, parse_values(table, poset.n))
 
     def marginal_map():
         ray = load_ref_game(detail["values"])
@@ -573,7 +585,11 @@ def cmd_reproduce(args):
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built on the first call and shared by every later
+    one.  Each subcommand stores the name of its handler, which main looks
+    up at call time, so a handler replaced after the tree is built runs."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "table"), default="json", help="output format"
@@ -605,24 +621,24 @@ def build_parser():
     )
     q = p_poset.add_parser("show", parents=[common], help="closure and principal down-sets")
     q.add_argument("poset")
-    q.set_defaults(func=cmd_poset_show)
+    q.set_defaults(handler=cmd_poset_show.__name__)
 
     p_lat = sub.add_parser("lattice", help="down-set lattice").add_subparsers(
         dest="cmd", required=True
     )
     q = p_lat.add_parser("downsets", parents=[common], help="list all down-sets")
     q.add_argument("poset")
-    q.set_defaults(func=cmd_lattice_downsets)
+    q.set_defaults(handler=cmd_lattice_downsets.__name__)
     q = p_lat.add_parser(
         "chains", parents=[common, chains], help="maximal chains and permutations"
     )
     q.add_argument("poset")
-    q.set_defaults(func=cmd_lattice_chains)
+    q.set_defaults(handler=cmd_lattice_chains.__name__)
     q = p_lat.add_parser("moebius", parents=[common], help="Moebius value of a pair")
     q.add_argument("poset")
     q.add_argument("--from", dest="from_set", required=True, metavar="COALITION")
     q.add_argument("--to", dest="to_set", required=True, metavar="COALITION")
-    q.set_defaults(func=cmd_lattice_moebius)
+    q.set_defaults(handler=cmd_lattice_moebius.__name__)
 
     p_game = sub.add_parser("game", help="game predicates and transforms").add_subparsers(
         dest="cmd", required=True
@@ -630,13 +646,13 @@ def build_parser():
     q = p_game.add_parser("check", parents=[common], help="test a game class")
     q.add_argument("game")
     q.add_argument("--class", dest="cls", required=True, choices=sorted(_CLASS_CHECKS))
-    q.set_defaults(func=cmd_game_check)
+    q.set_defaults(handler=cmd_game_check.__name__)
     q = p_game.add_parser("moebius", parents=[common], help="Moebius transform of a game")
     q.add_argument("game")
-    q.set_defaults(func=cmd_game_moebius)
+    q.set_defaults(handler=cmd_game_moebius.__name__)
     q = p_game.add_parser("normalize", parents=[common], help="0-normalized + modular split")
     q.add_argument("game")
-    q.set_defaults(func=cmd_game_normalize)
+    q.set_defaults(handler=cmd_game_normalize.__name__)
 
     p_core = sub.add_parser("core", help="cores and marginal vectors").add_subparsers(
         dest="cmd", required=True
@@ -645,18 +661,18 @@ def build_parser():
         "vertices", parents=[common, chains], help="core vertices (supermodular)"
     )
     q.add_argument("game")
-    q.set_defaults(func=cmd_core_vertices)
+    q.set_defaults(handler=cmd_core_vertices.__name__)
     q = p_core.add_parser("tight", parents=[common], help="tight sets along one chain")
     q.add_argument("game")
     q.add_argument("--perm", required=True, help='permutation, e.g. "2314"')
-    q.set_defaults(func=cmd_core_tight)
+    q.set_defaults(handler=cmd_core_tight.__name__)
     q = p_core.add_parser("envelope", parents=[common], help="minimum marginal total")
     q.add_argument("game")
     q.add_argument("--coalition", required=True, help='coalition, e.g. "[3,4]" or "34"')
-    q.set_defaults(func=cmd_core_envelope)
+    q.set_defaults(handler=cmd_core_envelope.__name__)
     q = p_core.add_parser("witness", parents=[common], help="core recession direction")
     q.add_argument("poset")
-    q.set_defaults(func=cmd_core_witness)
+    q.set_defaults(handler=cmd_core_witness.__name__)
 
     p_cone = sub.add_parser("cone", help="the supermodular cone").add_subparsers(
         dest="cmd", required=True
@@ -664,24 +680,24 @@ def build_parser():
     q = p_cone.add_parser("is-extreme", parents=[common, chains], help="extremality of a game")
     q.add_argument("game")
     q.add_argument("--method", choices=("system", "games", "both"), default="both")
-    q.set_defaults(func=cmd_cone_is_extreme)
+    q.set_defaults(handler=cmd_cone_is_extreme.__name__)
     q = p_cone.add_parser("rays", parents=[common], help="extreme rays of the cone")
     q.add_argument("poset")
     q.add_argument(
         "--max-cone", type=cap_value, default=DEFAULT_MAX_CONE_ELEMENTS, metavar="N",
         help="element cap for enumeration (default %(default)s)",
     )
-    q.set_defaults(func=cmd_cone_rays)
+    q.set_defaults(handler=cmd_cone_rays.__name__)
     q = p_cone.add_parser("facets", parents=[common], help="facet inequalities")
     q.add_argument("poset")
-    q.set_defaults(func=cmd_cone_facets)
+    q.set_defaults(handler=cmd_cone_facets.__name__)
     q = p_cone.add_parser("dim", parents=[common], help="dimension of the cone")
     q.add_argument("poset")
-    q.set_defaults(func=cmd_cone_dim)
+    q.set_defaults(handler=cmd_cone_dim.__name__)
     q = p_cone.add_parser("face-compare", parents=[common], help="compare two face positions")
     q.add_argument("game1")
     q.add_argument("game2")
-    q.set_defaults(func=cmd_cone_face_compare)
+    q.set_defaults(handler=cmd_cone_face_compare.__name__)
 
     q = sub.add_parser(
         "reproduce-paper",
@@ -689,7 +705,7 @@ def build_parser():
         help="recompute the bundled reference results and verify them",
     )
     q.add_argument("--golden", help="alternative golden results file")
-    q.set_defaults(func=cmd_reproduce)
+    q.set_defaults(handler=cmd_reproduce.__name__)
 
     return parser
 
@@ -697,7 +713,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except CrossCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

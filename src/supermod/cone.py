@@ -14,7 +14,7 @@ from math import gcd
 
 from . import qlin
 from .errors import CrossCheckError, LatticeMismatchError, NotSupermodularError, SizeError
-from .game import Game, _scaled_values, _square_slacks, is_supermodular, zero_normalize
+from .game import Game, _scaled_values, _square_slacks, is_supermodular
 from .lattice import DEFAULT_MAX_CHAINS, addable_pairs
 from .marginals import _tight_zeros, _vertex_walk
 from .poset import format_coalition, players_from_mask
@@ -62,10 +62,10 @@ class FacetTriple:
         return " + ".join(lhs) + " >= " + " + ".join(terms[2:])
 
 
-def _payoff_rows(w, max_chains=DEFAULT_MAX_CHAINS):
-    """Linear system on per-vertex payoff vectors of a 0-normalized
-    supermodular game w; returns (rows, ncols) with each row a
-    {column: +-1} map of its nonzero entries.
+def _payoff_rows(v, max_chains=DEFAULT_MAX_CHAINS):
+    """Linear system on per-vertex payoff vectors of a supermodular game v;
+    returns (rows, ncols) with each row a {column: +-1} map of its nonzero
+    entries.
 
     The paper's system gives every maximal chain a block of unknowns, one
     per player.  Chains with the same marginal vector have the same tight
@@ -74,20 +74,30 @@ def _payoff_rows(w, max_chains=DEFAULT_MAX_CHAINS):
     block per distinct marginal vector (core vertex, in core_vertices
     order) leaves ncols - rank unchanged, and no chain is built.  A block
     holds the vertex's coordinates less those pinned to zero because the
-    game adds nothing there; ncols counts them all.  For every element a
-    row equates its coalition total along each pair of consecutive
-    vertices where it is tight.  The game spans an extreme ray of the
-    supermodular cone exactly when the solution space of this system is
-    one line.  max_chains caps the vertex walk (marginals._vertex_walk).
+    0-normalization of v adds nothing there; ncols counts them all.  For
+    every element a row equates its coalition total along each pair of
+    consecutive vertices where it is tight.  The game spans an extreme ray
+    of the supermodular cone exactly when the solution space of this system
+    is one line.  max_chains caps the vertex walk (marginals._vertex_walk).
+
+    No 0-normalized game is built: the modular part of v, worth
+    m_i = v(down(i)) - v(down(i) - i) on player i, moves every vertex by
+    the same vector m, which keeps the tight elements and the vertex
+    order, so the pinned coordinates are those where a vertex of v
+    equals m.
     """
-    lat = w.lattice
+    lat = v.lattice
     n = lat.poset.n
-    val, _ = _scaled_values(w)
+    val, _ = _scaled_values(v)
+    shift = []
+    for i in range(n):
+        d = lat.poset.principal_down_set(i + 1)
+        shift.append(val[d] - val[d ^ 1 << i])
     verts = sorted(_vertex_walk(lat, val, max_chains))
     cols = []  # cols[k][i]: the column of player i+1 under vertex k, or None
     ncols = 0
     by_element = {}
-    for k, (tight, zeros) in enumerate(_tight_zeros(lat, val, verts)):
+    for k, (tight, zeros) in enumerate(_tight_zeros(lat, val, verts, shift)):
         ck = [None] * n
         for i in range(n):
             if i + 1 not in zeros:
@@ -127,7 +137,7 @@ def is_extreme(v, max_chains=DEFAULT_MAX_CHAINS):
     """
     if not is_supermodular(v):
         raise NotSupermodularError("extremality is defined for supermodular games")
-    rows, ncols = _payoff_rows(zero_normalize(v)[0], max_chains)
+    rows, ncols = _payoff_rows(v, max_chains)
     return ncols - qlin.rank(rows) == 1
 
 

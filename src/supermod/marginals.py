@@ -83,10 +83,10 @@ def _along(v, chain):
     return next(_tight_zeros(v.lattice, val, [x]))
 
 
-def _tight_zeros(lat, val, vectors):
+def _tight_zeros(lat, val, vectors, shift=None):
     """(tight elements, zero players) of each integer marginal vector x:
-    the elements a where x(a) equals val[a], and the players whose
-    coordinate is zero.
+    the elements a where x(a) equals val[a], and the players i whose
+    coordinate x[i-1] equals shift[i-1] (zero when no shift is given).
 
     val maps every element to an integer, the values of a game scaled over
     one common denominator (game._scaled_values).  Every nonempty element
@@ -101,13 +101,15 @@ def _tight_zeros(lat, val, vectors):
         for i in players_from_mask(lat.addable_mask(a)):
             split.setdefault(a | 1 << (i - 1), (k, i - 1))
     plan = [split[a] for a in els[1:]]
+    players = range(1, lat.poset.n + 1)
+    shift = shift or [0] * lat.poset.n
     for x in vectors:
         tot = [0]
         for k, i in plan:
             tot.append(tot[k] + x[i])
         yield (
             frozenset(compress(els, map(eq, tot, vals))),
-            frozenset(i + 1 for i, t in enumerate(x) if not t),
+            frozenset(compress(players, map(eq, x, shift))),
         )
 
 

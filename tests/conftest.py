@@ -439,7 +439,7 @@ def payoff_equality_system(v):
     """The payoff system that is_extreme ranks, for any supermodular game;
     returns (rows, ncols) with sparse {column: entry} rows (dense_rows
     turns them into the lists oracle_rank reads)."""
-    return cone._payoff_rows(sm.zero_normalize(v)[0])
+    return cone._payoff_rows(v)
 
 
 def game_equality_system(v):

@@ -294,13 +294,14 @@ def test_cone_is_extreme_normalizes_once_per_criterion(ws, capsys, monkeypatch):
         for mod in modules:
             if getattr(mod, fname, None) is original:
                 monkeypatch.setattr(mod, fname, counted)
-    # only the payoff criterion normalizes; the game criterion and the
-    # dimension certificate read square slacks, which a modular shift keeps
-    for game in ("v1.json", "card.json"):
+    # neither criterion normalizes: the payoff criterion reads the vertices
+    # of v and their modular shift, the game criterion and the dimension
+    # certificate read square slacks, which a modular shift keeps
+    for game in ("v1.json", "card.json", "shifted.json"):
         calls.update(is_supermodular=0, zero_normalize=0)
         code, _, _ = run(capsys, "cone", "is-extreme", ws[game], "--method", "both")
         assert code in (0, 1)
-        assert calls == {"is_supermodular": 1, "zero_normalize": 1}
+        assert calls == {"is_supermodular": 1, "zero_normalize": 0}
     calls.update(is_supermodular=0, zero_normalize=0)
     code, _, _ = run(capsys, "cone", "dim", ws["hier4.json"])
     assert code == 0 and calls["zero_normalize"] == 0
@@ -408,6 +409,16 @@ def test_error_exit_codes(ws, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:")
+
+
+def test_a_coalition_named_twice_is_refused(ws, capsys):
+    # "12", "[1,2]" and "[2,1]" are one coalition; the file is ambiguous
+    path = os.path.join(ws["dir"], "twice.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"poset": "flat3.json", "values": {"12": "1", "[1,2]": "3", "[2,1]": "5"}}, fh)
+    code, out, err = run(capsys, "game", "check", path, "--class", "supermodular")
+    assert (code, out) == (2, "")
+    assert err == "error: coalition [1,2] is given twice, as '12' and as '[1,2]'\n"
 
 
 def test_size_caps(ws, capsys, monkeypatch):
@@ -591,16 +602,56 @@ def test_reproduce_paper_is_deterministic(ws, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_module_entry_point(ws):
-    # the child must import the package this suite imported, also when it
-    # was found through pytest's pythonpath setting rather than PYTHONPATH
+def run_child(*argv):
+    """A fresh interpreter run with the given arguments.  The child must
+    import the package this suite imported, also when it was found through
+    pytest's pythonpath setting rather than PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(sm.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "supermod", "cone", "dim", ws["hier4.json"]],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+    env = {k: v for k, v in os.environ.items() if k != "SUPERMOD_MAX_LATTICE"}
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env={**env, "PYTHONPATH": path}
     )
+
+
+def test_module_entry_point(ws):
+    proc = run_child("-m", "supermod", "cone", "dim", ws["hier4.json"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dimension"] == 5
+
+
+def test_the_parser_is_built_once_on_first_use():
+    proc = run_child(
+        "-c", "import supermod.cli as c; print(c.build_parser.cache_info().currsize)"
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_back_to_back_calls_leak_no_state(ws, capsys, monkeypatch):
+    chains = ("lattice", "chains", ws["hier4.json"])
+    fresh = run_child("-m", "supermod", *chains)
+    assert fresh.returncode == 0 and json.loads(fresh.stdout)["count"] == 8
+    assert run(capsys, *chains, "--format", "table")[1].startswith("2314: ")
+    assert run(capsys, *chains) == (0, fresh.stdout, "")
+    assert run(capsys, *chains, "--max-chains", "5")[0] == 2
+    assert run(capsys, *chains) == (0, fresh.stdout, "")
+    monkeypatch.setenv("SUPERMOD_MAX_LATTICE", "5")
+    assert run(capsys, *chains)[0] == 2
+    monkeypatch.delenv("SUPERMOD_MAX_LATTICE")
+    assert run(capsys, *chains) == (0, fresh.stdout, "")
+    # an argparse refusal exits mid-parse and leaves nothing behind
+    for refused in (("lattice", "spam"), ("lattice", "chains"), (*chains, "--max-chains", "-1")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(refused))
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *chains) == (0, fresh.stdout, "")
+
+
+def test_a_handler_replaced_after_the_first_call_runs(ws, capsys, monkeypatch):
+    assert run(capsys, "cone", "dim", ws["hier4.json"])[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_cone_dim", lambda args: seen.append(args.poset) or 7)
+    assert run(capsys, "cone", "dim", ws["hier4.json"]) == (7, "", "")
+    assert seen == [ws["hier4.json"]]

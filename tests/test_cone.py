@@ -215,7 +215,11 @@ def test_sparse_payoff_rows_match_the_dense_builder(
     # chain: the same solution dimension, with every row nonempty, in range
     # and unrepeated; on the ray ladder, on a seeded sample of one-rel5
     # rays, and on rational unanimity sums over random posets (where chains
-    # tie on many elements and zero increments pin columns)
+    # tie on many elements and zero increments pin columns).  The rows of
+    # v, and of v plus a random modular game, are those of the
+    # 0-normalization w: a modular shift moves every vertex alike.
+    shift_rng = random.Random(3163)
+
     def same_system(v):
         w = sm.zero_normalize(v)[0]
         rows, ncols = cone._payoff_rows(w)
@@ -223,6 +227,8 @@ def test_sparse_payoff_rows_match_the_dense_builder(
         assert ncols - qlin.rank(rows) == dense_ncols - qlin.rank(sparse_rows(dense))
         assert all(rows) and all(0 <= j < ncols for row in rows for j in row)
         assert len({frozenset(row.items()) for row in rows}) == len(rows)
+        for u in (v, v + random_modular(shift_rng, v.lattice)):
+            assert cone._payoff_rows(u) == (rows, ncols)
         return len(rows)
 
     rng = random.Random(2719)
