@@ -608,9 +608,11 @@ def run_child(*argv):
     pytest's pythonpath setting rather than PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(sm.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {k: v for k, v in os.environ.items() if k != "SUPERMOD_MAX_LATTICE"}
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env={**env, "PYTHONPATH": path}
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
