@@ -97,13 +97,18 @@ def parse_value(val):
     if isinstance(val, int):
         return Fraction(val)
     if isinstance(val, str):
-        return Fraction(val)
+        try:
+            return Fraction(val)
+        except ZeroDivisionError:
+            raise ValueError(f"game value {val!r} has a zero denominator") from None
     raise ValueError(f"game values must be integers or 'p/q' strings, got {val!r}")
 
 
 def parse_values(table, n):
     """{mask: Fraction} from a game file's "values" table; ValueError when
     two keys name one coalition, such as "12" and "[2,1]"."""
+    if not isinstance(table, dict):
+        raise ValueError(f'"values" must be a JSON object, got {table!r}')
     mapping = {}
     keys = {}
     for key, val in table.items():
@@ -562,7 +567,7 @@ def reproduce_paper(golden_path=None, max_lattice=DEFAULT_MAX_ELEMENTS):
     return report
 
 
-def cmd_reproduce(args):
+def cmd_reproduce_paper(args):
     report = reproduce_paper(golden_path=args.golden, max_lattice=lattice_cap(args))
     lines = []
     for c in report.checks:
@@ -588,8 +593,8 @@ def cmd_reproduce(args):
 @functools.cache
 def build_parser():
     """The argparse tree, built on the first call and shared by every later
-    one.  Each subcommand stores the name of its handler, which main looks
-    up at call time, so a handler replaced after the tree is built runs."""
+    one.  main finds the handler cmd_<group>_<cmd> by the parsed subcommand
+    path at call time, so a handler replaced after the tree is built runs."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "table"), default="json", help="output format"
@@ -621,24 +626,20 @@ def build_parser():
     )
     q = p_poset.add_parser("show", parents=[common], help="closure and principal down-sets")
     q.add_argument("poset")
-    q.set_defaults(handler=cmd_poset_show.__name__)
 
     p_lat = sub.add_parser("lattice", help="down-set lattice").add_subparsers(
         dest="cmd", required=True
     )
     q = p_lat.add_parser("downsets", parents=[common], help="list all down-sets")
     q.add_argument("poset")
-    q.set_defaults(handler=cmd_lattice_downsets.__name__)
     q = p_lat.add_parser(
         "chains", parents=[common, chains], help="maximal chains and permutations"
     )
     q.add_argument("poset")
-    q.set_defaults(handler=cmd_lattice_chains.__name__)
     q = p_lat.add_parser("moebius", parents=[common], help="Moebius value of a pair")
     q.add_argument("poset")
     q.add_argument("--from", dest="from_set", required=True, metavar="COALITION")
     q.add_argument("--to", dest="to_set", required=True, metavar="COALITION")
-    q.set_defaults(handler=cmd_lattice_moebius.__name__)
 
     p_game = sub.add_parser("game", help="game predicates and transforms").add_subparsers(
         dest="cmd", required=True
@@ -646,13 +647,10 @@ def build_parser():
     q = p_game.add_parser("check", parents=[common], help="test a game class")
     q.add_argument("game")
     q.add_argument("--class", dest="cls", required=True, choices=sorted(_CLASS_CHECKS))
-    q.set_defaults(handler=cmd_game_check.__name__)
     q = p_game.add_parser("moebius", parents=[common], help="Moebius transform of a game")
     q.add_argument("game")
-    q.set_defaults(handler=cmd_game_moebius.__name__)
     q = p_game.add_parser("normalize", parents=[common], help="0-normalized + modular split")
     q.add_argument("game")
-    q.set_defaults(handler=cmd_game_normalize.__name__)
 
     p_core = sub.add_parser("core", help="cores and marginal vectors").add_subparsers(
         dest="cmd", required=True
@@ -661,18 +659,14 @@ def build_parser():
         "vertices", parents=[common, chains], help="core vertices (supermodular)"
     )
     q.add_argument("game")
-    q.set_defaults(handler=cmd_core_vertices.__name__)
     q = p_core.add_parser("tight", parents=[common], help="tight sets along one chain")
     q.add_argument("game")
     q.add_argument("--perm", required=True, help='permutation, e.g. "2314"')
-    q.set_defaults(handler=cmd_core_tight.__name__)
     q = p_core.add_parser("envelope", parents=[common], help="minimum marginal total")
     q.add_argument("game")
     q.add_argument("--coalition", required=True, help='coalition, e.g. "[3,4]" or "34"')
-    q.set_defaults(handler=cmd_core_envelope.__name__)
     q = p_core.add_parser("witness", parents=[common], help="core recession direction")
     q.add_argument("poset")
-    q.set_defaults(handler=cmd_core_witness.__name__)
 
     p_cone = sub.add_parser("cone", help="the supermodular cone").add_subparsers(
         dest="cmd", required=True
@@ -680,24 +674,19 @@ def build_parser():
     q = p_cone.add_parser("is-extreme", parents=[common, chains], help="extremality of a game")
     q.add_argument("game")
     q.add_argument("--method", choices=("system", "games", "both"), default="both")
-    q.set_defaults(handler=cmd_cone_is_extreme.__name__)
     q = p_cone.add_parser("rays", parents=[common], help="extreme rays of the cone")
     q.add_argument("poset")
     q.add_argument(
         "--max-cone", type=cap_value, default=DEFAULT_MAX_CONE_ELEMENTS, metavar="N",
         help="element cap for enumeration (default %(default)s)",
     )
-    q.set_defaults(handler=cmd_cone_rays.__name__)
     q = p_cone.add_parser("facets", parents=[common], help="facet inequalities")
     q.add_argument("poset")
-    q.set_defaults(handler=cmd_cone_facets.__name__)
     q = p_cone.add_parser("dim", parents=[common], help="dimension of the cone")
     q.add_argument("poset")
-    q.set_defaults(handler=cmd_cone_dim.__name__)
     q = p_cone.add_parser("face-compare", parents=[common], help="compare two face positions")
     q.add_argument("game1")
     q.add_argument("game2")
-    q.set_defaults(handler=cmd_cone_face_compare.__name__)
 
     q = sub.add_parser(
         "reproduce-paper",
@@ -705,22 +694,20 @@ def build_parser():
         help="recompute the bundled reference results and verify them",
     )
     q.add_argument("--golden", help="alternative golden results file")
-    q.set_defaults(handler=cmd_reproduce.__name__)
 
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    path = "_".join(filter(None, (args.group, getattr(args, "cmd", None))))
+    handler = globals()["cmd_" + path.replace("-", "_")]
     try:
-        return globals()[args.handler](args)
+        return handler(args)
     except CrossCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SupermodError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, IndexError, json.JSONDecodeError) as exc:
+    except (SupermodError, OSError, ValueError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -92,16 +92,10 @@ class DownSetLattice:
         if len(self._ji_pred) != n:
             raise RuntimeError("principal down-sets are not pairwise distinct")
         self.join_irreducibles = tuple(sorted(self._ji_pred, key=_canonical_key))
-        # every element must be recovered from the principal down-sets it
-        # contains; this guards the closure enumeration above
-        down = [poset.principal_down_set(i + 1) for i in range(n)]
-        for a in self.elements:
-            members = 0
-            for i in range(n):
-                if not down[i] & ~a:
-                    members |= 1 << i
-            if members != a:
-                raise RuntimeError("down-set enumeration produced a non-down-set")
+        # every element must pass the poset's own down-set test; this guards
+        # the breadth-first enumeration above
+        if not all(map(poset.is_down_set, self.elements)):
+            raise RuntimeError("down-set enumeration produced a non-down-set")
 
     # -- basic structure ----------------------------------------------------
 
@@ -144,7 +138,7 @@ class DownSetLattice:
         return self._addable[self.position(a)]
 
     def upper_covers(self, a):
-        return [a | b for b in _bits(self.addable_mask(a))]
+        return [a | 1 << (i - 1) for i in players_from_mask(self.addable_mask(a))]
 
     def birkhoff_map(self, a):
         """The join-irreducible elements below a, canonically ordered."""
@@ -216,10 +210,10 @@ class DownSetLattice:
             if a == self.top:
                 chains.append(MaximalChain(tuple(sets), tuple(perm)))
                 return
-            for b in _bits(self.addable_mask(a)):
-                nxt = a | b
+            for i in players_from_mask(self.addable_mask(a)):
+                nxt = a | 1 << (i - 1)
                 sets.append(nxt)
-                perm.append(b.bit_length())
+                perm.append(i)
                 walk(nxt)
                 sets.pop()
                 perm.pop()
@@ -233,8 +227,8 @@ class DownSetLattice:
         paths = dict.fromkeys(self.elements, 0)
         paths[0] = 1
         for a, out in zip(self.elements, self._addable):
-            for b in _bits(out):
-                paths[a | b] += paths[a]
+            for i in players_from_mask(out):
+                paths[a | 1 << (i - 1)] += paths[a]
         return paths[self.top]
 
     def chain_from_perm(self, perm):
@@ -254,14 +248,6 @@ class DownSetLattice:
             a |= bit
             sets.append(a)
         return MaximalChain(tuple(sets), perm)
-
-
-def _bits(mask):
-    """Single-bit masks of mask, lowest first."""
-    while mask:
-        b = mask & -mask
-        yield b
-        mask ^= b
 
 
 def build_lattice(poset, max_elements=DEFAULT_MAX_ELEMENTS):

@@ -44,13 +44,7 @@ def payoff(x, mask):
         raise ValueError(
             f"coalition holds player {mask.bit_length()}, the vector has {len(x)} entries"
         )
-    total = Fraction(0)
-    m = mask
-    while m:
-        b = m & -m
-        total += x[b.bit_length() - 1]
-        m ^= b
-    return total
+    return sum((x[i - 1] for i in players_from_mask(mask)), Fraction(0))
 
 
 def marginal_vector(v, chain):

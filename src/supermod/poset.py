@@ -34,12 +34,10 @@ def mask_from_players(players, n):
 def players_from_mask(mask):
     """Sorted list of the players in a coalition mask."""
     out = []
-    player = 1
     while mask:
-        if mask & 1:
-            out.append(player)
-        mask >>= 1
-        player += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return out
 
 
@@ -141,32 +139,23 @@ class Poset:
 def poset_from_covers(n, covers):
     """Poset from cover pairs (i, j) read as "i below j".
 
-    Takes the reflexive-transitive closure, then rejects any antisymmetry
+    Closes the order in one Warshall pass, then rejects any antisymmetry
     violation with CycleError.  Out-of-range players raise IndexError.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     down = [1 << k for k in range(n)]
     for i, j in covers:
         for p in (i, j):
-            if not isinstance(p, int) or not 1 <= p <= n:
+            if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= n:
                 raise IndexError(f"player {p} out of range 1..{n}")
         if i == j:
             raise CycleError(f"cover ({i}, {j}) relates a player to itself")
         down[j - 1] |= 1 << (i - 1)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n):
-            acc = down[k]
-            m = acc
-            while m:
-                b = m & -m
-                acc |= down[b.bit_length() - 1]
-                m ^= b
-            if acc != down[k]:
-                down[k] = acc
-                changed = True
+    for k in range(n):
+        for j in range(n):
+            if down[j] >> k & 1:
+                down[j] |= down[k]
     for j in range(n):
         for i in range(j + 1, n):
             if down[j] >> i & 1 and down[i] >> j & 1:
@@ -176,10 +165,16 @@ def poset_from_covers(n, covers):
 
 def poset_from_dict(data):
     """Poset from the file form {"n": int, "covers": [[i, j], ...]}."""
+    if not isinstance(data, dict):
+        raise ValueError(f"poset data must be a JSON object, got {data!r}")
     if "n" not in data:
         raise ValueError('poset data needs an "n" entry')
     covers = data.get("covers", [])
-    return poset_from_covers(int(data["n"]), [tuple(c) for c in covers])
+    if not isinstance(covers, (list, tuple)) or not all(
+        isinstance(c, (list, tuple)) and len(c) == 2 for c in covers
+    ):
+        raise ValueError(f'"covers" must be a list of [i, j] pairs, got {covers!r}')
+    return poset_from_covers(data["n"], [tuple(c) for c in covers])
 
 
 def poset_to_dict(p):

@@ -39,6 +39,25 @@ def game_from_table(lat, table):
     )
 
 
+def oracle_order(n, covers):
+    """The order a cover list generates, as the set of pairs (i, j) with
+    i <= j, found by walking the cover edges from every player; CycleError
+    when some player reaches itself along one or more edges."""
+    reach = {}
+    for start in range(1, n + 1):
+        seen, stack = set(), [start]
+        while stack:
+            i = stack.pop()
+            for a, b in covers:
+                if a == i and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        if start in seen:
+            raise sm.CycleError(f"player {start} lies strictly below itself")
+        reach[start] = seen
+    return {(i, i) for i in reach} | {(i, j) for i in reach for j in reach[i]}
+
+
 def brute_downsets(p):
     """All down-sets found by scanning every subset, in (size, mask) order."""
     out = [s for s in range(1 << p.n) if p.is_down_set(s)]

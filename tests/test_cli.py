@@ -5,6 +5,7 @@ tmp_path, and the JSON payloads are compared against direct library calls
 so the adapter cannot drift away from the package it wraps.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -75,6 +76,14 @@ def ws(tmp_path):
     put("floaty.json", {"poset": "hier4.json", "values": {"[2]": 1.5}})
     put("booly.json", {"poset": "hier4.json", "values": {"[2]": True}})
     put("noposet.json", {"values": {"[2]": 1}})
+    put("listvalues.json", {"poset": "flat3.json", "values": [1]})
+    put("zerodenom.json", {"poset": "flat3.json", "values": {"[1]": "1/0"}})
+    put("listn.json", {"n": [3]})
+    put("floatn.json", {"n": 3.5})
+    put("booln.json", {"n": True})
+    put("badcovers.json", {"n": 3, "covers": [1]})
+    put("bare.json", 5)
+    put("inlinebad.json", {"poset": {"n": [3]}, "values": {}})
     files["dir"] = str(tmp_path)
     return files
 
@@ -404,11 +413,20 @@ def test_error_exit_codes(ws, capsys):
         ("game", "check", ws["booly.json"], "--class", "supermodular"),
         ("game", "check", ws["noposet.json"], "--class", "supermodular"),
         ("cone", "is-extreme", ws["nonsuper.json"]),
+        ("game", "check", ws["listvalues.json"], "--class", "supermodular"),
+        ("game", "check", ws["zerodenom.json"], "--class", "supermodular"),
+        ("game", "check", ws["inlinebad.json"], "--class", "supermodular"),
+        ("poset", "show", ws["listn.json"]),
+        ("poset", "show", ws["floatn.json"]),
+        ("poset", "show", ws["booln.json"]),
+        ("poset", "show", ws["badcovers.json"]),
+        ("poset", "show", ws["bare.json"]),
     ]
     for argv in bad:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:")
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
 
 
 def test_a_coalition_named_twice_is_refused(ws, capsys):
@@ -628,6 +646,23 @@ def test_the_parser_is_built_once_on_first_use():
     )
     assert (proc.returncode, proc.stdout) == (0, "0\n")
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_every_subcommand_path_names_one_handler():
+    def leaves(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield path
+        for action in subs:
+            for name, child in action.choices.items():
+                yield from leaves(child, (*path, name))
+
+    paths = list(leaves(cli.build_parser(), ()))
+    names = {"cmd_" + "_".join(path).replace("-", "_") for path in paths}
+    assert len(paths) == len(names) == 17
+    assert all(callable(getattr(cli, name, None)) for name in names)
+    # and no handler is left that no path reaches
+    assert names == {name for name in vars(cli) if name.startswith("cmd_")}
 
 
 def test_back_to_back_calls_leak_no_state(ws, capsys, monkeypatch):

@@ -238,6 +238,19 @@ def test_size_caps():
     assert len(flat.maximal_chains(max_chains=24)) == 24
 
 
+def test_the_build_refuses_an_element_the_down_set_test_rejects(monkeypatch):
+    p = sm.poset_from_covers(4, [(2, 1), (3, 1)])
+    refused = sm.mask_from_players([2, 3], 4)
+    is_down_set = sm.Poset.is_down_set
+    monkeypatch.setattr(
+        sm.Poset, "is_down_set", lambda self, mask: mask != refused and is_down_set(self, mask)
+    )
+    with pytest.raises(RuntimeError, match="non-down-set"):
+        sm.build_lattice(p)
+    monkeypatch.undo()
+    assert refused in sm.build_lattice(p)
+
+
 def test_position_and_membership(hier4):
     n = 4
     m = sm.mask_from_players

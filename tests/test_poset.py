@@ -3,7 +3,7 @@ import random
 import pytest
 
 import supermod as sm
-from conftest import brute_downsets, oracle_covers, random_poset
+from conftest import brute_downsets, oracle_covers, oracle_order, random_poset
 
 
 def test_mask_player_convention():
@@ -104,8 +104,59 @@ def test_dict_roundtrip():
     d = sm.poset_to_dict(p)
     assert d == {"n": 4, "covers": [[2, 1], [3, 1]]}
     assert sm.poset_from_dict(d) == p
-    with pytest.raises(ValueError):
-        sm.poset_from_dict({"covers": []})
+    # tuples are accepted as well as lists
+    assert sm.poset_from_dict({"n": 2, "covers": ((1, 2),)}) == sm.poset_from_covers(2, [(1, 2)])
+    for data in (
+        {"covers": []},
+        5,
+        [3],
+        {"n": [3]},
+        {"n": 3.5},
+        {"n": True},
+        {"n": "4"},
+        {"n": 3, "covers": [1]},
+        {"n": 3, "covers": [[1, 2, 3]]},
+        {"n": 3, "covers": 7},
+        {"n": 3, "covers": "12"},
+    ):
+        with pytest.raises(ValueError):
+            sm.poset_from_dict(data)
+    with pytest.raises(IndexError):
+        sm.poset_from_dict({"n": 3, "covers": [[True, 2]]})
+
+
+def test_closure_matches_reachability_on_random_cover_lists():
+    # numbered against the order, with repeated and transitively implied
+    # covers, and now and then a back edge that may close a cycle
+    rng = random.Random(7321)
+    outcomes = {"acyclic": 0, "cyclic": 0}
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        label = rng.sample(range(1, n + 1), n)
+        covers = [
+            (label[x], label[y])
+            for x in range(n)
+            for y in range(x + 1, n)
+            if rng.random() < 0.3
+        ]
+        covers += [(a, d) for a, b in covers for c, d in covers if b == c and rng.random() < 0.5]
+        covers += rng.sample(covers, len(covers) // 3)
+        if n > 1 and rng.random() < 0.3:
+            x, y = sorted(rng.sample(range(n), 2))
+            covers.append((label[y], label[x]))
+        rng.shuffle(covers)
+        try:
+            expected = oracle_order(n, covers)
+        except sm.CycleError:
+            with pytest.raises(sm.CycleError):
+                sm.poset_from_covers(n, covers)
+            outcomes["cyclic"] += 1
+            continue
+        p = sm.poset_from_covers(n, covers)
+        got = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if p.leq(i, j)}
+        assert got == expected, (n, covers)
+        outcomes["acyclic"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_poset_equality_and_repr():
