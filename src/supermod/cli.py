@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -420,168 +419,172 @@ def cmd_cone_face_compare(args):
 # -- reference reproduction -------------------------------------------------------
 
 
-@dataclass
-class RunReport:
-    """Outcome of the reference reproduction run."""
-
-    command: str
-    inputs: dict
-    results: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-
-    def passed(self):
-        return all(c["pass"] for c in self.checks)
-
-    def first_failure(self):
-        return next((c for c in self.checks if not c["pass"]), None)
-
-
 def _digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
 def reproduce_paper(golden_path=None, max_lattice=DEFAULT_MAX_ELEMENTS):
-    """Recompute the bundled reference results and compare them field by field."""
+    """Recompute the bundled reference results and compare them field by field.
+
+    Returns the report: a dict with the keys command, inputs, results and
+    checks.  Each golden field is read inside the check that compares it, so
+    a corrupt field fails its check; ValueError if the file or one of its two
+    sections is not a JSON object.
+    """
     if golden_path is None:
         blob = resources.files("supermod").joinpath(GOLDEN_RESOURCE).read_bytes()
     else:
         with open(golden_path, "rb") as fh:
             blob = fh.read()
     golden = json.loads(blob)
-    report = RunReport(
-        command="reproduce-paper",
-        inputs={"golden_sha256": _digest(blob)},
-    )
+    if not isinstance(golden, dict) or not all(
+        isinstance(golden.get(key), dict) for key in ("hierarchy4", "flat4")
+    ):
+        raise ValueError("a golden file is an object holding the objects hierarchy4 and flat4")
+    inputs = {"golden_sha256": _digest(blob)}
+    checks = []
 
-    def check(claim, expected, fn):
-        try:
-            got = fn()
-        except Exception as exc:  # a corrupt golden file must fail, not crash
-            got = f"error: {type(exc).__name__}: {exc}"
-        report.checks.append(
-            {"claim": claim, "expected": expected, "got": got, "pass": expected == got}
-        )
+    def check(claim, expected, got):
+        # both sides are thunks: a corrupt golden file must fail, not crash
+        row = {"claim": claim, "pass": True}
+        for key, fn in (("expected", expected), ("got", got)):
+            try:
+                row[key] = fn()
+            except Exception as exc:
+                row[key] = f"error: {type(exc).__name__}: {exc}"
+                row["pass"] = False
+        row["pass"] = row["pass"] and row["expected"] == row["got"]
+        checks.append(row)
 
     ref = golden["hierarchy4"]
     poset = poset_from_dict(ref["poset"])
-    report.inputs["hierarchy4_poset_sha256"] = _digest(
+    inputs["hierarchy4_poset_sha256"] = _digest(
         json.dumps(poset_to_dict(poset), sort_keys=True).encode()
     )
     lat = build_lattice(poset, max_elements=max_lattice)
-    check("hierarchy4: down-set count", ref["lattice_size"], lambda: len(lat.elements))
+    check(
+        "hierarchy4: down-set count", lambda: ref["lattice_size"], lambda: len(lat.elements)
+    )
     check(
         "hierarchy4: join-irreducible elements",
-        ref["join_irreducibles"],
+        lambda: ref["join_irreducibles"],
         lambda: [players_from_mask(a) for a in lat.join_irreducibles],
     )
     chains = lat.maximal_chains()
     check(
         "hierarchy4: compatible permutation count",
-        len(ref["permutations"]),
+        lambda: len(ref["permutations"]),
         lambda: len(chains),
     )
     check(
         "hierarchy4: permutation sequences",
-        ref["permutations"],
+        lambda: ref["permutations"],
         lambda: [format_perm(c.perm) for c in chains],
     )
-
-    detail = ref["detailed_ray"]
 
     def load_ref_game(table):
         return Game.from_values(lat, parse_values(table, poset.n))
 
+    def by_permutation(groups, key):
+        return {
+            perm: grp[key]
+            for grp in ref["detailed_ray"][groups]
+            for perm in grp["permutations"]
+        }
+
     def marginal_map():
-        ray = load_ref_game(detail["values"])
+        ray = load_ref_game(ref["detailed_ray"]["values"])
         return {
             format_perm(c.perm): vector_payload(marginal_vector(ray, c)) for c in chains
         }
 
-    expected_marginals = {
-        perm: grp["vector"]
-        for grp in detail["marginal_groups"]
-        for perm in grp["permutations"]
-    }
-    check("hierarchy4: detailed ray marginal vectors", expected_marginals, marginal_map)
+    check(
+        "hierarchy4: detailed ray marginal vectors",
+        lambda: by_permutation("marginal_groups", "vector"),
+        marginal_map,
+    )
 
     def tight_map():
-        ray = load_ref_game(detail["values"])
+        ray = load_ref_game(ref["detailed_ray"]["values"])
         tight = {c.perm: tight_sets(ray, c) for c in chains}
         return {
             format_perm(p): [players_from_mask(a) for a in lat.elements if a in sets]
             for p, sets in tight.items()
         }
 
-    expected_tight = {
-        perm: grp["tight"]
-        for grp in detail["tight_groups"]
-        for perm in grp["permutations"]
-    }
-    check("hierarchy4: detailed ray tight families", expected_tight, tight_map)
+    check(
+        "hierarchy4: detailed ray tight families",
+        lambda: by_permutation("tight_groups", "tight"),
+        tight_map,
+    )
 
-    ray_tables = ref["extreme_rays"]
     check(
         "hierarchy4: reference generators extreme (payoff system)",
-        [True] * len(ray_tables),
-        lambda: [is_extreme(load_ref_game(t)) for t in ray_tables],
+        lambda: [True] * len(ref["extreme_rays"]),
+        lambda: [is_extreme(load_ref_game(t)) for t in ref["extreme_rays"]],
     )
     check(
         "hierarchy4: reference generators extreme (game-equality system)",
-        [True] * len(ray_tables),
-        lambda: [is_extreme_via_games(load_ref_game(t)) for t in ray_tables],
+        lambda: [True] * len(ref["extreme_rays"]),
+        lambda: [is_extreme_via_games(load_ref_game(t)) for t in ref["extreme_rays"]],
     )
     check(
         "hierarchy4: enumerated extreme rays",
-        ray_tables,
+        lambda: ref["extreme_rays"],
         lambda: [game_payload(g) for g in extreme_rays(lat)],
     )
     check(
         "hierarchy4: cone dimension",
-        [ref["cone_dimension"], ref["ambient_dimension"]],
+        lambda: [ref["cone_dimension"], ref["ambient_dimension"]],
         lambda: [cone_dimension(lat), len(lat.elements) - 1],
     )
     check(
         "hierarchy4: facet inequalities",
-        ref["facet_inequalities"],
+        lambda: ref["facet_inequalities"],
         lambda: [t.render() for t in facet_triples(lat)],
     )
 
     flat = golden["flat4"]
     fposet = poset_from_dict(flat["poset"])
-    report.inputs["flat4_poset_sha256"] = _digest(
+    inputs["flat4_poset_sha256"] = _digest(
         json.dumps(poset_to_dict(fposet), sort_keys=True).encode()
     )
     flat_lat = build_lattice(fposet, max_elements=max_lattice)
-    check("flat4: down-set count", flat["lattice_size"], lambda: len(flat_lat.elements))
     check(
-        "flat4: facet count", flat["facet_count"], lambda: len(facet_triples(flat_lat))
+        "flat4: down-set count", lambda: flat["lattice_size"], lambda: len(flat_lat.elements)
+    )
+    check(
+        "flat4: facet count", lambda: flat["facet_count"], lambda: len(facet_triples(flat_lat))
     )
     check(
         "flat4: extreme ray count",
-        flat["extreme_ray_count"],
+        lambda: flat["extreme_ray_count"],
         lambda: len(extreme_rays(flat_lat)),
     )
 
-    passed = sum(1 for c in report.checks if c["pass"])
-    report.results = {"checks_passed": passed, "checks_total": len(report.checks)}
-    return report
+    passed = sum(1 for c in checks if c["pass"])
+    return {
+        "command": "reproduce-paper",
+        "inputs": inputs,
+        "results": {"checks_passed": passed, "checks_total": len(checks)},
+        "checks": checks,
+    }
 
 
 def cmd_reproduce_paper(args):
     report = reproduce_paper(golden_path=args.golden, max_lattice=lattice_cap(args))
     lines = []
-    for c in report.checks:
+    for c in report["checks"]:
         status = "PASS" if c["pass"] else "FAIL"
         lines.append(f"{status}  {c['claim']}")
         if not c["pass"]:
             lines.append(f"      expected: {c['expected']}")
             lines.append(f"      got:      {c['got']}")
-    lines.append(
-        f"{report.results['checks_passed']}/{report.results['checks_total']} checks passed"
-    )
-    emit(args, asdict(report), lines)
-    if not report.passed():
-        failure = report.first_failure()
+    results = report["results"]
+    lines.append(f"{results['checks_passed']}/{results['checks_total']} checks passed")
+    emit(args, report, lines)
+    failure = next((c for c in report["checks"] if not c["pass"]), None)
+    if failure is not None:
         print(f"reproduce-paper: first failing check: {failure['claim']}", file=sys.stderr)
         return 1
     return 0

@@ -29,7 +29,6 @@ __all__ = [
     "cone_dimension",
     "face_compare",
     "double_description",
-    "DEFAULT_MAX_CONE_ELEMENTS",
 ]
 
 DEFAULT_MAX_CONE_ELEMENTS = 64
@@ -338,12 +337,12 @@ def double_description(rows, dim):
     return rays
 
 
-def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, verify=True):
+def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS):
     """Minimal integer generators of the extreme rays of the supermodular
     cone of 0-normalized games, via double description on the facet rows.
 
-    Output is sorted by value tuple.  With verify=True every generator is
-    re-checked by both extremality tests before being returned.
+    Output is sorted by value tuple.  Every generator is re-checked by both
+    extremality tests before being returned.
     """
     if len(lat.elements) > max_elements:
         raise SizeError(
@@ -359,12 +358,11 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, verify=True):
         vals = _reduce([0 if coord[a] is None else z[coord[a]] for a in lat.elements])
         games.append(Game(lat, vals))
     games.sort(key=lambda gm: gm.values)
-    if verify:
-        for gm in games:
-            if not (is_extreme(gm) and is_extreme_via_games(gm)):
-                raise CrossCheckError(
-                    "an enumerated generator failed the extremality cross-check"
-                )
+    for gm in games:
+        if not (is_extreme(gm) and is_extreme_via_games(gm)):
+            raise CrossCheckError(
+                "an enumerated generator failed the extremality cross-check"
+            )
     return games
 
 

@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SupermodError",
+    "CycleError",
+    "SizeError",
+    "NotComparableError",
+    "EmptyCoalitionError",
+    "NotSupermodularError",
+    "LatticeMismatchError",
+    "CrossCheckError",
+    "ConsistencyError",
+]
+
 
 class SupermodError(Exception):
     """Base class for all library errors."""

@@ -19,8 +19,6 @@ __all__ = [
     "DownSetLattice",
     "build_lattice",
     "addable_pairs",
-    "DEFAULT_MAX_ELEMENTS",
-    "DEFAULT_MAX_CHAINS",
 ]
 
 DEFAULT_MAX_ELEMENTS = 1 << 20

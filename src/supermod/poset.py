@@ -16,8 +16,6 @@ __all__ = [
     "poset_to_dict",
     "mask_from_players",
     "players_from_mask",
-    "format_perm",
-    "format_coalition",
 ]
 
 

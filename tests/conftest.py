@@ -752,4 +752,4 @@ def flat4_rays(flat4):
 @pytest.fixture(scope="session")
 def one_rel5_rays():
     """The 241 extreme rays on five players with the one relation 1 < 2."""
-    return sm.extreme_rays(sm.build_lattice(sm.poset_from_covers(5, [(1, 2)])), verify=False)
+    return sm.extreme_rays(sm.build_lattice(sm.poset_from_covers(5, [(1, 2)])))

@@ -611,6 +611,48 @@ def test_reproduce_paper_flags_corrupted_references(ws, tmp_path, capsys):
     assert "FAIL  hierarchy4: down-set count" in out.splitlines()
 
 
+MALFORMED_REFERENCES = [
+    ((), []),
+    (("hierarchy4",), 5),
+    (("hierarchy4", "permutations"), 5),
+    (("hierarchy4", "permutations"), None),
+    (("hierarchy4", "extreme_rays"), 5),
+    (("hierarchy4", "extreme_rays"), None),
+    (("hierarchy4", "detailed_ray"), 5),
+    (("hierarchy4", "detailed_ray"), None),
+    (("hierarchy4", "detailed_ray", "marginal_groups"), 5),
+    (("hierarchy4", "detailed_ray", "marginal_groups"), [5]),
+    (("hierarchy4", "detailed_ray", "tight_groups"), 5),
+    (("hierarchy4", "detailed_ray", "tight_groups"), [5]),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    MALFORMED_REFERENCES,
+    ids=[f"{'.'.join(f) or 'file'}={json.dumps(v)}" for f, v in MALFORMED_REFERENCES],
+)
+def test_reproduce_paper_fails_malformed_references_without_crashing(
+    tmp_path, capsys, field, value
+):
+    golden = json.loads(
+        resources.files("supermod").joinpath("data/reference_results.json").read_text()
+    )
+    if field:
+        owner = golden
+        for key in field[:-1]:
+            owner = owner[key]
+        owner[field[-1]] = value
+    else:
+        golden = value
+    bad = tmp_path / "bad_golden.json"
+    bad.write_text(json.dumps(golden))
+
+    code, _, err = run(capsys, "reproduce-paper", "--golden", str(bad))
+    assert code in (1, 2)
+    assert "Traceback" not in err
+
+
 def test_reproduce_paper_is_deterministic(ws, capsys):
     outputs = []
     for _ in range(2):

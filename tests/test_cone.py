@@ -129,7 +129,7 @@ def test_tight_squares_span_the_equality_pair_rows_on_random_posets():
         if len(lat.elements) > 20:  # keeps double description quick
             continue
         lattices += 1
-        rays = sm.extreme_rays(lat, verify=False)
+        rays = sm.extreme_rays(lat)
         probes = list(rays)
         if rays:
             probes += [random_conic(rng, rays, min_nonzero=min(2, len(rays))) for _ in range(6)]
@@ -232,7 +232,7 @@ def test_sparse_payoff_rows_match_the_dense_builder(
         return len(rows)
 
     rng = random.Random(2719)
-    probes = hier4_rays + flat4_rays + sm.extreme_rays(mixed5, verify=False)
+    probes = hier4_rays + flat4_rays + sm.extreme_rays(mixed5)
     probes += rng.sample(one_rel5_rays, 12)
     assert min(map(same_system, probes)) > 0
     lattices = 0
@@ -459,7 +459,7 @@ def test_extremality_criteria_agree_on_random_posets():
         if len(lat.elements) > 20:
             continue
         lattices += 1
-        rays = sm.extreme_rays(lat, verify=False)
+        rays = sm.extreme_rays(lat)
         rank = qlin.rank(sparse_rows(g.values for g in rays)) if rays else 0
         assert rank == sm.cone_dimension(lat)
         probes = [(g, True) for g in rays] + [(sm.zero_game(lat), False)]
@@ -472,6 +472,8 @@ def test_extremality_criteria_agree_on_random_posets():
 def test_ray_enumeration_size_cap(flat4):
     with pytest.raises(sm.SizeError):
         sm.extreme_rays(flat4, max_elements=8)
+    with pytest.raises(TypeError):  # the cross-checks cannot be switched off
+        sm.extreme_rays(flat4, verify=False)
 
 
 def test_double_description_basics():

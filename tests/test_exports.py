@@ -42,3 +42,28 @@ def test_test_oracles_are_not_exported():
         for name in moved:
             assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
     assert qlin.__all__ == ["rank"]
+
+
+SOURCES = ("cone", "errors", "game", "lattice", "marginals", "poset")
+
+
+def module_lists():
+    return {m: importlib.import_module(f"supermod.{m}").__all__ for m in SOURCES}
+
+
+def test_the_package_exports_the_union_of_the_module_lists():
+    names = [name for listed in module_lists().values() for name in listed]
+    assert sm.__all__ == sorted(set(names))
+
+
+def test_no_name_is_listed_by_two_modules():
+    owners = {}
+    for module, listed in module_lists().items():
+        for name in listed:
+            assert name not in owners, f"{name!r} is listed by {owners[name]} and {module}"
+            owners[name] = module
+
+
+def test_the_rank_kernel_stays_out_of_the_package():
+    assert "rank" not in sm.__all__
+    assert not hasattr(sm, "rank")
