@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import qlin
-from .errors import CrossCheckError, LatticeMismatchError, NotSupermodularError, SizeError
+from .errors import CrossCheckError, NotSupermodularError, SizeError
 from .game import Game, _scaled_values, _square_slacks, is_supermodular
 from .lattice import DEFAULT_MAX_CHAINS, addable_pairs
 from .marginals import _tight_zeros, _vertex_walk
@@ -140,13 +140,15 @@ def is_extreme(v, max_chains=DEFAULT_MAX_CHAINS):
     return ncols - qlin.rank(rows) == 1
 
 
-def _free_coordinates(lat):
-    """Free coordinates of the 0-normalized subspace; returns (coord, d).
+def _facet_rows(lat):
+    """The inequality of every covering square over the free coordinates,
+    in facet_triples order; returns (rows, d, coord).
 
     The d free coordinates are the elements that are neither empty nor
     join-irreducible, in element order.  coord maps every element to the
     index of the coordinate holding its value, or None for the elements
     worth 0 (join-irreducible values chain down to their lower covers).
+    A row is a {coordinate: int} map of its nonzero entries.
     """
     ji = set(lat.join_irreducibles)
     coord = {0: None}
@@ -157,23 +159,20 @@ def _free_coordinates(lat):
         else:
             coord[a] = d
             d += 1
-    return coord, d
+    rows = []
+    for t in facet_triples(lat):
+        row = {}
+        for mask, sign in zip(t.masks(), (1, 1, -1, -1)):
+            c = coord[mask]
+            if c is not None:
+                row[c] = row.get(c, 0) + sign
+        rows.append({c: x for c, x in row.items() if x})
+    return rows, d, coord
 
 
-def _facet_row(triple, coord):
-    """The inequality of a facet triple over the free coordinates, as a
-    {coordinate: int} map of its nonzero entries."""
-    row = {}
-    for mask, sign in zip(triple.masks(), (1, 1, -1, -1)):
-        c = coord[mask]
-        if c is not None:
-            row[c] = row.get(c, 0) + sign
-    return {c: x for c, x in row.items() if x}
-
-
-def _game_rows(v):
-    """Facet rows tight at a supermodular game v, as _facet_row maps, empty
-    or repeated ones left for qlin.rank to drop; returns (rows, d).
+def _game_rows(v, rows):
+    """The _facet_rows rows whose square has zero slack at a supermodular
+    game v, empty or repeated ones left for qlin.rank to drop.
 
     The tight covering squares span the modularity constraints of every
     pair of elements where v is modular, since the second difference of a
@@ -182,14 +181,15 @@ def _game_rows(v):
     multiple of the 0-normalization of v exactly when v spans an extreme
     ray, so the solution dimension mirrors _payoff_rows.
     """
-    coord, d = _free_coordinates(v.lattice)
-    rows = []
-    for t, s in zip(facet_triples(v.lattice), _square_slacks(v)):
-        if s < 0:
-            raise NotSupermodularError("extremality is defined for supermodular games")
-        if not s:
-            rows.append(_facet_row(t, coord))
-    return rows, d
+    slacks = list(_square_slacks(v))
+    if any(s < 0 for s in slacks):
+        raise NotSupermodularError("extremality is defined for supermodular games")
+    return [row for row, s in zip(rows, slacks) if not s]
+
+
+def _is_extreme_via_rows(v, rows, d):
+    """is_extreme_via_games on the facet rows and dimension of v's lattice."""
+    return d - qlin.rank(_game_rows(v, rows)) == 1
 
 
 def is_extreme_via_games(v):
@@ -198,8 +198,8 @@ def is_extreme_via_games(v):
     A modular game is not extreme: every facet row is tight at it, and they
     have rank d because the cone is pointed.
     """
-    rows, d = _game_rows(v)
-    return d - qlin.rank(rows) == 1
+    rows, d, _ = _facet_rows(v.lattice)
+    return _is_extreme_via_rows(v, rows, d)
 
 
 def facet_triples(lat):
@@ -256,7 +256,7 @@ def double_description(rows, dim):
     """Extreme rays of the pointed cone {z in Q^dim : row . z >= 0}.
 
     Each row is a {coordinate: int} map of its nonzero entries, as
-    _facet_row builds it; rays are dense integer tuples.
+    _facet_rows builds them; rays are dense integer tuples (none if dim is 0).
 
     Insertion algorithm over exact integers.  A basis of the ambient space
     acts as the initial lineality: a constraint that meets it pivots one
@@ -341,25 +341,23 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS):
     """Minimal integer generators of the extreme rays of the supermodular
     cone of 0-normalized games, via double description on the facet rows.
 
-    Output is sorted by value tuple.  Every generator is re-checked by both
-    extremality tests before being returned.
+    Output is sorted by value tuple.  Both extremality tests re-check every
+    generator from its own values before it is returned; the games test
+    selects its rows from the facet rows that double description read.
     """
     if len(lat.elements) > max_elements:
         raise SizeError(
             f"ray enumeration capped at {max_elements} lattice elements, the lattice"
             f" has {len(lat.elements)}; raise it with --max-cone or max_elements"
         )
-    coord, d = _free_coordinates(lat)
-    if d == 0:
-        return []
-    rows = [_facet_row(t, coord) for t in facet_triples(lat)]
+    rows, d, coord = _facet_rows(lat)
     games = []
     for z in double_description(rows, d):
         vals = _reduce([0 if coord[a] is None else z[coord[a]] for a in lat.elements])
         games.append(Game(lat, vals))
     games.sort(key=lambda gm: gm.values)
     for gm in games:
-        if not (is_extreme(gm) and is_extreme_via_games(gm)):
+        if not (is_extreme(gm) and _is_extreme_via_rows(gm, rows, d)):
             raise CrossCheckError(
                 "an enumerated generator failed the extremality cross-check"
             )
@@ -378,7 +376,7 @@ def cone_dimension(lat):
     """
     if not all(s > 0 for s in _square_slacks(Game(lat, _squares(lat)))):
         raise CrossCheckError("a covering square is not slack at |A|^2")
-    return _free_coordinates(lat)[1]
+    return _facet_rows(lat)[1]
 
 
 def face_compare(v, w):
@@ -393,8 +391,7 @@ def face_compare(v, w):
     O(L*n^2), without walking maximal chains.  One slack list per game
     gives both its supermodularity check and its tight squares.
     """
-    if v.lattice is not w.lattice and v.lattice != w.lattice:
-        raise LatticeMismatchError("games are bound to different lattices")
+    v._same_lattice(w)
     slacks = [list(_square_slacks(g)) for g in (v, w)]
     if any(s < 0 for sl in slacks for s in sl):
         raise NotSupermodularError("face comparison needs supermodular games")

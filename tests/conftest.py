@@ -464,7 +464,8 @@ def payoff_equality_system(v):
 def game_equality_system(v):
     """The tight facet rows that is_extreme_via_games ranks, for any
     supermodular game; returns (rows, d) with sparse rows, as above."""
-    return cone._game_rows(v)
+    rows, d, _ = cone._facet_rows(v.lattice)
+    return cone._game_rows(v, rows), d
 
 
 def oracle_payoff_rows(w):

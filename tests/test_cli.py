@@ -6,6 +6,7 @@ so the adapter cannot drift away from the package it wraps.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -326,7 +327,14 @@ def test_failed_cross_checks_exit_with_code_3(ws, capsys, monkeypatch):
     code, _, _ = run(capsys, "cone", "is-extreme", ws["v1.json"], "--method", "system")
     assert code == 0
 
-    monkeypatch.setattr(sm.cone, "is_extreme_via_games", lambda g: False)
+    # either half of the per-ray cross-check of cone rays failing is a defect
+    games_check = sm.cone._is_extreme_via_rows
+    monkeypatch.setattr(sm.cone, "_is_extreme_via_rows", lambda g, rows, d: False)
+    code, out, err = run(capsys, "cone", "rays", ws["hier4.json"])
+    assert code == 3 and out == ""
+    assert err == "error: an enumerated generator failed the extremality cross-check\n"
+    monkeypatch.setattr(sm.cone, "_is_extreme_via_rows", games_check)
+    monkeypatch.setattr(sm.cone, "is_extreme", lambda g: False)
     code, out, err = run(capsys, "cone", "rays", ws["hier4.json"])
     assert code == 3 and out == ""
     assert err == "error: an enumerated generator failed the extremality cross-check\n"
@@ -353,6 +361,18 @@ def test_cone_rays_matches_the_library(ws, capsys):
         (game_from_table(lat, t) for t in HIER4_GENERATORS), key=lambda g: g.values
     )
     assert expected == [cli.game_payload(g) for g in tables]
+
+
+def test_cone_rays_of_one_rel5_keep_their_bytes(tmp_path, capsys):
+    # five players with the one relation 1 < 2: the largest ladder poset,
+    # 241 rays, pinned byte for byte
+    path = tmp_path / "one-rel5.json"
+    path.write_text(json.dumps({"n": 5, "covers": [[1, 2]]}))
+    code, out, err = run(capsys, "cone", "rays", str(path))
+    assert code == 0 and err == ""
+    assert payload_of(out)["count"] == 241
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "848f56fe4ab702d5ddb713517fc4365260dd3931a852d16d6a2c3a363fff9230"
 
 
 def test_cone_facets(ws, capsys):

@@ -114,9 +114,9 @@ def test_game_rows_ignore_a_modular_shift_on_random_posets():
     for _ in range(40):
         lat = sm.build_lattice(random_poset(rng, rng.randint(2, 6)))
         v = random_unanimity_sum(rng, lat)
-        rows = cone._game_rows(v)
-        assert cone._game_rows(v + random_modular(rng, lat)) == rows
-        assert cone._game_rows(sm.zero_normalize(v)[0]) == rows
+        rows = game_equality_system(v)
+        assert game_equality_system(v + random_modular(rng, lat)) == rows
+        assert game_equality_system(sm.zero_normalize(v)[0]) == rows
         counts.add(len(rows[0]))
     assert 0 in counts and max(counts) > 10
 
@@ -436,6 +436,21 @@ def test_flat4_ray_count(flat4_rays):
     assert len(flat4_rays) == 37
 
 
+def test_extreme_rays_builds_the_facet_rows_once(flat4, monkeypatch):
+    # double description and the games half of the per-ray cross-check read
+    # one table; the check itself still runs on every ray
+    built, checked = [], []
+    build, check = cone._facet_rows, cone._is_extreme_via_rows
+    monkeypatch.setattr(cone, "_facet_rows", lambda lat: built.append(lat) or build(lat))
+    monkeypatch.setattr(
+        cone, "_is_extreme_via_rows", lambda g, rows, d: checked.append(g) or check(g, rows, d)
+    )
+    rays = sm.extreme_rays(flat4)
+    assert len(rays) == 37
+    assert built == [flat4]
+    assert checked == rays
+
+
 def test_cone_dimension(hier4, flat3, flat4, chain3, single1, mixed5):
     assert sm.cone_dimension(hier4) == 5
     assert len(hier4.elements) - 1 == 9
@@ -497,8 +512,8 @@ def test_double_description_matches_the_algebraic_oracle():
     # posets in the facet order and in a shuffled row order, then on one-rel5
     # in the facet order
     def facet_rows(lat):
-        coord, d = cone._free_coordinates(lat)
-        return [cone._facet_row(t, coord) for t in sm.facet_triples(lat)], d
+        rows, d, _ = cone._facet_rows(lat)
+        return rows, d
 
     def same_rays(rows, d):
         rays = sorted(sm.double_description(rows, d))
@@ -527,6 +542,8 @@ def test_face_compare_examples(hier4, hier4_games, flat4):
     other = sm.zero_game(flat4)
     with pytest.raises(sm.LatticeMismatchError):
         sm.face_compare(v1, other)
+    with pytest.raises(TypeError, match="expected a game"):
+        sm.face_compare(v1, v1.values)
     bad = sm.Game.from_values(hier4, {sm.mask_from_players([2], 4): 1})
     with pytest.raises(sm.NotSupermodularError, match="face comparison"):
         sm.face_compare(v1, bad)
