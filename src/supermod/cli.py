@@ -19,6 +19,7 @@ from importlib import resources
 
 from .cone import (
     DEFAULT_MAX_CONE_ELEMENTS,
+    DEFAULT_MAX_DD_RAYS,
     cone_dimension,
     extreme_rays,
     face_compare,
@@ -371,7 +372,7 @@ def cmd_cone_is_extreme(args):
 
 def cmd_cone_rays(args):
     lat = load_lattice(args.poset, args)
-    rays = extreme_rays(lat, max_elements=args.max_cone)
+    rays = extreme_rays(lat, max_elements=args.max_cone, max_rays=args.max_dd_rays)
     payload = {"count": len(rays), "rays": [game_payload(g) for g in rays]}
     lines = []
     for k, g in enumerate(rays, start=1):
@@ -423,13 +424,15 @@ def _digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def reproduce_paper(golden_path=None, max_lattice=DEFAULT_MAX_ELEMENTS):
+def reproduce_paper(
+    golden_path=None, max_lattice=DEFAULT_MAX_ELEMENTS, max_rays=DEFAULT_MAX_DD_RAYS
+):
     """Recompute the bundled reference results and compare them field by field.
 
     Returns the report: a dict with the keys command, inputs, results and
     checks.  Each golden field is read inside the check that compares it, so
     a corrupt field fails its check; ValueError if the file or one of its two
-    sections is not a JSON object.
+    sections is not a JSON object.  max_rays caps each ray enumeration.
     """
     if golden_path is None:
         blob = resources.files("supermod").joinpath(GOLDEN_RESOURCE).read_bytes()
@@ -531,7 +534,7 @@ def reproduce_paper(golden_path=None, max_lattice=DEFAULT_MAX_ELEMENTS):
     check(
         "hierarchy4: enumerated extreme rays",
         lambda: ref["extreme_rays"],
-        lambda: [game_payload(g) for g in extreme_rays(lat)],
+        lambda: [game_payload(g) for g in extreme_rays(lat, max_rays=max_rays)],
     )
     check(
         "hierarchy4: cone dimension",
@@ -559,7 +562,7 @@ def reproduce_paper(golden_path=None, max_lattice=DEFAULT_MAX_ELEMENTS):
     check(
         "flat4: extreme ray count",
         lambda: flat["extreme_ray_count"],
-        lambda: len(extreme_rays(flat_lat)),
+        lambda: len(extreme_rays(flat_lat, max_rays=max_rays)),
     )
 
     passed = sum(1 for c in checks if c["pass"])
@@ -572,7 +575,7 @@ def reproduce_paper(golden_path=None, max_lattice=DEFAULT_MAX_ELEMENTS):
 
 
 def cmd_reproduce_paper(args):
-    report = reproduce_paper(golden_path=args.golden, max_lattice=lattice_cap(args))
+    report = reproduce_paper(args.golden, lattice_cap(args), args.max_dd_rays)
     lines = []
     for c in report["checks"]:
         status = "PASS" if c["pass"] else "FAIL"
@@ -607,6 +610,12 @@ def build_parser():
         type=cap_value,
         metavar="N",
         help="cap on lattice size (or env SUPERMOD_MAX_LATTICE)",
+    )
+    # for the commands that enumerate the extreme rays of a cone
+    dd_rays = argparse.ArgumentParser(add_help=False)
+    dd_rays.add_argument(
+        "--max-dd-rays", type=cap_value, default=DEFAULT_MAX_DD_RAYS, metavar="N",
+        help="cap on the intermediate rays of double description (default %(default)s)",
     )
     # for the commands that list maximal chains or walk their marginal vectors
     chains = argparse.ArgumentParser(add_help=False)
@@ -677,7 +686,7 @@ def build_parser():
     q = p_cone.add_parser("is-extreme", parents=[common, chains], help="extremality of a game")
     q.add_argument("game")
     q.add_argument("--method", choices=("system", "games", "both"), default="both")
-    q = p_cone.add_parser("rays", parents=[common], help="extreme rays of the cone")
+    q = p_cone.add_parser("rays", parents=[common, dd_rays], help="extreme rays of the cone")
     q.add_argument("poset")
     q.add_argument(
         "--max-cone", type=cap_value, default=DEFAULT_MAX_CONE_ELEMENTS, metavar="N",
@@ -693,7 +702,7 @@ def build_parser():
 
     q = sub.add_parser(
         "reproduce-paper",
-        parents=[common],
+        parents=[common, dd_rays],
         help="recompute the bundled reference results and verify them",
     )
     q.add_argument("--golden", help="alternative golden results file")

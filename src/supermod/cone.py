@@ -15,8 +15,8 @@ from math import gcd
 from . import qlin
 from .errors import CrossCheckError, NotSupermodularError, SizeError
 from .game import Game, _scaled_values, _square_slacks, is_supermodular
-from .lattice import DEFAULT_MAX_CHAINS, addable_pairs
-from .marginals import _tight_zeros, _vertex_walk
+from .lattice import DEFAULT_MAX_CHAINS, _covering_steps, _square_corners, addable_pairs
+from .marginals import _split_plan, _tight_zeros, _vertex_walk
 from .poset import format_coalition, players_from_mask
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_CONE_ELEMENTS = 64
+DEFAULT_MAX_DD_RAYS = 2000
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,31 @@ class FacetTriple:
         return " + ".join(lhs) + " >= " + " + ".join(terms[2:])
 
 
-def _payoff_rows(v, max_chains=DEFAULT_MAX_CHAINS):
-    """Linear system on per-vertex payoff vectors of a supermodular game v;
-    returns (rows, ncols) with each row a {column: +-1} map of its nonzero
-    entries.
+class _Plan:
+    """The lattice-only work of both extremality criteria, built once for
+    every game checked on one lattice; nothing is kept on the lattice.  For
+    _payoff_rows (payoff=True): the lattice's _covering_steps and
+    _split_plan, the positions of each principal down-set and of that set
+    less its top player, and the 0-based players of each element.  For
+    _game_rows (games=True): the corners, rows, dimension and coordinates
+    of _facet_rows."""
+
+    def __init__(self, lat, payoff=True, games=True):
+        self.lat = lat
+        if payoff:
+            self.steps = _covering_steps(lat)
+            self.split = _split_plan(self.steps)
+            down = [lat.poset.principal_down_set(i + 1) for i in range(lat.poset.n)]
+            self.down = [(lat.index[d], lat.index[d ^ 1 << i]) for i, d in enumerate(down)]
+            self.members = [[i - 1 for i in players_from_mask(a)] for a in lat.elements]
+        if games:
+            self.corners, self.rows, self.d, self.coord = _facet_rows(lat)
+
+
+def _payoff_rows(plan, val, max_chains=DEFAULT_MAX_CHAINS):
+    """Linear system on per-vertex payoff vectors of a supermodular game v,
+    given by its integer values val by element position; returns (rows,
+    ncols) with each row a {column: +-1} map of its nonzero entries.
 
     The paper's system gives every maximal chain a block of unknowns, one
     per player.  Chains with the same marginal vector have the same tight
@@ -85,18 +107,14 @@ def _payoff_rows(v, max_chains=DEFAULT_MAX_CHAINS):
     order, so the pinned coordinates are those where a vertex of v
     equals m.
     """
-    lat = v.lattice
+    lat = plan.lat
     n = lat.poset.n
-    val, _ = _scaled_values(v)
-    shift = []
-    for i in range(n):
-        d = lat.poset.principal_down_set(i + 1)
-        shift.append(val[d] - val[d ^ 1 << i])
-    verts = sorted(_vertex_walk(lat, val, max_chains))
+    shift = [val[d] - val[below] for d, below in plan.down]
+    verts = sorted(_vertex_walk(lat, plan.steps, val, max_chains))
     cols = []  # cols[k][i]: the column of player i+1 under vertex k, or None
     ncols = 0
     by_element = {}
-    for k, (tight, zeros) in enumerate(_tight_zeros(lat, val, verts, shift)):
+    for k, (tight, zeros) in enumerate(_tight_zeros(lat, plan.split, val, verts, shift)):
         ck = [None] * n
         for i in range(n):
             if i + 1 not in zeros:
@@ -107,11 +125,10 @@ def _payoff_rows(v, max_chains=DEFAULT_MAX_CHAINS):
             by_element.setdefault(a, []).append(k)
     rows = []
     seen = set()
-    for a in lat.elements[1:]:
+    for a, members in zip(lat.elements[1:], plan.members[1:]):
         ks = by_element[a]
         if len(ks) < 2:
             continue
-        members = [i - 1 for i in players_from_mask(a)]
         # the columns of a's members at each vertex tight at a, ascending;
         # vertices own disjoint columns, so a row is fixed by its +1 and -1
         # lists, which key it with None between them
@@ -126,6 +143,12 @@ def _payoff_rows(v, max_chains=DEFAULT_MAX_CHAINS):
     return rows, ncols
 
 
+def _payoff_extreme(plan, val, max_chains=DEFAULT_MAX_CHAINS):
+    """is_extreme on the integer values val by element position."""
+    rows, ncols = _payoff_rows(plan, val, max_chains)
+    return ncols - qlin.rank(rows) == 1
+
+
 def is_extreme(v, max_chains=DEFAULT_MAX_CHAINS):
     """Extremality of the ray spanned by the 0-normalization of v.
 
@@ -136,43 +159,48 @@ def is_extreme(v, max_chains=DEFAULT_MAX_CHAINS):
     """
     if not is_supermodular(v):
         raise NotSupermodularError("extremality is defined for supermodular games")
-    rows, ncols = _payoff_rows(v, max_chains)
-    return ncols - qlin.rank(rows) == 1
+    return _payoff_extreme(_Plan(v.lattice, games=False), _scaled_values(v)[0], max_chains)
 
 
 def _facet_rows(lat):
-    """The inequality of every covering square over the free coordinates,
-    in facet_triples order; returns (rows, d, coord).
+    """The corners and the inequality over the free coordinates of every
+    covering square, in facet_triples order; returns (corners, rows, d,
+    coord) with the corners of _square_corners.
 
     The d free coordinates are the elements that are neither empty nor
-    join-irreducible, in element order.  coord maps every element to the
-    index of the coordinate holding its value, or None for the elements
-    worth 0 (join-irreducible values chain down to their lower covers).
-    A row is a {coordinate: int} map of its nonzero entries.
+    join-irreducible, in element order.  coord holds, at every element
+    position, the index of the coordinate holding the element's value, or
+    None for the elements worth 0 (join-irreducible values chain down to
+    their lower covers).  A row is a {coordinate: int} map of its nonzero
+    entries.
     """
     ji = set(lat.join_irreducibles)
-    coord = {0: None}
+    pos = lat.index
+    coord = [None]
     d = 0
     for a in lat.elements[1:]:
         if a in ji:
-            coord[a] = coord[lat.join_irreducible_predecessor(a)]
+            coord.append(coord[pos[lat.join_irreducible_predecessor(a)]])
         else:
-            coord[a] = d
+            coord.append(d)
             d += 1
+    corners = tuple(_square_corners(lat))
     rows = []
-    for t in facet_triples(lat):
+    for square in corners:
         row = {}
-        for mask, sign in zip(t.masks(), (1, 1, -1, -1)):
-            c = coord[mask]
+        for k, sign in zip(square, (1, 1, -1, -1)):
+            c = coord[k]
             if c is not None:
                 row[c] = row.get(c, 0) + sign
         rows.append({c: x for c, x in row.items() if x})
-    return rows, d, coord
+    return corners, rows, d, coord
 
 
-def _game_rows(v, rows):
+def _game_rows(plan, val):
     """The _facet_rows rows whose square has zero slack at a supermodular
-    game v, empty or repeated ones left for qlin.rank to drop.
+    game v, given by its integer values val by element position, empty or
+    repeated ones left for qlin.rank to drop; the same slack pass refuses a
+    game that is not supermodular.
 
     The tight covering squares span the modularity constraints of every
     pair of elements where v is modular, since the second difference of a
@@ -181,15 +209,15 @@ def _game_rows(v, rows):
     multiple of the 0-normalization of v exactly when v spans an extreme
     ray, so the solution dimension mirrors _payoff_rows.
     """
-    slacks = list(_square_slacks(v))
-    if any(s < 0 for s in slacks):
+    slacks = list(_square_slacks(val, plan.corners))
+    if min(slacks, default=0) < 0:
         raise NotSupermodularError("extremality is defined for supermodular games")
-    return [row for row, s in zip(rows, slacks) if not s]
+    return [row for row, s in zip(plan.rows, slacks) if not s]
 
 
-def _is_extreme_via_rows(v, rows, d):
-    """is_extreme_via_games on the facet rows and dimension of v's lattice."""
-    return d - qlin.rank(_game_rows(v, rows)) == 1
+def _games_extreme(plan, val):
+    """is_extreme_via_games on the integer values val by element position."""
+    return plan.d - qlin.rank(_game_rows(plan, val)) == 1
 
 
 def is_extreme_via_games(v):
@@ -198,8 +226,7 @@ def is_extreme_via_games(v):
     A modular game is not extreme: every facet row is tight at it, and they
     have rank d because the cone is pointed.
     """
-    rows, d, _ = _facet_rows(v.lattice)
-    return _is_extreme_via_rows(v, rows, d)
+    return _games_extreme(_Plan(v.lattice, payoff=False), _scaled_values(v)[0])
 
 
 def facet_triples(lat):
@@ -252,11 +279,13 @@ def _reduce(vec):
     return tuple(vec)
 
 
-def double_description(rows, dim):
+def double_description(rows, dim, max_rays=DEFAULT_MAX_DD_RAYS):
     """Extreme rays of the pointed cone {z in Q^dim : row . z >= 0}.
 
     Each row is a {coordinate: int} map of its nonzero entries, as
     _facet_rows builds them; rays are dense integer tuples (none if dim is 0).
+    SizeError once more than max_rays intermediate rays are held after a
+    row is inserted.
 
     Insertion algorithm over exact integers.  A basis of the ambient space
     acts as the initial lineality: a constraint that meets it pivots one
@@ -332,36 +361,44 @@ def double_description(rows, dim):
                 keep = plus + zero
                 rays = [rays[k] for k in keep] + combos
                 masks = [masks[k] for k in keep] + combo_masks
+        if len(rays) > max_rays:
+            raise SizeError(
+                f"double description holds {len(rays)} intermediate rays after row"
+                f" {idx + 1} of {len(rows)}, over the cap of {max_rays}; raise it with"
+                " --max-dd-rays or max_rays"
+            )
     if lin:
         raise ValueError("the inequality system leaves a lineality space")
     return rays
 
 
-def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS):
+def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, max_rays=DEFAULT_MAX_DD_RAYS):
     """Minimal integer generators of the extreme rays of the supermodular
-    cone of 0-normalized games, via double description on the facet rows.
+    cone of 0-normalized games, via double description on the facet rows;
+    max_rays caps its intermediate rays.
 
-    Output is sorted by value tuple.  Both extremality tests re-check every
-    generator from its own values before it is returned; the games test
-    selects its rows from the facet rows that double description read.
+    Output is sorted by value tuple.  One _Plan serves double description
+    and both extremality tests, which re-check every generator from its own
+    integer values before any game is built: its square slacks, marginal
+    vectors and tight sets are recomputed, and nothing is read from the
+    masks of double description.
     """
     if len(lat.elements) > max_elements:
         raise SizeError(
             f"ray enumeration capped at {max_elements} lattice elements, the lattice"
             f" has {len(lat.elements)}; raise it with --max-cone or max_elements"
         )
-    rows, d, coord = _facet_rows(lat)
-    games = []
-    for z in double_description(rows, d):
-        vals = _reduce([0 if coord[a] is None else z[coord[a]] for a in lat.elements])
-        games.append(Game(lat, vals))
-    games.sort(key=lambda gm: gm.values)
-    for gm in games:
-        if not (is_extreme(gm) and _is_extreme_via_rows(gm, rows, d)):
+    plan = _Plan(lat)
+    vals = sorted(
+        tuple(0 if c is None else z[c] for c in plan.coord)
+        for z in double_description(plan.rows, plan.d, max_rays)
+    )
+    for val in vals:
+        if not (_games_extreme(plan, val) and _payoff_extreme(plan, val)):
             raise CrossCheckError(
                 "an enumerated generator failed the extremality cross-check"
             )
-    return games
+    return [Game(lat, val) for val in vals]
 
 
 def cone_dimension(lat):
@@ -374,9 +411,9 @@ def cone_dimension(lat):
     That certificate is rechecked on g itself in O(L*n^2); CrossCheckError
     if it fails.
     """
-    if not all(s > 0 for s in _square_slacks(Game(lat, _squares(lat)))):
+    if not all(s > 0 for s in _square_slacks(_squares(lat), _square_corners(lat))):
         raise CrossCheckError("a covering square is not slack at |A|^2")
-    return _facet_rows(lat)[1]
+    return _facet_rows(lat)[2]
 
 
 def face_compare(v, w):
@@ -392,7 +429,8 @@ def face_compare(v, w):
     gives both its supermodularity check and its tight squares.
     """
     v._same_lattice(w)
-    slacks = [list(_square_slacks(g)) for g in (v, w)]
+    corners = tuple(_square_corners(v.lattice))
+    slacks = [list(_square_slacks(_scaled_values(g)[0], corners)) for g in (v, w)]
     if any(s < 0 for sl in slacks for s in sl):
         raise NotSupermodularError("face comparison needs supermodular games")
     tv, tw = ({k for k, s in enumerate(sl) if not s} for sl in slacks)

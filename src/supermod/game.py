@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import EmptyCoalitionError, LatticeMismatchError
-from .lattice import DownSetLattice, addable_pairs
+from .lattice import DownSetLattice, _covering_steps, _square_corners
 from .poset import players_from_mask
 
 __all__ = [
@@ -197,47 +197,48 @@ def mobius_inverse(vhat):
 
 def _scaled_values(v):
     """Values of v as integers over one common denominator; returns
-    ({element: integer}, den).  den is positive, so the integers keep
-    every sign, order and zero of the values and of their sums."""
+    ([integer by element position], den).  den is positive, so the integers
+    keep every sign, order and zero of the values and of their sums."""
     den = lcm(*(x.denominator for x in v.values))
-    return (
-        {a: x.numerator * (den // x.denominator) for a, x in zip(v.lattice.elements, v.values)},
-        den,
-    )
+    return [x.numerator * (den // x.denominator) for x in v.values], den
 
 
-def _square_slacks(v):
-    """Slack v(a+i+j) + v(a) - v(a+i) - v(a+j) of every covering square, in
-    addable_pairs order, scaled by the common denominator of the values.
+def _square_slacks(val, corners):
+    """Slack val[a+i+j] + val[a] - val[a+i] - val[a+j] of every covering
+    square, lazily, for integer values val by element position and the
+    corners of lattice._square_corners.
 
     In a distributive lattice the second difference over any pair A, B is the
     sum of these slacks over the grid [A&B, A] x [A&B, B], so the squares
-    alone decide supermodularity and modularity; the scaling keeps each
-    slack's sign.
+    alone decide supermodularity and modularity; values scaled by a positive
+    denominator (_scaled_values) keep each slack's sign.
     """
-    val, _ = _scaled_values(v)
-    for a, i, j in addable_pairs(v.lattice):
-        bi = 1 << (i - 1)
-        bj = 1 << (j - 1)
-        yield val[a | bi | bj] + val[a] - val[a | bi] - val[a | bj]
+    for both, base, wi, wj in corners:
+        yield val[both] + val[base] - val[wi] - val[wj]
+
+
+def _game_slacks(v):
+    """_square_slacks of a game, square by square."""
+    return _square_slacks(_scaled_values(v)[0], _square_corners(v.lattice))
 
 
 def is_supermodular(v):
     """v(A|B) + v(A&B) >= v(A) + v(B) on every pair: no covering square has
     negative slack."""
-    return all(s >= 0 for s in _square_slacks(v))
+    return all(s >= 0 for s in _game_slacks(v))
 
 
 def is_modular(v):
     """Equality on every pair: every covering square has zero slack."""
-    return not any(_square_slacks(v))
+    return not any(_game_slacks(v))
 
 
 def is_monotone(v):
     """Nondecreasing along inclusion, checked on the covering edges a < a+i."""
-    lat = v.lattice
     val, _ = _scaled_values(v)
-    return all(val[b] >= x for a, x in val.items() for b in lat.upper_covers(a))
+    return all(
+        val[b] >= x for x, moves in zip(val, _covering_steps(v.lattice)) for _, b in moves
+    )
 
 
 def is_nonnegative(v):

@@ -222,12 +222,11 @@ class DownSetLattice:
     def _chain_count(self):
         """Number of maximal chains: paths from the bottom to the top along
         covering edges, summed in element order."""
-        paths = dict.fromkeys(self.elements, 0)
-        paths[0] = 1
-        for a, out in zip(self.elements, self._addable):
-            for i in players_from_mask(out):
-                paths[a | 1 << (i - 1)] += paths[a]
-        return paths[self.top]
+        paths = [1] + [0] * (len(self.elements) - 1)
+        for k, moves in enumerate(_covering_steps(self)):
+            for _, b in moves:
+                paths[b] += paths[k]
+        return paths[-1]
 
     def chain_from_perm(self, perm):
         """The maximal chain of a compatible permutation; ValueError otherwise."""
@@ -265,3 +264,24 @@ def addable_pairs(lat):
         for x in range(len(players)):
             for y in range(x + 1, len(players)):
                 yield a, players[x], players[y]
+
+
+def _covering_steps(lat):
+    """By element position, the pairs (i - 1, position of a+i) of the players
+    i addable to the element a, ascending."""
+    idx = lat.index
+    return [
+        [(i - 1, idx[a | 1 << (i - 1)]) for i in players_from_mask(out)]
+        for a, out in zip(lat.elements, lat._addable)
+    ]
+
+
+def _square_corners(lat):
+    """Positions (a+i+j, a, a+i, a+j) of the corners of every covering
+    square, in addable_pairs order; a generator, as addable_pairs is."""
+    idx = lat.index
+    for k, (a, out) in enumerate(zip(lat.elements, lat._addable)):
+        ups = [(1 << (i - 1), idx[a | 1 << (i - 1)]) for i in players_from_mask(out)]
+        for x, (bi, wi) in enumerate(ups):
+            for bj, wj in ups[x + 1 :]:
+                yield idx[a | bi | bj], k, wi, wj

@@ -15,7 +15,7 @@ from operator import eq
 
 from .errors import ConsistencyError, NotSupermodularError, SizeError
 from .game import Game, _scaled_values, is_supermodular
-from .lattice import DEFAULT_MAX_CHAINS
+from .lattice import DEFAULT_MAX_CHAINS, _covering_steps
 from .poset import format_perm, players_from_mask
 
 __all__ = [
@@ -70,46 +70,49 @@ def zero_coords(v, chain):
 
 def _along(v, chain):
     """(tight elements, zero-increment players) of v along one chain."""
+    lat = v.lattice
     val, _ = _scaled_values(v)
-    x = [0] * v.lattice.poset.n
+    x = [0] * lat.poset.n
     for below, a, player in zip(chain.sets, chain.sets[1:], chain.perm):
-        x[player - 1] = val[a] - val[below]
-    return next(_tight_zeros(v.lattice, val, [x]))
+        x[player - 1] = val[lat.index[a]] - val[lat.index[below]]
+    return next(_tight_zeros(lat, _split_plan(_covering_steps(lat)), val, [x]))
 
 
-def _tight_zeros(lat, val, vectors, shift=None):
+def _split_plan(steps):
+    """Every nonempty element, by position, as one lower cover plus one
+    player, from the lattice's _covering_steps: the pairs (position of the
+    cover, player index) along which _tight_zeros sums."""
+    into = {b: (k, i) for k, moves in enumerate(steps) for i, b in moves}
+    return [into[b] for b in range(1, len(steps))]
+
+
+def _tight_zeros(lat, split, val, vectors, shift=None):
     """(tight elements, zero players) of each integer marginal vector x:
-    the elements a where x(a) equals val[a], and the players i whose
+    the elements a where x(a) equals their value, and the players i whose
     coordinate x[i-1] equals shift[i-1] (zero when no shift is given).
 
-    val maps every element to an integer, the values of a game scaled over
-    one common denominator (game._scaled_values).  Every nonempty element
-    is written once per call as an earlier element plus one player addable
-    to it, so the coalition totals x(a) = x(parent) + x[player] take one
-    addition per element: O(L) per vector after an O(L*n) plan.
+    val holds an integer at every element position, the values of a game
+    scaled over one common denominator (game._scaled_values).  split is the
+    lattice's _split_plan, so the coalition totals x(a) = x(parent) +
+    x[player] take one addition per element: O(L) per vector.
     """
     els = lat.elements
-    vals = [val[a] for a in els]
-    split = {}
-    for k, a in enumerate(els):
-        for i in players_from_mask(lat.addable_mask(a)):
-            split.setdefault(a | 1 << (i - 1), (k, i - 1))
-    plan = [split[a] for a in els[1:]]
     players = range(1, lat.poset.n + 1)
     shift = shift or [0] * lat.poset.n
     for x in vectors:
         tot = [0]
-        for k, i in plan:
+        for k, i in split:
             tot.append(tot[k] + x[i])
         yield (
-            frozenset(compress(els, map(eq, tot, vals))),
+            frozenset(compress(els, map(eq, tot, val))),
             frozenset(compress(players, map(eq, x, shift))),
         )
 
 
-def _vertex_walk(lat, val, max_chains):
+def _vertex_walk(lat, steps, val, max_chains):
     """The distinct integer marginal vectors of val over all maximal chains,
-    as a set of n-tuples; val maps every element to an integer.
+    as a set of n-tuples; val holds an integer at every element position
+    and steps are the lattice's _covering_steps.
 
     One pass over the lattice in element order carries, for every down-set
     a, the distinct partial marginal vectors of the chains from the bottom
@@ -126,17 +129,16 @@ def _vertex_walk(lat, val, max_chains):
     reach = {0: {(0,) * lat.poset.n}}
     rank = 0
     held = 0  # the partial vectors built so far at rank + 1
-    for a in lat.elements[:-1]:
+    for k, a in enumerate(lat.elements[:-1]):
         if a.bit_count() != rank:
             rank += 1
             held = 0
-        vecs = reach.pop(a)
-        for i in players_from_mask(lat.addable_mask(a)):
-            b = a | 1 << (i - 1)
-            d = (val[b] - val[a],)
+        vecs = reach.pop(k)
+        for i, b in steps[k]:
+            d = (val[b] - val[k],)
             out = reach.setdefault(b, set())
             size = len(out)
-            out.update(x[: i - 1] + d + x[i:] for x in vecs)
+            out.update(x[:i] + d + x[i + 1 :] for x in vecs)
             held += len(out) - size
             if held > max_chains:
                 raise SizeError(
@@ -144,7 +146,7 @@ def _vertex_walk(lat, val, max_chains):
                     f" {rank + 1}, over the cap of {max_chains}; raise it with"
                     " --max-chains or max_chains"
                 )
-    return reach.pop(lat.top)
+    return reach.pop(len(steps) - 1)
 
 
 def point_configuration(v):
@@ -176,7 +178,7 @@ def core_vertices(v, max_chains=DEFAULT_MAX_CHAINS):
             " supermodular games"
         )
     val, den = _scaled_values(v)
-    top = sorted(_vertex_walk(v.lattice, val, max_chains))
+    top = sorted(_vertex_walk(v.lattice, _covering_steps(v.lattice), val, max_chains))
     frac = {t: Fraction(t, den) for t in {t for x in top for t in x}}
     return [tuple(map(frac.__getitem__, x)) for x in top]
 
@@ -192,13 +194,14 @@ def lower_envelope(v, mask):
     lat = v.lattice
     lat.position(mask)
     val, den = _scaled_values(v)
+    pos = lat.index
     best = {0: 0}
-    for a in lat.elements[:-1]:
+    for k, a in enumerate(lat.elements[:-1]):
         here = best.pop(a)
         for i in players_from_mask(lat.addable_mask(a)):
             bit = 1 << (i - 1)
             b = a | bit
-            t = here + val[b] - val[a] if mask & bit else here
+            t = here + val[pos[b]] - val[k] if mask & bit else here
             if b not in best or t < best[b]:
                 best[b] = t
     return Fraction(best[lat.top], den)

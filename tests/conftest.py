@@ -16,7 +16,8 @@ import supermod as sm
 from supermod import cone, qlin
 from supermod.cone import _reduce
 from supermod.game import _scaled_values
-from supermod.marginals import _tight_zeros
+from supermod.lattice import _covering_steps
+from supermod.marginals import _split_plan, _tight_zeros
 
 # The six minimal integer generators of the supermodular cone on the
 # 4-player hierarchy lattice (players 2 and 3 below player 1, player 4
@@ -435,15 +436,17 @@ def tight_family(v):
     (tight_sets and zero_coords are its one-chain case)."""
     lat = v.lattice
     val, _ = _scaled_values(v)
+    pos = lat.index
     chains = lat.maximal_chains()
     vectors = []
     for c in chains:
         x = [0] * lat.poset.n
         for below, a, player in zip(c.sets, c.sets[1:], c.perm):
-            x[player - 1] = val[a] - val[below]
+            x[player - 1] = val[pos[a]] - val[pos[below]]
         vectors.append(x)
     perms = tuple(c.perm for c in chains)
-    tight, zeros = zip(*_tight_zeros(lat, val, vectors))
+    split = _split_plan(_covering_steps(lat))
+    tight, zeros = zip(*_tight_zeros(lat, split, val, vectors))
     return TightFamily(perms, dict(zip(perms, tight)), dict(zip(perms, zeros)))
 
 
@@ -458,14 +461,14 @@ def payoff_equality_system(v):
     """The payoff system that is_extreme ranks, for any supermodular game;
     returns (rows, ncols) with sparse {column: entry} rows (dense_rows
     turns them into the lists oracle_rank reads)."""
-    return cone._payoff_rows(v)
+    return cone._payoff_rows(cone._Plan(v.lattice, games=False), _scaled_values(v)[0])
 
 
 def game_equality_system(v):
     """The tight facet rows that is_extreme_via_games ranks, for any
     supermodular game; returns (rows, d) with sparse rows, as above."""
-    rows, d, _ = cone._facet_rows(v.lattice)
-    return cone._game_rows(v, rows), d
+    plan = cone._Plan(v.lattice, payoff=False)
+    return cone._game_rows(plan, _scaled_values(v)[0]), plan.d
 
 
 def oracle_payoff_rows(w):

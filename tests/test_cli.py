@@ -327,17 +327,19 @@ def test_failed_cross_checks_exit_with_code_3(ws, capsys, monkeypatch):
     code, _, _ = run(capsys, "cone", "is-extreme", ws["v1.json"], "--method", "system")
     assert code == 0
 
-    # either half of the per-ray cross-check of cone rays failing is a defect
-    games_check = sm.cone._is_extreme_via_rows
-    monkeypatch.setattr(sm.cone, "_is_extreme_via_rows", lambda g, rows, d: False)
-    code, out, err = run(capsys, "cone", "rays", ws["hier4.json"])
-    assert code == 3 and out == ""
-    assert err == "error: an enumerated generator failed the extremality cross-check\n"
-    monkeypatch.setattr(sm.cone, "_is_extreme_via_rows", games_check)
-    monkeypatch.setattr(sm.cone, "is_extreme", lambda g: False)
-    code, out, err = run(capsys, "cone", "rays", ws["hier4.json"])
-    assert code == 3 and out == ""
-    assert err == "error: an enumerated generator failed the extremality cross-check\n"
+    # either half of the per-ray cross-check of cone rays failing on its
+    # own, on the last ray alone, is a defect
+    hier4 = sm.build_lattice(sm.poset_from_covers(4, [(2, 1), (3, 1)]))
+    last = tuple(int(x) for x in sm.extreme_rays(hier4)[-1].values)
+    for half in ("_games_extreme", "_payoff_extreme"):
+        check = getattr(sm.cone, half)
+        with monkeypatch.context() as m:
+            m.setattr(
+                sm.cone, half, lambda plan, val, *a, _c=check: _c(plan, val, *a) and val != last
+            )
+            code, out, err = run(capsys, "cone", "rays", ws["hier4.json"])
+        assert code == 3 and out == ""
+        assert err == "error: an enumerated generator failed the extremality cross-check\n"
 
     # a modular stand-in for |A|^2 is tight on every square, so the
     # interior-point certificate of cone dim fails
@@ -536,6 +538,22 @@ def test_cone_rays_applies_the_default_cap(tmp_path, capsys, monkeypatch):
     assert "128" in err and "--max-cone" in err
 
 
+def test_max_dd_rays_caps_double_description(ws, capsys):
+    # hier4 ends with 6 rays and flat4 with 37; a lower cap refuses cone
+    # rays with exit 2, and fails the flat4 ray count of reproduce-paper
+    code, out, err = run(capsys, "cone", "rays", ws["hier4.json"], "--max-dd-rays", "6")
+    assert code == 0 and payload_of(out)["count"] == 6
+    code, out, err = run(capsys, "cone", "rays", ws["hier4.json"], "--max-dd-rays", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: double description holds 6 intermediate rays after row ")
+    assert err.endswith(", over the cap of 5; raise it with --max-dd-rays or max_rays\n")
+    code, out, err = run(capsys, "reproduce-paper", "--max-dd-rays", "36")
+    assert code == 1
+    failed = [c for c in payload_of(out)["checks"] if not c["pass"]]
+    assert [c["claim"] for c in failed] == ["flat4: extreme ray count"]
+    assert "over the cap of 36" in failed[0]["got"] and "--max-dd-rays" in failed[0]["got"]
+
+
 def test_removed_options_are_refused(ws, capsys):
     # cone dim is a certificate with no cone cap, and the Moebius commands
     # have one closed form; argparse refuses the dropped options
@@ -644,6 +662,7 @@ MALFORMED_REFERENCES = [
     (("hierarchy4", "detailed_ray", "marginal_groups"), [5]),
     (("hierarchy4", "detailed_ray", "tight_groups"), 5),
     (("hierarchy4", "detailed_ray", "tight_groups"), [5]),
+    (("flat4", "poset", "n"), 5),
 ]
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -8,7 +9,8 @@ import supermod as sm
 from supermod import cone, qlin
 from supermod.cone import facet_witness
 from supermod.game import _scaled_values
-from supermod.marginals import _tight_zeros, _vertex_walk
+from supermod.lattice import _covering_steps
+from supermod.marginals import _split_plan, _tight_zeros, _vertex_walk
 
 from conftest import (
     HIER4_GENERATORS,
@@ -222,13 +224,13 @@ def test_sparse_payoff_rows_match_the_dense_builder(
 
     def same_system(v):
         w = sm.zero_normalize(v)[0]
-        rows, ncols = cone._payoff_rows(w)
+        rows, ncols = payoff_equality_system(w)
         dense, dense_ncols = oracle_payoff_rows(w)
         assert ncols - qlin.rank(rows) == dense_ncols - qlin.rank(sparse_rows(dense))
         assert all(rows) and all(0 <= j < ncols for row in rows for j in row)
         assert len({frozenset(row.items()) for row in rows}) == len(rows)
         for u in (v, v + random_modular(shift_rng, v.lattice)):
-            assert cone._payoff_rows(u) == (rows, ncols)
+            assert payoff_equality_system(u) == (rows, ncols)
         return len(rows)
 
     rng = random.Random(2719)
@@ -276,8 +278,9 @@ def test_vertices_carry_every_tight_structure_of_the_chains():
             tight, zeros = oracle_tight_family(v)
             by_chain = {(tight[p], zeros[p]) for p in tight}
             val, _ = _scaled_values(v)
-            verts = _vertex_walk(lat, val, len(tight))
-            by_vertex = list(_tight_zeros(lat, val, verts))
+            steps = _covering_steps(lat)
+            verts = _vertex_walk(lat, steps, val, len(tight))
+            by_vertex = list(_tight_zeros(lat, _split_plan(steps), val, verts))
             assert len(set(by_vertex)) == len(by_vertex)
             assert set(by_vertex) == by_chain
             merged += len(tight) - len(verts)
@@ -437,18 +440,85 @@ def test_flat4_ray_count(flat4_rays):
 
 
 def test_extreme_rays_builds_the_facet_rows_once(flat4, monkeypatch):
-    # double description and the games half of the per-ray cross-check read
-    # one table; the check itself still runs on every ray
-    built, checked = [], []
-    build, check = cone._facet_rows, cone._is_extreme_via_rows
+    # one plan serves double description and both halves of the per-ray
+    # cross-check: the plan and its facet rows are built once, and each half
+    # runs on every returned ray, from that ray's own values
+    built, plans = [], []
+    halves = {"_games_extreme": [], "_payoff_extreme": []}
+    build = cone._facet_rows
     monkeypatch.setattr(cone, "_facet_rows", lambda lat: built.append(lat) or build(lat))
-    monkeypatch.setattr(
-        cone, "_is_extreme_via_rows", lambda g, rows, d: checked.append(g) or check(g, rows, d)
-    )
+
+    class CountedPlan(cone._Plan):
+        def __init__(self, lat, **parts):
+            plans.append(self)
+            super().__init__(lat, **parts)
+
+    monkeypatch.setattr(cone, "_Plan", CountedPlan)
+    for name, seen in halves.items():
+        check = getattr(cone, name)
+        monkeypatch.setattr(
+            cone,
+            name,
+            lambda plan, val, *a, _c=check, _s=seen: _s.append((plan, val)) or _c(plan, val, *a),
+        )
     rays = sm.extreme_rays(flat4)
     assert len(rays) == 37
-    assert built == [flat4]
-    assert checked == rays
+    assert built == [flat4] and len(plans) == 1
+    for seen in halves.values():
+        assert [plan for plan, _ in seen] == plans * 37
+        assert [sm.Game(flat4, val) for _, val in seen] == rays
+
+
+def test_the_payoff_criterion_builds_no_facet_row(hier4_games, monkeypatch):
+    def refuse(lat):
+        raise AssertionError("facet rows built")
+
+    monkeypatch.setattr(cone, "_facet_rows", refuse)
+    assert all(sm.is_extreme(g) for g in hier4_games)
+    assert not sm.is_extreme(hier4_games[0] + hier4_games[1])
+
+
+def test_extreme_rays_refuses_a_sum_of_two_rays(hier4, flat4, monkeypatch):
+    # a double description that also returns the sum of two of its rays,
+    # a point of the cone that spans no extreme ray, fails the cross-check
+    dd = cone.double_description
+
+    def with_a_sum(rows, d, max_rays):
+        rays = dd(rows, d, max_rays)
+        return rays + [tuple(map(sum, zip(rays[0], rays[-1])))]
+
+    monkeypatch.setattr(cone, "double_description", with_a_sum)
+    for lat in (hier4, flat4):
+        with pytest.raises(sm.CrossCheckError, match="failed the extremality cross-check"):
+            sm.extreme_rays(lat)
+
+
+def test_double_description_caps_its_intermediate_rays(hier4, flat4):
+    # flat4 holds at most 37 rays after any row; a cap below that refuses
+    # and names the cap, the count reached, the row and the flag
+    _, rows, d, _ = cone._facet_rows(flat4)
+    assert len(sm.double_description(rows, d, max_rays=37)) == 37
+    with pytest.raises(sm.SizeError) as exc:
+        sm.double_description(rows, d, max_rays=20)
+    msg = str(exc.value)
+    held = int(msg.split(" holds ")[1].split()[0])
+    assert held > 20 and f"of {len(rows)}, over the cap of 20" in msg
+    assert " after row " in msg and "--max-dd-rays or max_rays" in msg
+    with pytest.raises(sm.SizeError, match="--max-dd-rays"):
+        sm.extreme_rays(flat4, max_rays=20)
+    assert len(sm.extreme_rays(hier4, max_rays=6)) == 6
+    assert cone.DEFAULT_MAX_DD_RAYS == 2000
+
+
+def test_the_payoff_half_keeps_the_vertex_walk_cap():
+    # |A|^2 on flat6 has 720 core vertices; the plan path refuses a walk
+    # past max_chains with the vertex walk's own message
+    lat = sm.build_lattice(sm.poset_from_covers(6, []))
+    val = [a.bit_count() ** 2 for a in lat.elements]
+    plan = cone._Plan(lat)
+    with pytest.raises(sm.SizeError, match="over the cap of 100; raise it with --max-chains"):
+        cone._payoff_extreme(plan, val, 100)
+    assert cone._payoff_extreme(plan, val, 720) is False
 
 
 def test_cone_dimension(hier4, flat3, flat4, chain3, single1, mixed5):
@@ -464,12 +534,29 @@ def test_cone_dimension(hier4, flat3, flat4, chain3, single1, mixed5):
         assert rank == sm.cone_dimension(lat)
 
 
-def test_extremality_criteria_agree_on_random_posets():
-    # both criteria on every enumerated ray (extreme), on sums of two rays
-    # and on the zero game (not extreme), and the rays span the dimension
+def test_extremality_criteria_agree_on_random_posets(hier4, flat4, one_rel5_rays):
+    # each plan-based half of the cross-check of extreme_rays, on one plan per
+    # lattice, agrees with the public is_extreme and is_extreme_via_games: on
+    # every enumerated ray (extreme), on every sum of two rays and on the
+    # zero game (not extreme); on the ray ladder and on 40 seeded random
+    # posets, whose rays also span the dimension.  one-rel5 has 28,920 sums
+    # of two rays, of which a seeded sample of 300 is checked
+    def agree(lat, rays, sums):
+        plan = cone._Plan(lat)
+        probes = [(g, True) for g in rays] + [(sm.zero_game(lat), False)]
+        probes += [(a + b, False) for a, b in sums]
+        for g, expected in probes:
+            val = _scaled_values(g)[0]
+            assert cone._payoff_extreme(plan, val) == sm.is_extreme(g) == expected
+            assert cone._games_extreme(plan, val) == sm.is_extreme_via_games(g) == expected
+
+    hier5 = sm.build_lattice(sm.poset_from_covers(5, [(2, 1), (3, 1)]))
+    for lat in (hier4, flat4, hier5):
+        rays = sm.extreme_rays(lat)
+        agree(lat, rays, combinations(rays, 2))
     rng = random.Random(5501)
     lattices = 0
-    while lattices < 16:
+    while lattices < 40:
         lat = sm.build_lattice(random_poset(rng, rng.randint(4, 5)))
         if len(lat.elements) > 20:
             continue
@@ -477,11 +564,9 @@ def test_extremality_criteria_agree_on_random_posets():
         rays = sm.extreme_rays(lat)
         rank = qlin.rank(sparse_rows(g.values for g in rays)) if rays else 0
         assert rank == sm.cone_dimension(lat)
-        probes = [(g, True) for g in rays] + [(sm.zero_game(lat), False)]
-        if len(rays) >= 2:
-            probes += [(a + b, False) for a, b in (rng.sample(rays, 2) for _ in range(4))]
-        for g, expected in probes:
-            assert sm.is_extreme(g) == sm.is_extreme_via_games(g) == expected
+        agree(lat, rays, combinations(rays, 2))
+    sums = rng.sample(list(combinations(one_rel5_rays, 2)), 300)
+    agree(one_rel5_rays[0].lattice, one_rel5_rays, sums)
 
 
 def test_ray_enumeration_size_cap(flat4):
@@ -512,7 +597,7 @@ def test_double_description_matches_the_algebraic_oracle():
     # posets in the facet order and in a shuffled row order, then on one-rel5
     # in the facet order
     def facet_rows(lat):
-        rows, d, _ = cone._facet_rows(lat)
+        _, rows, d, _ = cone._facet_rows(lat)
         return rows, d
 
     def same_rays(rows, d):
