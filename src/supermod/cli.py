@@ -352,15 +352,10 @@ def cmd_core_witness(args):
 
 def cmd_cone_is_extreme(args):
     g = load_game(args.game, args)
-    results = {}
-    if args.method in ("system", "both"):
-        results["system"] = is_extreme(g, max_chains=args.max_chains)
-    if args.method in ("games", "both"):
-        results["games"] = is_extreme_via_games(g)
-    if len(results) == 2 and results["system"] != results["games"]:
+    extreme = is_extreme(g, max_chains=args.max_chains)
+    if is_extreme_via_games(g) != extreme:
         raise CrossCheckError("extremality criteria disagree; please report this")
-    extreme = next(iter(results.values()))
-    payload = {"extreme": extreme, "method": args.method, **results}
+    payload = {"extreme": extreme, "method": "both", "system": extreme, "games": extreme}
     if is_modular(g):
         payload["note"] = "0-normalized part is zero; non-extreme by convention"
     lines = [f"extreme: {'yes' if extreme else 'no'}"]
@@ -459,15 +454,17 @@ def reproduce_paper(
         row["pass"] = row["pass"] and row["expected"] == row["got"]
         checks.append(row)
 
-    ref = golden["hierarchy4"]
-    poset = poset_from_dict(ref["poset"])
-    inputs["hierarchy4_poset_sha256"] = _digest(
-        json.dumps(poset_to_dict(poset), sort_keys=True).encode()
-    )
-    lat = build_lattice(poset, max_elements=max_lattice)
-    check(
-        "hierarchy4: down-set count", lambda: ref["lattice_size"], lambda: len(lat.elements)
-    )
+    def section(name):
+        ref = golden[name]
+        poset = poset_from_dict(ref["poset"])
+        inputs[f"{name}_poset_sha256"] = _digest(
+            json.dumps(poset_to_dict(poset), sort_keys=True).encode()
+        )
+        lat = build_lattice(poset, max_elements=max_lattice)
+        check(f"{name}: down-set count", lambda: ref["lattice_size"], lambda: len(lat.elements))
+        return ref, poset, lat
+
+    ref, poset, lat = section("hierarchy4")
     check(
         "hierarchy4: join-irreducible elements",
         lambda: ref["join_irreducibles"],
@@ -547,15 +544,7 @@ def reproduce_paper(
         lambda: [t.render() for t in facet_triples(lat)],
     )
 
-    flat = golden["flat4"]
-    fposet = poset_from_dict(flat["poset"])
-    inputs["flat4_poset_sha256"] = _digest(
-        json.dumps(poset_to_dict(fposet), sort_keys=True).encode()
-    )
-    flat_lat = build_lattice(fposet, max_elements=max_lattice)
-    check(
-        "flat4: down-set count", lambda: flat["lattice_size"], lambda: len(flat_lat.elements)
-    )
+    flat, _, flat_lat = section("flat4")
     check(
         "flat4: facet count", lambda: flat["facet_count"], lambda: len(facet_triples(flat_lat))
     )
@@ -685,7 +674,6 @@ def build_parser():
     )
     q = p_cone.add_parser("is-extreme", parents=[common, chains], help="extremality of a game")
     q.add_argument("game")
-    q.add_argument("--method", choices=("system", "games", "both"), default="both")
     q = p_cone.add_parser("rays", parents=[common, dd_rays], help="extreme rays of the cone")
     q.add_argument("poset")
     q.add_argument(

@@ -15,7 +15,7 @@ from math import gcd
 from . import qlin
 from .errors import CrossCheckError, NotSupermodularError, SizeError
 from .game import Game, _scaled_values, _square_slacks, is_supermodular
-from .lattice import DEFAULT_MAX_CHAINS, _covering_steps, _square_corners, addable_pairs
+from .lattice import DEFAULT_MAX_CHAINS, _covering_steps, _square_corners
 from .marginals import _split_plan, _tight_zeros, _vertex_walk
 from .poset import format_coalition, players_from_mask
 
@@ -230,8 +230,13 @@ def is_extreme_via_games(v):
 
 
 def facet_triples(lat):
-    """The facet-defining triples (base, i, j), canonically ordered."""
-    return [FacetTriple(a, i, j) for a, i, j in addable_pairs(lat)]
+    """The facet-defining triples (base, i, j), one per covering square, in
+    _square_corners order."""
+    el = lat.elements
+    return [
+        FacetTriple(el[a], (el[wi] ^ el[a]).bit_length(), (el[wj] ^ el[a]).bit_length())
+        for _, a, wi, wj in _square_corners(lat)
+    ]
 
 
 def facet_witness(lat, triple, eps=Fraction(1)):
@@ -271,9 +276,7 @@ def _dot(row, z):
 
 
 def _reduce(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     if g > 1:
         return tuple(x // g for x in vec)
     return tuple(vec)

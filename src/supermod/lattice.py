@@ -18,7 +18,6 @@ __all__ = [
     "MaximalChain",
     "DownSetLattice",
     "build_lattice",
-    "addable_pairs",
 ]
 
 DEFAULT_MAX_ELEMENTS = 1 << 20
@@ -194,36 +193,37 @@ class DownSetLattice:
         counted in O(L*n) before any chain is built, and SizeError refuses a
         lattice with more than max_chains of them.
         """
-        count = self._chain_count()
+        steps = _covering_steps(self)
+        count = self._chain_count(steps)
         if count > max_chains:
             raise SizeError(
                 f"more than {max_chains} maximal chains: the lattice has {count},"
                 " over the cap; raise it with --max-chains or max_chains"
             )
+        elements = self.elements
         chains = []
         sets = [0]
         perm = []
 
-        def walk(a):
-            if a == self.top:
+        def walk(k):
+            moves = steps[k]
+            if not moves:  # only the top has no upper cover
                 chains.append(MaximalChain(tuple(sets), tuple(perm)))
-                return
-            for i in players_from_mask(self.addable_mask(a)):
-                nxt = a | 1 << (i - 1)
-                sets.append(nxt)
-                perm.append(i)
-                walk(nxt)
+            for i, b in moves:
+                sets.append(elements[b])
+                perm.append(i + 1)
+                walk(b)
                 sets.pop()
                 perm.pop()
 
         walk(0)
         return tuple(chains)
 
-    def _chain_count(self):
+    def _chain_count(self, steps):
         """Number of maximal chains: paths from the bottom to the top along
-        covering edges, summed in element order."""
-        paths = [1] + [0] * (len(self.elements) - 1)
-        for k, moves in enumerate(_covering_steps(self)):
+        the covering steps, summed in element order."""
+        paths = [1] + [0] * (len(steps) - 1)
+        for k, moves in enumerate(steps):
             for _, b in moves:
                 paths[b] += paths[k]
         return paths[-1]
@@ -252,20 +252,6 @@ def build_lattice(poset, max_elements=DEFAULT_MAX_ELEMENTS):
     return DownSetLattice(poset, max_elements=max_elements)
 
 
-def addable_pairs(lat):
-    """Triples (a, i, j): a down-set with two distinct addable players, i < j.
-
-    Canonical order: a in element order, then (i, j) ascending.  A
-    generator, so a predicate reading the squares stops at the first one
-    that decides it.
-    """
-    for a in lat.elements:
-        players = players_from_mask(lat.addable_mask(a))
-        for x in range(len(players)):
-            for y in range(x + 1, len(players)):
-                yield a, players[x], players[y]
-
-
 def _covering_steps(lat):
     """By element position, the pairs (i - 1, position of a+i) of the players
     i addable to the element a, ascending."""
@@ -278,7 +264,9 @@ def _covering_steps(lat):
 
 def _square_corners(lat):
     """Positions (a+i+j, a, a+i, a+j) of the corners of every covering
-    square, in addable_pairs order; a generator, as addable_pairs is."""
+    square: a in element order, then (i, j) ascending, i < j.  A generator,
+    so a predicate reading the squares stops at the first one that decides
+    it."""
     idx = lat.index
     for k, (a, out) in enumerate(zip(lat.elements, lat._addable)):
         ups = [(1 << (i - 1), idx[a | 1 << (i - 1)]) for i in players_from_mask(out)]

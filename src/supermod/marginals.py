@@ -253,12 +253,7 @@ def game_from_configuration(lattice, config):
                         kind="zero-coordinate",
                         witness=(c.perm, player),
                     )
-    vals = [Fraction(0)]
-    for a in lattice.elements[1:]:
-        if a not in totals:
-            raise RuntimeError("element missed by every maximal chain")
-        vals.append(totals[a][0])
-    return Game(lattice, vals)
+    return Game(lattice, [Fraction(0)] + [totals[a][0] for a in lattice.elements[1:]])
 
 
 def unboundedness_witness(lattice):

@@ -33,6 +33,15 @@ HIER4_GENERATORS = (
 )
 
 
+# The benchmark's fixed poset ladder, as (n, covers).
+LADDER = {
+    "hier4": (4, [(2, 1), (3, 1)]),
+    "flat4": (4, []),
+    "mixed5": (5, [(2, 1), (3, 1)]),
+    "one-rel5": (5, [(1, 2)]),
+}
+
+
 def game_from_table(lat, table):
     n = lat.poset.n
     return sm.Game.from_values(
@@ -92,6 +101,20 @@ def brute_linear_extensions(p):
         ):
             exts.append(perm)
     return sorted(exts)
+
+
+def oracle_facet_triples(p):
+    """Every down-set a with every pair i < j of players outside a such
+    that a+i and a+j are down-sets, as (a, i, j), a in (size, mask) order:
+    a scan of every subset and pair, with no addable-player table."""
+    return [
+        (a, i, j)
+        for a in brute_downsets(p)
+        for i, j in combinations(range(1, p.n + 1), 2)
+        if not a & (1 << (i - 1) | 1 << (j - 1))
+        and p.is_down_set(a | 1 << (i - 1))
+        and p.is_down_set(a | 1 << (j - 1))
+    ]
 
 
 def oracle_supermodular(v):

@@ -273,12 +273,11 @@ def test_cone_is_extreme(ws, capsys):
     assert data["extreme"] is True
     assert data["system"] is True and data["games"] is True
 
-    code, out, _ = run(
-        capsys, "cone", "is-extreme", ws["v1.json"], "--method", "system"
-    )
-    assert code == 0
-    data = payload_of(out)
-    assert data["extreme"] is True and "games" not in data
+    # both criteria always run; there is no switch to skip one of them
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cone", "is-extreme", ws["v1.json"], "--method", "system"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
 
     code, out, _ = run(capsys, "cone", "is-extreme", ws["sum.json"])
     assert code == 1
@@ -309,7 +308,7 @@ def test_cone_is_extreme_normalizes_once_per_criterion(ws, capsys, monkeypatch):
     # certificate read square slacks, which a modular shift keeps
     for game in ("v1.json", "card.json", "shifted.json"):
         calls.update(is_supermodular=0, zero_normalize=0)
-        code, _, _ = run(capsys, "cone", "is-extreme", ws[game], "--method", "both")
+        code, _, _ = run(capsys, "cone", "is-extreme", ws[game])
         assert code in (0, 1)
         assert calls == {"is_supermodular": 1, "zero_normalize": 0}
     calls.update(is_supermodular=0, zero_normalize=0)
@@ -318,14 +317,16 @@ def test_cone_is_extreme_normalizes_once_per_criterion(ws, capsys, monkeypatch):
 
 
 def test_failed_cross_checks_exit_with_code_3(ws, capsys, monkeypatch):
-    # a self-check failure is a defect, not a negative answer (exit 1)
-    monkeypatch.setattr(cli, "is_extreme_via_games", lambda g: not sm.is_extreme(g))
-    code, out, err = run(capsys, "cone", "is-extreme", ws["v1.json"])
-    assert code == 3 and out == ""
-    assert err.startswith("error: extremality criteria disagree")
-    assert len(err.splitlines()) == 1
-    code, _, _ = run(capsys, "cone", "is-extreme", ws["v1.json"], "--method", "system")
-    assert code == 0
+    # a self-check failure is a defect, not a negative answer (exit 1),
+    # whichever of the two criteria is the one that is wrong
+    for name in ("is_extreme", "is_extreme_via_games"):
+        public = getattr(sm, name)
+        for game in ("v1.json", "sum.json"):
+            with monkeypatch.context() as m:
+                m.setattr(cli, name, lambda g, _f=public, **kw: not _f(g, **kw))
+                code, out, err = run(capsys, "cone", "is-extreme", ws[game])
+            assert code == 3 and out == ""
+            assert err == "error: extremality criteria disagree; please report this\n"
 
     # either half of the per-ray cross-check of cone rays failing on its
     # own, on the last ray alone, is a defect

@@ -9,11 +9,12 @@ import supermod as sm
 from supermod import cone, qlin
 from supermod.cone import facet_witness
 from supermod.game import _scaled_values
-from supermod.lattice import _covering_steps
+from supermod.lattice import _covering_steps, _square_corners
 from supermod.marginals import _split_plan, _tight_zeros, _vertex_walk
 
 from conftest import (
     HIER4_GENERATORS,
+    LADDER,
     core_structure,
     equality_pairs,
     game_equality_system,
@@ -21,6 +22,7 @@ from conftest import (
     normalize_ray,
     oracle_face_compare,
     oracle_double_description,
+    oracle_facet_triples,
     oracle_incomparable_pairs,
     oracle_payoff_rows,
     oracle_payoff_system,
@@ -324,11 +326,20 @@ def test_facet_counts_on_flat_posets(flat4):
         assert len(sm.facet_triples(lat)) == comb(n, 2) * 2 ** (n - 2)
 
 
-def test_facet_order_is_canonical(hier4, flat4):
-    for lat in (hier4, flat4):
+def test_facet_order_is_canonical():
+    # on the ladder and 40 seeded random posets, the subset oracle's list:
+    # every covering square once, in element order, then (i, j) ascending;
+    # its corners are those of _square_corners, which every slack pass and
+    # facet row reads, square by square
+    rng = random.Random(4409)
+    posets = [sm.poset_from_covers(n, covers) for n, covers in LADDER.values()]
+    posets += [random_poset(rng, rng.randint(1, 6)) for _ in range(40)]
+    for p in posets:
+        lat = sm.build_lattice(p)
         triples = sm.facet_triples(lat)
-        keys = [(lat.position(t.base), t.i, t.j) for t in triples]
-        assert keys == sorted(keys)
+        assert [(t.base, t.i, t.j) for t in triples] == oracle_facet_triples(p)
+        corners = [tuple(map(lat.position, t.masks())) for t in triples]
+        assert corners == list(_square_corners(lat))
 
 
 def test_facet_witness_violates_exactly_its_own_inequality(flat3):

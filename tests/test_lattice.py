@@ -194,7 +194,12 @@ def test_maximal_chains_hierarchy(hier4):
 
 
 def test_chain_counts_match_linear_extensions(flat3, chain4, mixed5):
-    for lat in (flat3, chain4, mixed5):
+    # the same permutations in the same order, on three fixed posets and on
+    # 40 seeded random ones
+    rng = random.Random(5521)
+    lattices = [flat3, chain4, mixed5]
+    lattices += [sm.build_lattice(random_poset(rng, rng.randint(1, 6))) for _ in range(40)]
+    for lat in lattices:
         perms = [c.perm for c in lat.maximal_chains()]
         assert perms == brute_linear_extensions(lat.poset)
 
