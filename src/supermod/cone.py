@@ -17,7 +17,7 @@ from .errors import CrossCheckError, NotSupermodularError, SizeError
 from .game import Game, _scaled_values, _square_slacks, is_supermodular
 from .lattice import DEFAULT_MAX_CHAINS, _covering_steps, _square_corners
 from .marginals import _split_plan, _tight_zeros, _vertex_walk
-from .poset import format_coalition, players_from_mask
+from .poset import _automorphisms, format_coalition, mask_from_players, players_from_mask
 
 __all__ = [
     "FacetTriple",
@@ -380,11 +380,19 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, max_rays=DEFAUL
     cone of 0-normalized games, via double description on the facet rows;
     max_rays caps its intermediate rays.
 
-    Output is sorted by value tuple.  One _Plan serves double description
-    and both extremality tests, which re-check every generator from its own
-    integer values before any game is built: its square slacks, marginal
+    Output is sorted by value tuple, and every generator is certified
+    before any game is built, once per orbit of the poset's automorphisms.
+    An automorphism of the poset permutes the down-sets, keeping unions,
+    intersections and principal down-sets, so it maps the cone, its
+    0-normalized subspace and its minimal integer generators onto
+    themselves.  The first generator of each orbit in sorted order is
+    re-checked by both extremality tests from its own integer values (one
+    _Plan serves them and double description: its square slacks, marginal
     vectors and tight sets are recomputed, and nothing is read from the
-    masks of double description.
+    masks of double description); every image of it under an automorphism
+    must be one of the generators, and is thereby certified.  A set that
+    is not closed under the automorphisms, such as one missing a member of
+    an orbit, raises CrossCheckError.
     """
     if len(lat.elements) > max_elements:
         raise SizeError(
@@ -396,11 +404,29 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, max_rays=DEFAUL
         tuple(0 if c is None else z[c] for c in plan.coord)
         for z in double_description(plan.rows, plan.d, max_rays)
     )
+    # each automorphism as the position of the image of every element: the
+    # image of a down-set is the set of its players' images
+    pos, n = lat.index, lat.poset.n
+    maps = [
+        [pos[mask_from_players(map(perm.__getitem__, members), n)] for members in plan.members]
+        for perm in _automorphisms(lat.poset)
+    ]
+    enumerated = set(vals)
+    certified = set()
     for val in vals:
+        if val in certified:
+            continue
         if not (_games_extreme(plan, val) and _payoff_extreme(plan, val)):
             raise CrossCheckError(
                 "an enumerated generator failed the extremality cross-check"
             )
+        for m in maps:
+            image = tuple(map(val.__getitem__, m))
+            if image not in enumerated:
+                raise CrossCheckError(
+                    "the enumerated generators are not closed under the poset's automorphisms"
+                )
+            certified.add(image)
     return [Game(lat, val) for val in vals]
 
 

@@ -134,6 +134,38 @@ class Poset:
         return f"Poset(n={self.n}, covers={self.covers()!r})"
 
 
+def _automorphisms(poset):
+    """Every permutation of the players that keeps the order both ways, in
+    lexicographic order (the identity first), as tuples whose entry i-1 is
+    the image of player i.
+
+    Backtracking assigns players 1..n in turn.  A candidate image must have
+    a principal down-set of the same size and must keep the order, both
+    ways, against every player already assigned; so a chain, whose
+    down-sets all differ in size, costs only the identity.
+    """
+    down = poset._down
+    size = [d.bit_count() for d in down]
+    out = []
+    perm = []  # perm[k]: the 0-based image of the 0-based player k
+
+    def extend(k):
+        if k == poset.n:
+            out.append(tuple(c + 1 for c in perm))
+            return
+        for c in range(poset.n):
+            if size[c] == size[k] and c not in perm and all(
+                down[k] >> j & 1 == down[c] >> pj & 1 and down[j] >> k & 1 == down[pj] >> c & 1
+                for j, pj in enumerate(perm)
+            ):
+                perm.append(c)
+                extend(k + 1)
+                perm.pop()
+
+    extend(0)
+    return out
+
+
 def poset_from_covers(n, covers):
     """Poset from cover pairs (i, j) read as "i below j".
 

@@ -13,12 +13,17 @@ from math import gcd, lcm
 
 __all__ = ["rank"]
 
+_INT = frozenset({int})
+
 
 def _scaled(row):
     """A {column: int} copy of the row's nonzero entries, scaled by their
-    denominator lcm."""
-    out = {j: x for j, x in row.items() if x}
-    if all(type(x) is int for x in out.values()):
+    denominator lcm.  The rows of the extremality criteria hold nonzero ints
+    only, so they are copied whole and type-tested in one pass."""
+    out = dict(row)
+    if 0 in out.values():
+        out = {j: x for j, x in out.items() if x}
+    if {*map(type, out.values())} <= _INT:
         return out
     den = lcm(*(x.denominator for x in out.values()))
     return {j: int(x * den) for j, x in out.items()}

@@ -5,6 +5,7 @@ The oracles recompute expected values by a different route than the library
 so the tests do not simply mirror the implementation.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -614,6 +615,33 @@ def oracle_double_description(rows, dim):
     return rays
 
 
+def oracle_automorphisms(p):
+    """Every permutation of the players under which i <= j exactly when
+    their images are, as tuples whose entry i-1 is the image of player i,
+    found by trying all n! permutations in lexicographic order."""
+    players = range(1, p.n + 1)
+    return [
+        perm
+        for perm in permutations(players)
+        if all(p.leq(i, j) == p.leq(perm[i - 1], perm[j - 1]) for i in players for j in players)
+    ]
+
+
+def oracle_orbit(v):
+    """The value tuples of the games A -> v(image of A) over every
+    permutation of oracle_automorphisms, which moves a coalition player by
+    player."""
+    lat = v.lattice
+    n = lat.poset.n
+    return {
+        tuple(
+            v.value(sm.mask_from_players([perm[i - 1] for i in sm.players_from_mask(a)], n))
+            for a in lat.elements
+        )
+        for perm in oracle_automorphisms(lat.poset)
+    }
+
+
 def oracle_core_vertices(v):
     """Core vertices by brute force over active-constraint subsets.
 
@@ -774,6 +802,22 @@ def flat3_rays(flat3):
 @pytest.fixture(scope="session")
 def flat4_rays(flat4):
     return sm.extreme_rays(flat4)
+
+
+@pytest.fixture(scope="session")
+def dd_random_lattices():
+    """40 seeded random lattices on 4-6 players with at most 24 elements,
+    each as (lattice, facet rows, dimension, the rows in a seeded shuffled
+    order), as the double-description tests compare them."""
+    rng = random.Random(6607)
+    out = []
+    while len(out) < 40:
+        lat = sm.build_lattice(random_poset(rng, rng.randint(4, 6)))
+        if len(lat.elements) > 24:
+            continue
+        _, rows, d, _ = cone._facet_rows(lat)
+        out.append((lat, rows, d, rng.sample(rows, len(rows))))
+    return out
 
 
 @pytest.fixture(scope="session")

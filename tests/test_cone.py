@@ -24,6 +24,7 @@ from conftest import (
     oracle_double_description,
     oracle_facet_triples,
     oracle_incomparable_pairs,
+    oracle_orbit,
     oracle_payoff_rows,
     oracle_payoff_system,
     oracle_tight_family,
@@ -451,9 +452,11 @@ def test_flat4_ray_count(flat4_rays):
 
 
 def test_extreme_rays_builds_the_facet_rows_once(flat4, monkeypatch):
-    # one plan serves double description and both halves of the per-ray
-    # cross-check: the plan and its facet rows are built once, and each half
-    # runs on every returned ray, from that ray's own values
+    # one plan serves double description and both halves of the cross-check:
+    # the plan and its facet rows are built once, and each half runs once per
+    # orbit of the poset's automorphisms (10 on flat4), on the orbit's first
+    # ray in sorted order, from that ray's own values; the orbits of those
+    # representatives are disjoint and make up exactly the 37 returned rays
     built, plans = [], []
     halves = {"_games_extreme": [], "_payoff_extreme": []}
     build = cone._facet_rows
@@ -475,9 +478,63 @@ def test_extreme_rays_builds_the_facet_rows_once(flat4, monkeypatch):
     rays = sm.extreme_rays(flat4)
     assert len(rays) == 37
     assert built == [flat4] and len(plans) == 1
+    reps = [sm.Game(flat4, val) for _, val in halves["_games_extreme"]]
     for seen in halves.values():
-        assert [plan for plan, _ in seen] == plans * 37
-        assert [sm.Game(flat4, val) for _, val in seen] == rays
+        assert [plan for plan, _ in seen] == plans * 10
+        assert [sm.Game(flat4, val) for _, val in seen] == reps
+    orbits = [oracle_orbit(g) for g in reps]
+    assert all(g.values == min(orbit) for g, orbit in zip(reps, orbits))
+    assert sum(map(len, orbits)) == 37
+    assert set().union(*orbits) == {g.values for g in rays}
+
+
+def test_extreme_rays_checks_one_ray_per_orbit(one_rel5_rays, monkeypatch):
+    # 2, 24, 4 and 6 automorphisms split the 6, 37, 52 and 241 rays of
+    # hier4, flat4, mixed5 and one-rel5 into 5, 10, 29 and 79 orbits
+    # (oracle_orbit), and the criteria run once per orbit
+    checked = []
+    check = cone._games_extreme
+    monkeypatch.setattr(
+        cone, "_games_extreme", lambda plan, val: checked.append(val) or check(plan, val)
+    )
+    for name, orbits in (("hier4", 5), ("flat4", 10), ("mixed5", 29), ("one-rel5", 79)):
+        checked.clear()
+        rays = sm.extreme_rays(sm.build_lattice(sm.poset_from_covers(*LADDER[name])))
+        assert len(checked) == orbits
+        assert len({min(oracle_orbit(g)) for g in rays}) == orbits
+    assert rays == one_rel5_rays
+
+
+def test_extreme_rays_refuses_a_set_not_closed_under_the_automorphisms(
+    flat4, flat4_rays, monkeypatch
+):
+    # a double description that drops one ray of an orbit with more than one
+    # member fails the closure test, whether the dropped ray is the orbit's
+    # sorted-first member or not; a dropped ray that every automorphism
+    # fixes, such as the unanimity game of the grand coalition, is not caught
+    _, _, _, coord = cone._facet_rows(flat4)
+    dd = cone.double_description
+
+    def without(ray):
+        def drop(rows, d, max_rays):
+            return [
+                z
+                for z in dd(rows, d, max_rays)
+                if tuple(0 if c is None else z[c] for c in coord) != ray.values
+            ]
+
+        return drop
+
+    moved = next(g for g in flat4_rays if len(oracle_orbit(g)) > 1)
+    orbit = sorted(oracle_orbit(moved))
+    for val in (orbit[0], orbit[-1]):
+        monkeypatch.setattr(cone, "double_description", without(sm.Game(flat4, val)))
+        with pytest.raises(sm.CrossCheckError, match="not closed under the poset's automorphisms"):
+            sm.extreme_rays(flat4)
+    grand = sm.unanimity(flat4, flat4.elements[-1])
+    assert oracle_orbit(grand) == {grand.values} and grand in flat4_rays
+    monkeypatch.setattr(cone, "double_description", without(grand))
+    assert sm.extreme_rays(flat4) == [g for g in flat4_rays if g != grand]
 
 
 def test_the_payoff_criterion_builds_no_facet_row(hier4_games, monkeypatch):
@@ -504,9 +561,10 @@ def test_extreme_rays_refuses_a_sum_of_two_rays(hier4, flat4, monkeypatch):
             sm.extreme_rays(lat)
 
 
-def test_double_description_caps_its_intermediate_rays(hier4, flat4):
+def test_double_description_caps_its_intermediate_rays(hier4, flat4, monkeypatch):
     # flat4 holds at most 37 rays after any row; a cap below that refuses
-    # and names the cap, the count reached, the row and the flag
+    # and names the cap, the count reached, the row and the flag.  A refused
+    # run computes no automorphism: flat5 under a cap of 200 refuses before
     _, rows, d, _ = cone._facet_rows(flat4)
     assert len(sm.double_description(rows, d, max_rays=37)) == 37
     with pytest.raises(sm.SizeError) as exc:
@@ -519,6 +577,14 @@ def test_double_description_caps_its_intermediate_rays(hier4, flat4):
         sm.extreme_rays(flat4, max_rays=20)
     assert len(sm.extreme_rays(hier4, max_rays=6)) == 6
     assert cone.DEFAULT_MAX_DD_RAYS == 2000
+
+    def refuse(poset):
+        raise AssertionError("automorphisms computed")
+
+    monkeypatch.setattr(cone, "_automorphisms", refuse)
+    flat5 = sm.build_lattice(sm.poset_from_covers(5, []))
+    with pytest.raises(sm.SizeError, match="over the cap of 200; raise it with --max-dd-rays"):
+        sm.extreme_rays(flat5, max_rays=200)
 
 
 def test_the_payoff_half_keeps_the_vertex_walk_cap():
@@ -603,30 +669,20 @@ def test_double_description_prunes_non_extreme_directions():
     assert sorted(rays) == [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
 
 
-def test_double_description_matches_the_algebraic_oracle():
+def test_double_description_matches_the_algebraic_oracle(dd_random_lattices):
     # combinatorial adjacency against the rank test it replaced: on random
     # posets in the facet order and in a shuffled row order, then on one-rel5
     # in the facet order
-    def facet_rows(lat):
-        _, rows, d, _ = cone._facet_rows(lat)
-        return rows, d
-
     def same_rays(rows, d):
         rays = sorted(sm.double_description(rows, d))
         assert rays == sorted(oracle_double_description(rows, d))
         return len(rays)
 
-    rng = random.Random(6607)
-    lattices = 0
-    while lattices < 40:
-        lat = sm.build_lattice(random_poset(rng, rng.randint(4, 6)))
-        if len(lat.elements) > 24:
-            continue
-        lattices += 1
-        rows, d = facet_rows(lat)
+    for _, rows, d, shuffled in dd_random_lattices:
         same_rays(rows, d)
-        same_rays(rng.sample(rows, len(rows)), d)
-    assert same_rays(*facet_rows(sm.build_lattice(sm.poset_from_covers(5, [(1, 2)])))) == 241
+        same_rays(shuffled, d)
+    _, rows, d, _ = cone._facet_rows(sm.build_lattice(sm.poset_from_covers(5, [(1, 2)])))
+    assert same_rays(rows, d) == 241
 
 
 def test_face_compare_examples(hier4, hier4_games, flat4):

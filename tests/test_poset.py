@@ -3,7 +3,16 @@ import random
 import pytest
 
 import supermod as sm
-from conftest import brute_downsets, oracle_covers, oracle_order, random_poset
+from supermod.poset import _automorphisms
+
+from conftest import (
+    LADDER,
+    brute_downsets,
+    oracle_automorphisms,
+    oracle_covers,
+    oracle_order,
+    random_poset,
+)
 
 
 def test_mask_player_convention():
@@ -176,3 +185,19 @@ def test_covers_match_the_definition_on_random_posets():
         assert sm.poset_from_covers(p.n, covers) == p
         sizes.add(len(covers))
     assert 0 in sizes and max(sizes) >= 8
+
+
+def test_automorphisms_match_the_permutation_oracle(chain3, chain4, dd_random_lattices):
+    # every order-preserving permutation, in lexicographic order, as all n!
+    # permutations filtered by leq give them: on the ladder (group orders 2,
+    # 24, 4 and 6), on two chains (the identity alone) and on the 40 random
+    # lattices of the double-description tests
+    ladder = {name: sm.poset_from_covers(n, covers) for name, (n, covers) in LADDER.items()}
+    orders = {name: len(_automorphisms(p)) for name, p in ladder.items()}
+    assert orders == {"hier4": 2, "flat4": 24, "mixed5": 4, "one-rel5": 6}
+    for lat in (chain3, chain4):
+        assert _automorphisms(lat.poset) == [tuple(range(1, lat.poset.n + 1))]
+    posets = [*ladder.values(), chain3.poset, chain4.poset]
+    posets += [lat.poset for lat, *_ in dd_random_lattices]
+    for p in posets:
+        assert _automorphisms(p) == oracle_automorphisms(p)
