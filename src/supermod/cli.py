@@ -62,7 +62,8 @@ GOLDEN_RESOURCE = "data/reference_results.json"
 
 
 def coalition_key(mask):
-    return json.dumps(players_from_mask(mask), separators=(",", ":"))
+    """The compact JSON list of the mask's players, such as "[1,2,10]"."""
+    return f"[{','.join(map(str, players_from_mask(mask)))}]"
 
 
 def parse_perm(text):
@@ -356,7 +357,8 @@ def cmd_cone_is_extreme(args):
     if is_extreme_via_games(g) != extreme:
         raise CrossCheckError("extremality criteria disagree; please report this")
     payload = {"extreme": extreme, "method": "both", "system": extreme, "games": extreme}
-    if is_modular(g):
+    # an extreme game is never modular
+    if not extreme and is_modular(g):
         payload["note"] = "0-normalized part is zero; non-extreme by convention"
     lines = [f"extreme: {'yes' if extreme else 'no'}"]
     if "note" in payload:
@@ -369,11 +371,12 @@ def cmd_cone_rays(args):
     lat = load_lattice(args.poset, args)
     rays = extreme_rays(lat, max_elements=args.max_cone, max_rays=args.max_dd_rays)
     payload = {"count": len(rays), "rays": [game_payload(g) for g in rays]}
-    lines = []
-    for k, g in enumerate(rays, start=1):
-        body = ", ".join(f"{format_coalition(a)}={v}" for a, v in g.to_mapping().items())
-        lines.append(f"ray {k}: {body}")
-    emit(args, payload, lines or ["(no rays: the cone is trivial)"])
+    # built only when emit prints them, under --format table
+    lines = (
+        f"ray {k}: " + ", ".join(f"{format_coalition(a)}={v}" for a, v in g.to_mapping().items())
+        for k, g in enumerate(rays, start=1)
+    )
+    emit(args, payload, lines if rays else ["(no rays: the cone is trivial)"])
     return 0
 
 

@@ -66,10 +66,9 @@ class _Plan:
     """The lattice-only work of both extremality criteria, built once for
     every game checked on one lattice; nothing is kept on the lattice.  For
     _payoff_rows (payoff=True): the lattice's _covering_steps and
-    _split_plan, the positions of each principal down-set and of that set
-    less its top player, and the 0-based players of each element.  For
-    _game_rows (games=True): the corners, rows, dimension and coordinates
-    of _facet_rows."""
+    _split_plan, and the positions of each principal down-set and of that
+    set less its top player.  For _game_rows (games=True): the corners,
+    rows, dimension and coordinates of _facet_rows."""
 
     def __init__(self, lat, payoff=True, games=True):
         self.lat = lat
@@ -78,7 +77,6 @@ class _Plan:
             self.split = _split_plan(self.steps)
             down = [lat.poset.principal_down_set(i + 1) for i in range(lat.poset.n)]
             self.down = [(lat.index[d], lat.index[d ^ 1 << i]) for i, d in enumerate(down)]
-            self.members = [[i - 1 for i in players_from_mask(a)] for a in lat.elements]
         if games:
             self.corners, self.rows, self.d, self.coord = _facet_rows(lat)
 
@@ -100,6 +98,9 @@ def _payoff_rows(plan, val, max_chains=DEFAULT_MAX_CHAINS):
     consecutive vertices where it is tight.  The game spans an extreme ray
     of the supermodular cone exactly when the solution space of this system
     is one line.  max_chains caps the vertex walk (marginals._vertex_walk).
+    The rows are built from one bitmask of member columns per tight
+    element and vertex, and consecutive vertices tight at an element give
+    one row per distinct pair of masks.
 
     No 0-normalized game is built: the modular part of v, worth
     m_i = v(down(i)) - v(down(i) - i) on player i, moves every vertex by
@@ -111,42 +112,53 @@ def _payoff_rows(plan, val, max_chains=DEFAULT_MAX_CHAINS):
     n = lat.poset.n
     shift = [val[d] - val[below] for d, below in plan.down]
     verts = sorted(_vertex_walk(lat, plan.steps, val, max_chains))
-    cols = []  # cols[k][i]: the column of player i+1 under vertex k, or None
+    pos = lat.index
+    # masks[p]: one bitmask of the columns of element p's members under each
+    # vertex tight at p, in vertex order; bit k*n + i stands for player i+1
+    # under vertex k, and col maps it to its column
+    masks = [[] for _ in lat.elements]
+    col = []
     ncols = 0
-    by_element = {}
     for k, (tight, zeros) in enumerate(_tight_zeros(lat, plan.split, val, verts, shift)):
-        ck = [None] * n
+        free = 0
         for i in range(n):
-            if i + 1 not in zeros:
-                ck[i] = ncols
+            if i + 1 in zeros:
+                col.append(None)
+            else:
+                free |= 1 << i
+                col.append(ncols)
                 ncols += 1
-        cols.append(ck)
         for a in tight:
-            by_element.setdefault(a, []).append(k)
+            masks[pos[a]].append((a & free) << k * n)
     rows = []
     seen = set()
-    for a, members in zip(lat.elements[1:], plan.members[1:]):
-        ks = by_element[a]
-        if len(ks) < 2:
-            continue
-        # the columns of a's members at each vertex tight at a, ascending;
+    for held in masks[1:]:
         # vertices own disjoint columns, so a row is fixed by its +1 and -1
-        # lists, which key it with None between them
-        held = [[c for c in map(cols[k].__getitem__, members) if c is not None] for k in ks]
-        for plus, minus in zip(held, held[1:]):
-            key = (*plus, None, *minus)
-            if (plus or minus) and key not in seen:
-                seen.add(key)
-                row = dict.fromkeys(plus, 1)
-                row.update(dict.fromkeys(minus, -1))
+        # masks
+        for pair in zip(held, held[1:]):
+            if any(pair) and pair not in seen:
+                seen.add(pair)
+                row = {}
+                for m, sign in zip(pair, (1, -1)):
+                    while m:
+                        low = m & -m
+                        row[col[low.bit_length() - 1]] = sign
+                        m ^= low
                 rows.append(row)
     return rows, ncols
 
 
 def _payoff_extreme(plan, val, max_chains=DEFAULT_MAX_CHAINS):
-    """is_extreme on the integer values val by element position."""
+    """is_extreme on the integer values val by element position.
+
+    The system has rank at most ncols - 1, which qlin.rank is given to
+    certify: the vertices of v less the modular shift m solve it (each row
+    equates two coalition totals that both equal v(a) - m(a)), and they
+    are nonzero on every column, since a column is pinned exactly where a
+    vertex equals m.  A game without columns is modular, and not extreme.
+    """
     rows, ncols = _payoff_rows(plan, val, max_chains)
-    return ncols - qlin.rank(rows) == 1
+    return ncols > 0 and ncols - qlin.rank(rows, at_most=ncols - 1) == 1
 
 
 def is_extreme(v, max_chains=DEFAULT_MAX_CHAINS):
@@ -216,15 +228,22 @@ def _game_rows(plan, val):
 
 
 def _games_extreme(plan, val):
-    """is_extreme_via_games on the integer values val by element position."""
-    return plan.d - qlin.rank(_game_rows(plan, val)) == 1
+    """is_extreme_via_games on the integer values val by element position.
+
+    A game with every square tight is modular, and not extreme.  Otherwise
+    the tight rows have rank at most d - 1, which qlin.rank is given to
+    certify: the 0-normalization of v satisfies them and is nonzero, since
+    some square is slack at it.
+    """
+    rows = _game_rows(plan, val)
+    return len(rows) < len(plan.rows) and plan.d - qlin.rank(rows, at_most=plan.d - 1) == 1
 
 
 def is_extreme_via_games(v):
     """Extremality via the space of games modular on the equality pairs of v.
 
     A modular game is not extreme: every facet row is tight at it, and they
-    have rank d because the cone is pointed.
+    have rank d because the cone is pointed; it is refused before ranking.
     """
     return _games_extreme(_Plan(v.lattice, payoff=False), _scaled_values(v)[0])
 
@@ -408,7 +427,10 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, max_rays=DEFAUL
     # image of a down-set is the set of its players' images
     pos, n = lat.index, lat.poset.n
     maps = [
-        [pos[mask_from_players(map(perm.__getitem__, members), n)] for members in plan.members]
+        [
+            pos[mask_from_players([perm[i - 1] for i in players_from_mask(a)], n)]
+            for a in lat.elements
+        ]
         for perm in _automorphisms(lat.poset)
     ]
     enumerated = set(vals)

@@ -533,6 +533,41 @@ def oracle_payoff_rows(w):
     return rows, len(col)
 
 
+def oracle_vertex_rows(w):
+    """The payoff system of a 0-normalized supermodular game w with one
+    block per core vertex, built from Fraction payoffs with column lists;
+    returns (rows, ncols), the rows and their order as _payoff_rows gives
+    them.
+
+    Blocks follow core_vertices order and hold each vertex's nonzero
+    coordinates.  For every element, in element order, each pair of
+    consecutive vertices tight there gets a row that is 1 on the element's
+    columns under the first and -1 under the second; empty and repeated
+    rows are dropped.
+    """
+    verts = sm.core_vertices(w)
+    cols = []
+    ncols = 0
+    for x in verts:
+        cols.append({})
+        for i, t in enumerate(x, start=1):
+            if t:
+                cols[-1][i] = ncols
+                ncols += 1
+    rows = []
+    seen = set()
+    for a in w.lattice.elements[1:]:
+        members = sm.players_from_mask(a)
+        ks = [k for k, x in enumerate(verts) if sm.payoff(x, a) == w.value(a)]
+        for k, l in zip(ks, ks[1:]):
+            row = {cols[k][i]: 1 for i in members if i in cols[k]}
+            row.update({cols[l][i]: -1 for i in members if i in cols[l]})
+            if row and frozenset(row.items()) not in seen:
+                seen.add(frozenset(row.items()))
+                rows.append(row)
+    return rows, ncols
+
+
 def _dense_dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
@@ -781,6 +816,12 @@ def single1():
 
 @pytest.fixture(scope="session")
 def mixed5():
+    return sm.build_lattice(sm.poset_from_covers(*LADDER["mixed5"]))
+
+
+@pytest.fixture(scope="session")
+def wedge_chain5():
+    # players 1 and 2 below 3, beside the chain 4 < 5
     return sm.build_lattice(sm.poset_from_covers(5, [(1, 3), (2, 3), (4, 5)]))
 
 

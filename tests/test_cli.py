@@ -287,6 +287,27 @@ def test_cone_is_extreme(ws, capsys):
     code, out, _ = run(capsys, "cone", "is-extreme", ws["card.json"])
     assert code == 1
     assert "0-normalized part is zero" in payload_of(out)["note"]
+    code, out, _ = run(capsys, "cone", "is-extreme", "--format", "table", ws["card.json"])
+    assert code == 1
+    assert out == "extreme: no\n0-normalized part is zero; non-extreme by convention\n"
+
+
+def test_cone_is_extreme_tests_modularity_only_for_a_non_extreme_game(
+    ws, capsys, monkeypatch
+):
+    # an extreme game is never modular, so only a "no" verdict asks for the
+    # note; the output is the same either way
+    calls = []
+    modular = cli.is_modular
+    monkeypatch.setattr(cli, "is_modular", lambda g: calls.append(g) or modular(g))
+    code, out, _ = run(capsys, "cone", "is-extreme", ws["v1.json"])
+    assert code == 0 and calls == []
+    assert payload_of(out) == {"extreme": True, "games": True, "method": "both", "system": True}
+    for game, note in (("sum.json", False), ("card.json", True)):
+        calls.clear()
+        code, out, _ = run(capsys, "cone", "is-extreme", ws[game])
+        assert code == 1 and len(calls) == 1
+        assert ("note" in payload_of(out)) == note
 
 
 def test_cone_is_extreme_normalizes_once_per_criterion(ws, capsys, monkeypatch):
@@ -364,6 +385,49 @@ def test_cone_rays_matches_the_library(ws, capsys):
         (game_from_table(lat, t) for t in HIER4_GENERATORS), key=lambda g: g.values
     )
     assert expected == [cli.game_payload(g) for g in tables]
+
+
+def test_cone_rays_table_keeps_its_bytes(ws, capsys):
+    # the table lines of hier4's rays, and the line of a trivial cone,
+    # pinned byte for byte; the JSON form builds no table line
+    code, out, err = run(capsys, "cone", "rays", "--format", "table", ws["hier4.json"])
+    assert code == 0 and err == ""
+    assert out == (
+        "ray 1: 1234=1\n"
+        "ray 2: 234=1, 1234=1\n"
+        "ray 3: 34=1, 234=1, 1234=1\n"
+        "ray 4: 24=1, 234=1, 1234=1\n"
+        "ray 5: 23=1, 123=1, 234=1, 1234=1\n"
+        "ray 6: 23=1, 24=1, 34=1, 123=1, 234=2, 1234=2\n"
+    )
+    chain = os.path.join(ws["dir"], "chain3.json")
+    with open(chain, "w") as fh:
+        json.dump({"n": 3, "covers": [[1, 2], [2, 3]]}, fh)
+    code, out, _ = run(capsys, "cone", "rays", "--format", "table", chain)
+    assert code == 0 and out == "(no rays: the cone is trivial)\n"
+    code, out, _ = run(capsys, "cone", "rays", chain)
+    assert code == 0 and payload_of(out) == {"count": 0, "rays": []}
+
+
+def test_cone_rays_json_builds_no_table_line(ws, capsys, monkeypatch):
+    # format_coalition writes the table's coalitions and no JSON key
+    def refuse(mask):
+        raise AssertionError("a table line was built")
+
+    monkeypatch.setattr(cli, "format_coalition", refuse)
+    code, out, _ = run(capsys, "cone", "rays", ws["hier4.json"])
+    assert code == 0 and payload_of(out)["count"] == 6
+
+
+def test_coalition_key_is_the_compact_json_list():
+    # every coalition of twelve free players, two-digit players included
+    lat = sm.build_lattice(sm.poset_from_covers(12, []))
+    assert len(lat.elements) == 4096
+    for a in lat.elements:
+        key = cli.coalition_key(a)
+        assert key == json.dumps(sm.players_from_mask(a), separators=(",", ":"))
+    assert cli.coalition_key(0) == "[]"
+    assert cli.coalition_key(sm.mask_from_players([1, 2, 10], 12)) == "[1,2,10]"
 
 
 def test_cone_rays_of_one_rel5_keep_their_bytes(tmp_path, capsys):

@@ -26,6 +26,7 @@ from conftest import (
     oracle_incomparable_pairs,
     oracle_orbit,
     oracle_payoff_rows,
+    oracle_vertex_rows,
     oracle_payoff_system,
     oracle_tight_family,
     payoff_equality_system,
@@ -214,11 +215,12 @@ def test_unreduced_payoff_system_has_the_same_solution_dimension(hier4, hier4_ga
 
 
 def test_sparse_payoff_rows_match_the_dense_builder(
-    hier4_rays, flat4_rays, mixed5, one_rel5_rays
+    hier4_rays, flat4_rays, mixed5, wedge_chain5, one_rel5_rays
 ):
     # one block per core vertex against the dense builder's block per
     # chain: the same solution dimension, with every row nonempty, in range
-    # and unrepeated; on the ray ladder, on a seeded sample of one-rel5
+    # and unrepeated, and the very rows, in order, of a column-list builder
+    # over Fraction payoffs (oracle_vertex_rows); on the ray ladder, on a seeded sample of one-rel5
     # rays, and on rational unanimity sums over random posets (where chains
     # tie on many elements and zero increments pin columns).  The rows of
     # v, and of v plus a random modular game, are those of the
@@ -228,6 +230,7 @@ def test_sparse_payoff_rows_match_the_dense_builder(
     def same_system(v):
         w = sm.zero_normalize(v)[0]
         rows, ncols = payoff_equality_system(w)
+        assert (rows, ncols) == oracle_vertex_rows(w)
         dense, dense_ncols = oracle_payoff_rows(w)
         assert ncols - qlin.rank(rows) == dense_ncols - qlin.rank(sparse_rows(dense))
         assert all(rows) and all(0 <= j < ncols for row in rows for j in row)
@@ -237,7 +240,7 @@ def test_sparse_payoff_rows_match_the_dense_builder(
         return len(rows)
 
     rng = random.Random(2719)
-    probes = hier4_rays + flat4_rays + sm.extreme_rays(mixed5)
+    probes = hier4_rays + flat4_rays + sm.extreme_rays(mixed5) + sm.extreme_rays(wedge_chain5)
     probes += rng.sample(one_rel5_rays, 12)
     assert min(map(same_system, probes)) > 0
     lattices = 0
@@ -598,12 +601,12 @@ def test_the_payoff_half_keeps_the_vertex_walk_cap():
     assert cone._payoff_extreme(plan, val, 720) is False
 
 
-def test_cone_dimension(hier4, flat3, flat4, chain3, single1, mixed5):
+def test_cone_dimension(hier4, flat3, flat4, chain3, single1, mixed5, wedge_chain5):
     assert sm.cone_dimension(hier4) == 5
     assert len(hier4.elements) - 1 == 9
     assert sm.cone_dimension(flat4) == 11
     assert sm.cone_dimension(single1) == 0
-    for lat in (hier4, flat3, flat4, chain3, single1, mixed5):
+    for lat in (hier4, flat3, flat4, chain3, single1, mixed5, wedge_chain5):
         assert sm.cone_dimension(lat) == len(lat.elements) - 1 - lat.poset.n
         # the enumerated rays span the whole cone
         rays = sm.extreme_rays(lat)

@@ -39,8 +39,8 @@ def test_hierarchy_elements_match_brute_force(hier4):
     ]
 
 
-def test_canonical_element_order(hier4, flat4, mixed5):
-    for lat in (hier4, flat4, mixed5):
+def test_canonical_element_order(hier4, flat4, mixed5, wedge_chain5):
+    for lat in (hier4, flat4, mixed5, wedge_chain5):
         keys = [(a.bit_count(), a) for a in lat.elements]
         assert keys == sorted(keys)
         assert lat.elements[0] == 0
@@ -69,8 +69,8 @@ def test_join_irreducibles(hier4):
         hier4.join_irreducible_predecessor(sm.mask_from_players([2, 3], 4))
 
 
-def test_principal_down_set_map_is_an_order_isomorphism(hier4, chain4, mixed5):
-    for lat in (hier4, chain4, mixed5):
+def test_principal_down_set_map_is_an_order_isomorphism(hier4, chain4, mixed5, wedge_chain5):
+    for lat in (hier4, chain4, mixed5, wedge_chain5):
         p = lat.poset
         assert len(lat.join_irreducibles) == p.n
         for i in range(1, p.n + 1):
@@ -101,8 +101,8 @@ def test_birkhoff_map_is_injective_and_preserves_meets_joins(hier4, flat3):
                 assert images[a & b] == images[a] & images[b]
 
 
-def test_union_intersection_stay_in_lattice(hier4, mixed5):
-    for lat in (hier4, mixed5):
+def test_union_intersection_stay_in_lattice(hier4, mixed5, wedge_chain5):
+    for lat in (hier4, mixed5, wedge_chain5):
         for a in lat.elements:
             for b in lat.elements:
                 assert a | b in lat
@@ -193,11 +193,11 @@ def test_maximal_chains_hierarchy(hier4):
     assert perms == brute_linear_extensions(hier4.poset)
 
 
-def test_chain_counts_match_linear_extensions(flat3, chain4, mixed5):
-    # the same permutations in the same order, on three fixed posets and on
+def test_chain_counts_match_linear_extensions(flat3, chain4, mixed5, wedge_chain5):
+    # the same permutations in the same order, on four fixed posets and on
     # 40 seeded random ones
     rng = random.Random(5521)
-    lattices = [flat3, chain4, mixed5]
+    lattices = [flat3, chain4, mixed5, wedge_chain5]
     lattices += [sm.build_lattice(random_poset(rng, rng.randint(1, 6))) for _ in range(40)]
     for lat in lattices:
         perms = [c.perm for c in lat.maximal_chains()]

@@ -215,18 +215,19 @@ def test_lower_envelope_matches_chain_minimum_on_random_posets():
     assert False in supermodular
 
 
-def test_core_questions_on_edge_cases(single1, mixed5):
+def test_core_questions_on_edge_cases(single1, mixed5, wedge_chain5):
     one = sm.Game(single1, [0, Fraction(3, 2)])
     assert sm.core_vertices(one) == [(Fraction(3, 2),)]
     assert sm.lower_envelope(one, 0) == 0
     assert sm.lower_envelope(one, single1.top) == Fraction(3, 2)
     assert sm.face_compare(one, 2 * one) == "equal"
 
-    zero = sm.zero_game(mixed5)
-    assert sm.core_vertices(zero) == [(0,) * 5]
-    assert all(sm.lower_envelope(zero, a) == 0 for a in mixed5.elements)
-    v = random_unanimity_sum(random.Random(7272), mixed5)
-    assert sm.face_compare(zero, v) == oracle_face_compare(zero, v)
+    for lat in (mixed5, wedge_chain5):
+        zero = sm.zero_game(lat)
+        assert sm.core_vertices(zero) == [(0,) * 5]
+        assert all(sm.lower_envelope(zero, a) == 0 for a in lat.elements)
+        v = random_unanimity_sum(random.Random(7272), lat)
+        assert sm.face_compare(zero, v) == oracle_face_compare(zero, v)
 
     # a generic game on five free players: all 5! marginal vectors differ
     flat5 = sm.build_lattice(sm.poset_from_covers(5, []))
@@ -304,8 +305,10 @@ def test_payoff_array_injectivity(hier4):
         assert sm.point_configuration(v) != sm.point_configuration(w)
 
 
-def test_unboundedness_witness(hier4, chain3, chain4, mixed5, flat3, flat4, single1):
-    for lat in (hier4, chain3, chain4, mixed5):
+def test_unboundedness_witness(
+    hier4, chain3, chain4, mixed5, wedge_chain5, flat3, flat4, single1
+):
+    for lat in (hier4, chain3, chain4, mixed5, wedge_chain5):
         x = sm.unboundedness_witness(lat)
         assert x is not None and any(x)
         assert sum(x) == 0

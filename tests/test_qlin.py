@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 import supermod as sm
-from supermod import qlin
+from supermod import cone, qlin
+from supermod.game import _scaled_values
 from conftest import (
     HIER4_GENERATORS,
+    LADDER,
     ZeroVectorError,
     dense_rows,
     game_equality_system,
@@ -144,6 +146,122 @@ def test_rank_matches_bareiss_oracle_on_one_rel5_systems(one_rel5_rays):
             assert k == oracle_rank(dense_rows(rows, ncols))
             nullities.add(ncols - k)
     assert min(nullities) == 2 and max(nullities) > 2
+
+
+@pytest.fixture
+def rational_path(monkeypatch):
+    """The rows of every call that reaches the rational elimination."""
+    calls = []
+    eliminate = qlin._eliminate
+    monkeypatch.setattr(qlin, "_eliminate", lambda rows: calls.append(rows) or eliminate(rows))
+    return calls
+
+
+def test_rank_certified_by_a_proven_bound(rational_path):
+    # a GF(2) rank that reaches at_most is returned with no rational step
+    assert qlin.rank([{0: 1}, {1: 1}], at_most=2) == 2
+    assert qlin.rank([{0: 1, 1: 1}, {1: 1, 2: -1}, {0: 1, 2: 1}], at_most=2) == 2
+    assert qlin.rank([{0: 3, 1: 2}, {0: 6, 1: 4}], at_most=1) == 1
+    assert qlin.rank([{0: Fraction(1, 2), 1: Fraction(1, 3)}], at_most=1) == 1  # (3, 2)
+    assert qlin.rank([], at_most=0) == 0
+    assert qlin.rank([{}, {0: 0}], at_most=0) == 0
+    assert rational_path == []
+    # GF(2) falls short and the rational elimination reaches the bound:
+    # (1, 1) and (1, -1) coincide mod 2, all-even rows vanish there, and
+    # Fraction rows are scaled over their denominators first
+    assert qlin.rank([{0: 1, 1: 1}, {0: 1, 1: -1}], at_most=2) == 2
+    assert qlin.rank([{0: 2, 1: 4}, {1: 6}], at_most=2) == 2
+    assert qlin.rank([{0: 2}, {0: 1, 1: 1}], at_most=2) == 2
+    assert qlin.rank([{0: Fraction(1, 2), 1: Fraction(3, 2)}, {0: 1, 1: 5}], at_most=2) == 2
+    assert qlin.rank([{0: Fraction(2, 3), 1: Fraction(4, 3)}, {1: Fraction(1, 5)}], at_most=2) == 2
+    assert len(rational_path) == 5
+    # a bound that holds but is not reached is no certificate either
+    assert qlin.rank([{0: 1, 1: 1}, {0: 2, 1: 2}], at_most=2) == 1
+    assert qlin.rank([{0: 2, 1: 2}], at_most=1) == 1
+    assert len(rational_path) == 7
+    # rows given once, as an iterator, are read by both passes
+    assert qlin.rank(iter([{0: 1, 1: 1}, {0: 1, 1: -1}]), at_most=2) == 2
+    assert qlin.rank((sparse_rows([[2, 0], [0, 2]])), at_most=2) == 2
+
+
+def test_rank_refuses_a_bound_below_the_gf2_rank(rational_path):
+    # more independent rows mod 2 than at_most disproves the caller's bound
+    with pytest.raises(ValueError, match="above at_most=1"):
+        qlin.rank([{0: 1}, {1: 1}], at_most=1)
+    with pytest.raises(ValueError, match="above at_most=-1"):
+        qlin.rank([{3: 1}], at_most=-1)
+    # a bound below the rational rank alone is not always caught: the rows
+    # are then ranked over Q, and the bound is ignored
+    assert qlin.rank([{0: 2}, {1: 2}], at_most=1) == 2
+    assert len(rational_path) == 1
+
+
+def test_certified_rank_leaves_its_rows_unchanged():
+    rows = [{0: 2, 1: 4}, {0: 3, 1: 1, 2: Fraction(1, 2)}, {2: 1, 0: 1}, {}, {1: 1, 2: -1}]
+    before = [list(row.items()) for row in rows]
+    for bound in (3, 4):
+        assert qlin.rank(rows, at_most=bound) == 3
+        assert [list(row.items()) for row in rows] == before
+
+
+def test_certified_rank_matches_the_oracle_on_planted_kernels(rational_path):
+    # seeded matrices with a planted nonzero kernel vector z, so rank <=
+    # ncols - 1 is proven: each row is random off column t, and its entry at
+    # t (where z is 1) cancels the rest.  Small entries, even scalings and
+    # Fraction weights give both GF(2) certificates and rational fallbacks.
+    rng = random.Random(9377)
+    certified = fallbacks = 0
+    for k in range(200):
+        ncols = rng.randint(1, 9)
+        t = rng.randrange(ncols)
+        z = [rng.choice((0, 1, -1, 2, 3)) for _ in range(ncols)]
+        z[t] = 1
+        rows = []
+        for _ in range(rng.randint(0, ncols + 3)):
+            row = [rng.choice((0, 0, 1, -1, 2, rng.randint(-6, 6))) for _ in range(ncols)]
+            row[t] = 0
+            row[t] = -sum(x * y for x, y in zip(row, z))
+            if rng.random() < 0.2:
+                row = [2 * x for x in row]
+            elif k % 3 == 0:
+                w = Fraction(rng.randint(1, 6), rng.randint(2, 5))
+                row = [w * x for x in row]
+            rows.append(row)
+        assert all(sum(x * y for x, y in zip(row, z)) == 0 for row in rows)
+        expected = oracle_rank(rows) if rows else 0
+        before = len(rational_path)
+        assert qlin.rank(sparse_rows(rows), at_most=ncols - 1) == expected
+        assert qlin.rank(sparse_rows(rows)) == expected
+        if len(rational_path) == before + 1:
+            certified += 1
+        else:
+            fallbacks += 1
+    assert certified > 40 and fallbacks > 40
+
+
+def test_criteria_take_the_rational_path_only_off_the_rays(one_rel5_rays, rational_path):
+    # on the ladder every enumerated ray is certified mod 2 by both
+    # criteria, while the systems of a sum of two rays (solution space of
+    # dimension at least 2) fall short of the bound and are ranked over Q
+    rng = random.Random(6121)
+    for name in LADDER:
+        if name == "one-rel5":
+            rays = one_rel5_rays
+        else:
+            rays = sm.extreme_rays(sm.build_lattice(sm.poset_from_covers(*LADDER[name])))
+        plan = cone._Plan(rays[0].lattice)
+        rational_path.clear()
+        for g in rays:
+            val = _scaled_values(g)[0]
+            assert cone._payoff_extreme(plan, val) and cone._games_extreme(plan, val)
+        assert rational_path == []
+        for _ in range(3):
+            a, b = rng.sample(rays, 2)
+            rational_path.clear()
+            val = _scaled_values(a + b)[0]
+            assert not cone._payoff_extreme(plan, val)
+            assert not cone._games_extreme(plan, val)
+            assert len(rational_path) == 2
 
 
 def test_nullspace_examples():
