@@ -93,6 +93,19 @@ def parse_coalition(text, n):
 
 
 def parse_value(val):
+    """A game value as a Fraction: an int, or a string Fraction reads.
+
+    The spellings of str(Fraction), "p/q" and "p" with an optional "-" and
+    ASCII digits, are read as ints; every other string goes to Fraction,
+    whose grammar depends on the Python version."""
+    if type(val) is str:
+        num, slash, den = val.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isascii() and den.isdigit() and den.strip("0"):
+                return Fraction(int(num), int(den))
     if isinstance(val, bool):
         raise ValueError("game values must be integers or 'p/q' strings")
     if isinstance(val, int):
@@ -105,15 +118,21 @@ def parse_value(val):
     raise ValueError(f"game values must be integers or 'p/q' strings, got {val!r}")
 
 
-def parse_values(table, n):
-    """{mask: Fraction} from a game file's "values" table; ValueError when
-    two keys name one coalition, such as "12" and "[2,1]"."""
+def parse_values(table, lat):
+    """{mask: Fraction} from a game file's "values" table for the lattice
+    lat; ValueError when two keys name one coalition, such as "12" and
+    "[2,1]".  A key spelled by coalition_key is looked up among the
+    elements; any other goes to parse_coalition."""
     if not isinstance(table, dict):
         raise ValueError(f'"values" must be a JSON object, got {table!r}')
+    n = lat.poset.n
+    canonical = {coalition_key(a): a for a in lat.elements}
     mapping = {}
     keys = {}
     for key, val in table.items():
-        mask = parse_coalition(key, n)
+        mask = canonical.get(key)
+        if mask is None:
+            mask = parse_coalition(key, n)
         if mask in keys:
             raise ValueError(
                 f"coalition {coalition_key(mask)} is given twice, as {keys[mask]!r}"
@@ -186,15 +205,17 @@ def load_game(path, args):
     else:
         raise ValueError('"poset" must be a file name or an inline object')
     lat = build_lattice(p, max_elements=lattice_cap(args))
-    return Game.from_values(lat, parse_values(data.get("values", {}), p.n))
+    return Game.from_values(lat, parse_values(data.get("values", {}), lat))
 
 
-def emit(args, payload, lines):
+def emit(args, lines, payload):
+    """Prints lines under --format table, else the JSON of payload(), a
+    function called only then."""
     if args.format == "table":
         for line in lines:
             print(line)
     else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload(), sort_keys=True, indent=2))
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -208,46 +229,43 @@ def cmd_poset_show(args):
         for j in range(1, p.n + 1)
         if i != j and p.leq(i, j)
     ]
-    payload = {
+    lines = [f"n = {p.n}", "covers: " + " ".join(f"{i}<{j}" for i, j in p.covers())]
+    for i in range(1, p.n + 1):
+        lines.append(f"down({i}) = {format_coalition(p.principal_down_set(i))}")
+    emit(args, lines, lambda: {
         "n": p.n,
         "covers": [list(c) for c in p.covers()],
         "leq_pairs": leq_pairs,
         "principal_down_sets": {
             str(i): players_from_mask(p.principal_down_set(i)) for i in range(1, p.n + 1)
         },
-    }
-    lines = [f"n = {p.n}", "covers: " + " ".join(f"{i}<{j}" for i, j in p.covers())]
-    for i in range(1, p.n + 1):
-        lines.append(f"down({i}) = {format_coalition(p.principal_down_set(i))}")
-    emit(args, payload, lines)
+    })
     return 0
 
 
 def cmd_lattice_downsets(args):
     lat = load_lattice(args.poset, args)
-    payload = {
+    emit(args, [format_coalition(a) for a in lat.elements], lambda: {
         "count": len(lat.elements),
         "downsets": [players_from_mask(a) for a in lat.elements],
-    }
-    emit(args, payload, [format_coalition(a) for a in lat.elements])
+    })
     return 0
 
 
 def cmd_lattice_chains(args):
     lat = load_lattice(args.poset, args)
     chains = lat.maximal_chains(max_chains=args.max_chains)
-    payload = {
+    lines = [
+        f"{format_perm(c.perm)}: " + " < ".join(format_coalition(a) for a in c.sets)
+        for c in chains
+    ]
+    emit(args, lines, lambda: {
         "count": len(chains),
         "chains": [
             {"perm": format_perm(c.perm), "sets": [players_from_mask(a) for a in c.sets]}
             for c in chains
         ],
-    }
-    lines = [
-        f"{format_perm(c.perm)}: " + " < ".join(format_coalition(a) for a in c.sets)
-        for c in chains
-    ]
-    emit(args, payload, lines)
+    })
     return 0
 
 
@@ -256,12 +274,11 @@ def cmd_lattice_moebius(args):
     x = parse_coalition(args.from_set, lat.poset.n)
     y = parse_coalition(args.to_set, lat.poset.n)
     value = lat.mobius(x, y)
-    payload = {
+    emit(args, [f"mu({format_coalition(x)}, {format_coalition(y)}) = {value}"], lambda: {
         "from": players_from_mask(x),
         "to": players_from_mask(y),
         "value": str(value),
-    }
-    emit(args, payload, [f"mu({format_coalition(x)}, {format_coalition(y)}) = {value}"])
+    })
     return 0
 
 
@@ -276,37 +293,35 @@ _CLASS_CHECKS = {
 def cmd_game_check(args):
     g = load_game(args.game, args)
     result = _CLASS_CHECKS[args.cls](g)
-    payload = {"class": args.cls, "result": result}
-    emit(args, payload, [f"{args.cls}: {'yes' if result else 'no'}"])
+    emit(args, [f"{args.cls}: {'yes' if result else 'no'}"],
+         lambda: {"class": args.cls, "result": result})
     return 0 if result else 1
 
 
 def cmd_game_moebius(args):
     g = load_game(args.game, args)
     t = mobius_transform(g)
-    payload = {"values": game_payload(t)}
     lines = [f"{format_coalition(a)}: {v}" for a, v in t.to_mapping().items()]
-    emit(args, payload, lines or ["(zero transform)"])
+    emit(args, lines or ["(zero transform)"], lambda: {"values": game_payload(t)})
     return 0
 
 
 def cmd_game_normalize(args):
     g = load_game(args.game, args)
     w, m = zero_normalize(g)
-    payload = {"zero_normalized": game_payload(w), "modular": game_payload(m)}
     lines = ["zero-normalized part:"]
     lines += [f"  {format_coalition(a)}: {v}" for a, v in w.to_mapping().items()] or ["  0"]
     lines.append("modular part:")
     lines += [f"  {format_coalition(a)}: {v}" for a, v in m.to_mapping().items()] or ["  0"]
-    emit(args, payload, lines)
+    emit(args, lines, lambda: {"zero_normalized": game_payload(w), "modular": game_payload(m)})
     return 0
 
 
 def cmd_core_vertices(args):
     g = load_game(args.game, args)
     verts = core_vertices(g, max_chains=args.max_chains)
-    payload = {"count": len(verts), "vertices": [vector_payload(x) for x in verts]}
-    emit(args, payload, ["(" + ", ".join(str(t) for t in x) + ")" for x in verts])
+    emit(args, ["(" + ", ".join(str(t) for t in x) + ")" for x in verts],
+         lambda: {"count": len(verts), "vertices": [vector_payload(x) for x in verts]})
     return 0
 
 
@@ -316,18 +331,18 @@ def cmd_core_tight(args):
     x = marginal_vector(g, chain)
     tight_set = tight_sets(g, chain)
     tight = [a for a in g.lattice.elements if a in tight_set]
-    payload = {
-        "perm": format_perm(chain.perm),
-        "marginal": vector_payload(x),
-        "tight": [players_from_mask(a) for a in tight],
-        "zero_players": sorted(zero_coords(g, chain)),
-    }
+    zero_players = sorted(zero_coords(g, chain))
     lines = [
         f"marginal: (" + ", ".join(str(t) for t in x) + ")",
         "tight: " + " ".join(format_coalition(a) for a in tight),
-        "zero players: " + (" ".join(str(i) for i in payload["zero_players"]) or "none"),
+        "zero players: " + (" ".join(str(i) for i in zero_players) or "none"),
     ]
-    emit(args, payload, lines)
+    emit(args, lines, lambda: {
+        "perm": format_perm(chain.perm),
+        "marginal": vector_payload(x),
+        "tight": [players_from_mask(a) for a in tight],
+        "zero_players": zero_players,
+    })
     return 0
 
 
@@ -335,19 +350,18 @@ def cmd_core_envelope(args):
     g = load_game(args.game, args)
     mask = parse_coalition(args.coalition, g.lattice.poset.n)
     value = lower_envelope(g, mask)
-    payload = {"coalition": players_from_mask(mask), "value": str(value)}
-    emit(args, payload, [f"min over chains of x({format_coalition(mask)}) = {value}"])
+    emit(args, [f"min over chains of x({format_coalition(mask)}) = {value}"],
+         lambda: {"coalition": players_from_mask(mask), "value": str(value)})
     return 0
 
 
 def cmd_core_witness(args):
     lat = load_lattice(args.poset, args)
     x = unboundedness_witness(lat)
-    payload = {"witness": vector_payload(x) if x else None}
     lines = (
         ["(" + ", ".join(str(t) for t in x) + ")"] if x else ["no witness: the order is flat"]
     )
-    emit(args, payload, lines)
+    emit(args, lines, lambda: {"witness": vector_payload(x) if x else None})
     return 0 if x else 1
 
 
@@ -363,27 +377,27 @@ def cmd_cone_is_extreme(args):
     lines = [f"extreme: {'yes' if extreme else 'no'}"]
     if "note" in payload:
         lines.append(payload["note"])
-    emit(args, payload, lines)
+    emit(args, lines, lambda: payload)
     return 0 if extreme else 1
 
 
 def cmd_cone_rays(args):
     lat = load_lattice(args.poset, args)
     rays = extreme_rays(lat, max_elements=args.max_cone, max_rays=args.max_dd_rays)
-    payload = {"count": len(rays), "rays": [game_payload(g) for g in rays]}
     # built only when emit prints them, under --format table
     lines = (
         f"ray {k}: " + ", ".join(f"{format_coalition(a)}={v}" for a, v in g.to_mapping().items())
         for k, g in enumerate(rays, start=1)
     )
-    emit(args, payload, lines if rays else ["(no rays: the cone is trivial)"])
+    emit(args, lines if rays else ["(no rays: the cone is trivial)"],
+         lambda: {"count": len(rays), "rays": [game_payload(g) for g in rays]})
     return 0
 
 
 def cmd_cone_facets(args):
     lat = load_lattice(args.poset, args)
     triples = facet_triples(lat)
-    payload = {
+    emit(args, [t.render() for t in triples], lambda: {
         "count": len(triples),
         "facets": [
             {
@@ -394,16 +408,16 @@ def cmd_cone_facets(args):
             }
             for t in triples
         ],
-    }
-    emit(args, payload, [t.render() for t in triples])
+    })
     return 0
 
 
 def cmd_cone_dim(args):
     lat = load_lattice(args.poset, args)
     dim = cone_dimension(lat)
-    payload = {"dimension": dim, "ambient": len(lat.elements) - 1}
-    emit(args, payload, [f"dimension {dim} in ambient {payload['ambient']}"])
+    ambient = len(lat.elements) - 1
+    emit(args, [f"dimension {dim} in ambient {ambient}"],
+         lambda: {"dimension": dim, "ambient": ambient})
     return 0
 
 
@@ -411,7 +425,7 @@ def cmd_cone_face_compare(args):
     g1 = load_game(args.game1, args)
     g2 = load_game(args.game2, args)
     relation = face_compare(g1, g2)
-    emit(args, {"relation": relation}, [relation])
+    emit(args, [relation], lambda: {"relation": relation})
     return 0
 
 
@@ -486,7 +500,7 @@ def reproduce_paper(
     )
 
     def load_ref_game(table):
-        return Game.from_values(lat, parse_values(table, poset.n))
+        return Game.from_values(lat, parse_values(table, lat))
 
     def by_permutation(groups, key):
         return {
@@ -577,7 +591,7 @@ def cmd_reproduce_paper(args):
             lines.append(f"      got:      {c['got']}")
     results = report["results"]
     lines.append(f"{results['checks_passed']}/{results['checks_total']} checks passed")
-    emit(args, report, lines)
+    emit(args, lines, lambda: report)
     failure = next((c for c in report["checks"] if not c["pass"]), None)
     if failure is not None:
         print(f"reproduce-paper: first failing check: {failure['claim']}", file=sys.stderr)

@@ -47,7 +47,8 @@ class Game:
         values = tuple(values)
         if any(isinstance(v, float) for v in values):
             raise TypeError("game values must be exact (int or Fraction), not float")
-        values = tuple(Fraction(v) for v in values)
+        # a plain Fraction is kept; ints and Fraction subclasses are converted
+        values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         if len(values) != len(lattice.elements):
             raise ValueError(
                 f"expected {len(lattice.elements)} values, got {len(values)}"
@@ -129,15 +130,24 @@ def unanimity(lattice, a):
     return Game(lattice, [0 if a & ~b else 1 for b in lattice.elements])
 
 
-def _zeta(lat, values, inverse=False):
-    """Zeta transform of values (one per element): the value at b becomes
-    the sum over the down-sets c <= b; inverse=True gives the Moebius
-    transform.  Returns a new list, after O(L*n) lookups.
+def _scaled_values(v):
+    """Values of v as integers over one common denominator; returns
+    ([integer by element position], den).  den is positive, so the integers
+    keep every sign, order and zero of the values and of their sums."""
+    den = lcm(*(x.denominator for x in v.values))
+    return [x.numerator * (den // x.denominator) for x in v.values], den
+
+
+def _zeta(lat, val, inverse=False):
+    """Zeta transform, in place, of the integers val (one per element): the
+    value at b becomes the sum over the down-sets c <= b; inverse=True gives
+    the Moebius transform.  O(L*n) lookups.  Values over one common
+    denominator (_scaled_values) transform as their numerators.
 
     One pass per player i, each player before every player below it: each
     down-set b holding i adds the value at b & ~up(i), up(i) being the
     principal up-set of i.  Invariant: after the passes over players T, the
-    value at b sums values[c] over the down-sets c <= b that agree with b
+    value at b sums val[c] over the down-sets c <= b that agree with b
     outside T.  The players above i are in T when i is passed, so the c
     lacking i are those inside b & ~up(i).  The inverse subtracts, in
     reverse order.
@@ -146,16 +156,14 @@ def _zeta(lat, values, inverse=False):
     n = p.n
     idx = lat.index
     order = sorted(range(1, n + 1), key=lambda i: -p.principal_down_set(i).bit_count())
-    out = list(values)
     for i in reversed(order) if inverse else order:
         bit = 1 << (i - 1)
         up = sum(1 << (j - 1) for j in range(1, n + 1) if p.leq(i, j))
         for k, b in enumerate(lat.elements):
             if b & bit:
-                x = out[idx[b & ~up]]
+                x = val[idx[b & ~up]]
                 if x:
-                    out[k] = out[k] - x if inverse else out[k] + x
-    return out
+                    val[k] = val[k] - x if inverse else val[k] + x
 
 
 def modular_from_irreducibles(lattice, targets):
@@ -165,7 +173,8 @@ def modular_from_irreducibles(lattice, targets):
     an int or Fraction; a float is refused with TypeError, as in Game.
     A modular game's Moebius transform lives on the principal down-sets,
     where it is the weight of the top player; the weights are recovered
-    bottom-up and summed by the zeta pass.
+    bottom-up, as integers over the targets' common denominator, and summed
+    by the zeta pass.
     """
     p = lattice.poset
     n = p.n
@@ -173,34 +182,33 @@ def modular_from_irreducibles(lattice, targets):
         raise ValueError("targets must cover exactly the players 1..n")
     if any(isinstance(x, float) for x in targets.values()):
         raise TypeError("targets must be exact (int or Fraction), not float")
+    exact = {i: Fraction(x) for i, x in targets.items()}
+    den = lcm(*(x.denominator for x in exact.values()))
     weight = {}
+    val = [0] * len(lattice.elements)
     for i in sorted(range(1, n + 1), key=lambda i: p.principal_down_set(i).bit_count()):
         below = players_from_mask(p.strict_down_set(i))
-        weight[i] = Fraction(targets[i]) - sum(weight[j] for j in below)
-    vals = [Fraction(0)] * len(lattice.elements)
-    for i, x in weight.items():
-        vals[lattice.index[p.principal_down_set(i)]] = x
-    return Game(lattice, _zeta(lattice, vals))
+        x = exact[i]
+        weight[i] = x.numerator * (den // x.denominator) - sum(weight[j] for j in below)
+        val[lattice.index[p.principal_down_set(i)]] = weight[i]
+    _zeta(lattice, val)
+    return Game(lattice, [Fraction(x, den) for x in val])
 
 
 def mobius_transform(v):
     """The Moebius transform of v, as a game on the same lattice: the
     inverse zeta pass, since v sums its transform below each element."""
-    return Game(v.lattice, _zeta(v.lattice, v.values, inverse=True))
+    val, den = _scaled_values(v)
+    _zeta(v.lattice, val, inverse=True)
+    return Game(v.lattice, [Fraction(x, den) for x in val])
 
 
 def mobius_inverse(vhat):
     """Inverse of the Moebius transform: the zeta pass sums the
     coefficients below each element."""
-    return Game(vhat.lattice, _zeta(vhat.lattice, vhat.values))
-
-
-def _scaled_values(v):
-    """Values of v as integers over one common denominator; returns
-    ([integer by element position], den).  den is positive, so the integers
-    keep every sign, order and zero of the values and of their sums."""
-    den = lcm(*(x.denominator for x in v.values))
-    return [x.numerator * (den // x.denominator) for x in v.values], den
+    val, den = _scaled_values(vhat)
+    _zeta(vhat.lattice, val)
+    return Game(vhat.lattice, [Fraction(x, den) for x in val])
 
 
 def _square_slacks(val, corners):
@@ -251,11 +259,15 @@ def zero_normalize(v):
     At a join-irreducible element the Moebius transform collapses to the
     difference with its unique lower cover; the modular part is the zeta
     pass over those differences, the unanimity combination with them as
-    coefficients.
+    coefficients.  Both parts are formed as integers over the common
+    denominator of v.
     """
     lat = v.lattice
-    vals = [Fraction(0)] * len(lat.elements)
+    idx = lat.index
+    val, den = _scaled_values(v)
+    mod = [0] * len(val)
     for a in lat.join_irreducibles:
-        vals[lat.index[a]] = v.value(a) - v.value(lat.join_irreducible_predecessor(a))
-    m = Game(lat, _zeta(lat, vals))
-    return v - m, m
+        mod[idx[a]] = val[idx[a]] - val[idx[lat.join_irreducible_predecessor(a)]]
+    _zeta(lat, mod)
+    w = [Fraction(x - y, den) for x, y in zip(val, mod)]
+    return Game(lat, w), Game(lat, [Fraction(y, den) for y in mod])

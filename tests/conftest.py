@@ -5,6 +5,7 @@ The oracles recompute expected values by a different route than the library
 so the tests do not simply mirror the implementation.
 """
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,68 @@ def game_from_table(lat, table):
     return sm.Game.from_values(
         lat, {sm.mask_from_players(k, n): Fraction(v) for k, v in table.items()}
     )
+
+
+def oracle_parse_coalition(text, n):
+    """A game file's coalition key read by json.loads, one call per key: a
+    JSON list of player ints, or a run of digits, or "" and "{}" for the
+    empty coalition."""
+    t = text.strip()
+    if t.startswith("["):
+        players = json.loads(t)
+        if not isinstance(players, list) or not all(
+            isinstance(p, int) and not isinstance(p, bool) for p in players
+        ):
+            raise ValueError(f"cannot parse coalition {text!r}")
+    elif t in ("", "{}"):
+        players = []
+    elif t.isdigit():
+        players = [int(ch) for ch in t]
+    else:
+        raise ValueError(f"cannot parse coalition {text!r}")
+    return sm.mask_from_players(players, n)
+
+
+def oracle_parse_value(val):
+    """A game file's value read by Fraction alone: an int, or any string
+    the running interpreter's Fraction accepts."""
+    if isinstance(val, bool):
+        raise ValueError("game values must be integers or 'p/q' strings")
+    if isinstance(val, int):
+        return Fraction(val)
+    if isinstance(val, str):
+        try:
+            return Fraction(val)
+        except ZeroDivisionError:
+            raise ValueError(f"game value {val!r} has a zero denominator") from None
+    raise ValueError(f"game values must be integers or 'p/q' strings, got {val!r}")
+
+
+def oracle_parse_values(table, n):
+    """{mask: Fraction} from a "values" table by the two parsers above;
+    ValueError when two keys name one coalition."""
+    if not isinstance(table, dict):
+        raise ValueError(f'"values" must be a JSON object, got {table!r}')
+    mapping = {}
+    keys = {}
+    for key, val in table.items():
+        mask = oracle_parse_coalition(key, n)
+        if mask in keys:
+            raise ValueError(
+                f"coalition {json.dumps(sm.players_from_mask(mask), separators=(',', ':'))}"
+                f" is given twice, as {keys[mask]!r} and as {key!r}"
+            )
+        keys[mask] = key
+        mapping[mask] = oracle_parse_value(val)
+    return mapping
+
+
+def outcome(fn):
+    """fn() as ("ok", result), or as (exception type, message)."""
+    try:
+        return "ok", fn()
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def oracle_order(n, covers):

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -18,7 +19,13 @@ import pytest
 import supermod as sm
 from supermod import cli
 
-from conftest import HIER4_GENERATORS, game_from_table
+from conftest import (
+    HIER4_GENERATORS,
+    game_from_table,
+    oracle_parse_value,
+    oracle_parse_values,
+    outcome,
+)
 
 
 def run(capsys, *argv):
@@ -428,6 +435,91 @@ def test_coalition_key_is_the_compact_json_list():
         assert key == json.dumps(sm.players_from_mask(a), separators=(",", ":"))
     assert cli.coalition_key(0) == "[]"
     assert cli.coalition_key(sm.mask_from_players([1, 2, 10], 12)) == "[1,2,10]"
+
+
+def test_table_output_builds_no_json_payload(ws, capsys, monkeypatch):
+    argvs = [
+        ("cone", "rays", ws["hier4.json"]),
+        ("game", "moebius", ws["shifted.json"]),
+        ("game", "normalize", ws["shifted.json"]),
+    ]
+    expected = [run(capsys, *argv, "--format", "table") for argv in argvs]
+
+    def refuse(game):
+        raise AssertionError("a JSON payload was built")
+
+    monkeypatch.setattr(cli, "game_payload", refuse)
+    for argv, want in zip(argvs, expected):
+        assert want[0] == 0 and want[1]
+        assert run(capsys, *argv, "--format", "table") == want
+
+
+def test_parse_values_agrees_with_the_json_parser(monkeypatch):
+    # keys spelled by coalition_key are looked up and every other key goes
+    # to parse_coalition: the masks, and the errors, are those of one
+    # json.loads per key
+    lat = sm.build_lattice(sm.poset_from_covers(12, []))
+    players = [sm.players_from_mask(a) for a in lat.elements]
+    canonical = [json.dumps(p, separators=(",", ":")) for p in players]
+    spellings = [
+        canonical,
+        [json.dumps(p[::-1], separators=(",", ":")) for p in players],
+        [json.dumps(p) for p in players],
+        [f" {key} " for key in canonical],
+    ]
+    parse_coalition = cli.parse_coalition
+    read = []
+
+    def spy(text, n):
+        read.append(text)
+        return parse_coalition(text, n)
+
+    monkeypatch.setattr(cli, "parse_coalition", spy)
+    for keys in spellings:
+        table = {key: str(k) for k, key in enumerate(keys)}
+        read.clear()
+        assert cli.parse_values(table, lat) == oracle_parse_values(table, 12)
+        assert read == [key for key in keys if key not in set(canonical)]
+    odd = ["12", "9", "123456789", "", "{}", "[]", "[1,1]", "[12,1]", "[01]", "[1.0]",
+           "[true]", "[0]", "[13]", "[1,]", "[-1]", "[1]x", "\u0661"]
+    for key in odd:
+        got = outcome(lambda: cli.parse_values({key: 1}, lat))
+        assert got == outcome(lambda: oracle_parse_values({key: 1}, 12)), key
+    # two keys for one coalition, in either order
+    for table in ({"[1,2]": 1, "12": 2}, {"12": 1, "[1,2]": 2}, {"[2,1]": 1, " [1,2]": 2}):
+        got = outcome(lambda: cli.parse_values(table, lat))
+        assert got[0] is ValueError and "is given twice" in got[1]
+        assert got == outcome(lambda: oracle_parse_values(table, 12))
+
+
+def test_parse_value_reads_values_as_fraction_does(monkeypatch):
+    # the spellings of str(Fraction) are read as ints; any other string is
+    # read by the running interpreter's Fraction, whose grammar is the oracle
+    flat3 = sm.build_lattice(sm.poset_from_covers(3, []))
+    values = ["3/2", "-3/2", "+3/2", " 3/2 ", "1_0/3", "1.5", "1e2", "3/0", "0/0", "-0",
+              "007/014", "\u0663/\u0662", "5", "-5", "-", "3/", "/2", "1/2/3", True, 1.5, None, 7]
+    for val in values:
+        got = outcome(lambda: cli.parse_value(val))
+        assert got == outcome(lambda: oracle_parse_value(val)), val
+        assert outcome(lambda: cli.parse_values({"[1]": val}, flat3)) == outcome(
+            lambda: oracle_parse_values({"[1]": val}, 3)
+        )
+        if got[0] == "ok":
+            assert type(got[1]) is Fraction and got[1] == Fraction(val)
+    read = []
+
+    def spy(*args):
+        if isinstance(args[0], str):
+            read.append(args[0])
+        return Fraction(*args)
+
+    monkeypatch.setattr(cli, "Fraction", spy)
+    fast = {"3/2", "-3/2", "-0", "007/014", "5", "-5"}
+    for val in values:
+        if isinstance(val, str):
+            read.clear()
+            outcome(lambda: cli.parse_value(val))
+            assert read == ([] if val in fast else [val]), val
 
 
 def test_cone_rays_of_one_rel5_keep_their_bytes(tmp_path, capsys):

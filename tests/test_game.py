@@ -36,6 +36,22 @@ def test_game_construction(hier4):
         sm.Game(hier4, [0, 1])  # wrong length
     with pytest.raises(ValueError):
         sm.Game.from_values(hier4, {sm.mask_from_players([1, 2], 4): 1})
+    # a plain Fraction is kept as it is; a subclass is stored as a plain
+    # Fraction, and a float, even inside a subclass, is refused
+    half = Fraction(1, 2)
+    assert sm.Game.from_values(hier4, {hier4.top: half}).value(hier4.top) is half
+
+    class Ratio(Fraction):
+        pass
+
+    class Real(float):
+        pass
+
+    g = sm.Game.from_values(hier4, {hier4.top: Ratio(3, 2), sm.mask_from_players([2], 4): 1})
+    assert g.value(hier4.top) == Fraction(3, 2)
+    assert all(type(x) is Fraction for x in g.values)
+    with pytest.raises(TypeError, match="float"):
+        sm.Game.from_values(hier4, {hier4.top: Real(1.5)})
 
 
 def test_game_algebra(hier4, flat4):
@@ -153,27 +169,44 @@ def _zeta_test_posets():
     return posets
 
 
+def _huge_fraction(rng):
+    """A numerator near 10**30 over a denominator in 2..13, so one game mixes
+    coprime denominators whose common one reaches 360360."""
+    return Fraction(rng.choice((-1, 1)) * (10**30 + rng.randint(0, 10**6)), rng.randint(2, 13))
+
+
+def _exact_games(*games):
+    """The games, after checking every value is a plain Fraction."""
+    for g in games:
+        assert all(type(x) is Fraction for x in g.values)
+    return games
+
+
 def test_zeta_passes_match_the_pair_oracles_on_posets_with_relations():
+    # the zeta passes run on integers over a common denominator: small
+    # integer games and games of huge numerators over coprime denominators
     rng = random.Random(2251)
     for p in _zeta_test_posets():
         lat = sm.build_lattice(p)
         mu = oracle_mobius(lat)
-        for _ in range(2):
-            v = random_game(rng, lat)
-            vhat = sm.mobius_transform(v)
+        huge = sm.Game(lat, [0] + [_huge_fraction(rng) for _ in lat.elements[1:]])
+        for v in (random_game(rng, lat), random_game(rng, lat), huge):
+            vhat, = _exact_games(sm.mobius_transform(v))
             assert vhat == oracle_mobius_transform(v, mu)
-            assert sm.mobius_inverse(vhat) == v
-            assert sm.mobius_inverse(v) == oracle_mobius_inverse(v)
-            w, m = sm.zero_normalize(v)
+            assert _exact_games(sm.mobius_inverse(vhat)) == (v,)
+            assert _exact_games(sm.mobius_inverse(v)) == (oracle_mobius_inverse(v),)
+            w, m = _exact_games(*sm.zero_normalize(v))
             assert m == oracle_modular_part(v)
             assert w + m == v
         # a modular game is the additive extension of per-player weights
-        weight = {i: rng.randint(-5, 5) for i in range(1, p.n + 1)}
-        m = sm.Game(
-            lat, [sum(weight[i] for i in sm.players_from_mask(a)) for a in lat.elements]
-        )
-        targets = {i: m.value(p.principal_down_set(i)) for i in weight}
-        assert sm.modular_from_irreducibles(lat, targets) == m
+        for draw in (lambda: rng.randint(-5, 5), lambda: _huge_fraction(rng)):
+            weight = {i: draw() for i in range(1, p.n + 1)}
+            m = sm.Game(lat, [
+                sum((weight[i] for i in sm.players_from_mask(a)), Fraction(0))
+                for a in lat.elements
+            ])
+            targets = {i: m.value(p.principal_down_set(i)) for i in weight}
+            assert _exact_games(sm.modular_from_irreducibles(lat, targets)) == (m,)
 
 
 def test_supermodular_predicates(hier4, flat4, hier4_games):
