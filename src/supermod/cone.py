@@ -210,9 +210,9 @@ def _facet_rows(lat):
 
 def _game_rows(plan, val):
     """The _facet_rows rows whose square has zero slack at a supermodular
-    game v, given by its integer values val by element position, empty or
-    repeated ones left for qlin.rank to drop; the same slack pass refuses a
-    game that is not supermodular.
+    game v, given by its integer values val by element position, repeated
+    ones left for qlin.rank to drop; the same slack pass refuses a game
+    that is not supermodular.
 
     The tight covering squares span the modularity constraints of every
     pair of elements where v is modular, since the second difference of a
@@ -273,11 +273,15 @@ def facet_witness(lat, triple, eps=Fraction(1)):
       fix the rank-2 interval), so u has slack at most 2 there.
 
     Hence the own slack of w is negative and every other slack is
-    eps * (2 - slack of u) >= 0.  Raises ValueError unless eps > 0.
+    eps * (2 - slack of u) >= 0.  Raises ValueError unless eps > 0 and the
+    triple is a covering square of lat: base, base+i and base+j are
+    elements, and i and j are distinct players outside base.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     both, base, wi, wj = triple.masks()
+    if base in (wi, wj) or wi == wj or not {base, wi, wj} <= lat.index.keys():
+        raise ValueError(f"{triple} is not a covering square of the lattice")
     u = {both: 1, wi: -1, wj: -1}
     if base:
         u[base] = 1

@@ -38,8 +38,11 @@ def payoff(x, mask):
 
     ValueError if the mask holds a player past the end of x.  A vector with
     more entries than players cannot be told apart without n, so callers
-    that know n (such as core_contains) check that themselves.
+    that know n (such as core_contains) check that themselves.  A float
+    entry is refused with TypeError, since it is already rounded.
     """
+    if any(isinstance(t, float) for t in x):
+        raise TypeError("payoffs must be exact (int or Fraction), not float")
     if mask >> len(x):
         raise ValueError(
             f"coalition holds player {mask.bit_length()}, the vector has {len(x)} entries"
@@ -155,8 +158,9 @@ def point_configuration(v):
 
 
 def core_contains(v, x):
-    """True iff x is efficient and dominates v on every element."""
-    x = tuple(Fraction(t) for t in x)
+    """True iff x is efficient and dominates v on every element; x holds
+    ints or Fractions, and a float entry is refused by payoff."""
+    x = tuple(x)
     if len(x) != v.lattice.poset.n:
         raise ValueError(f"vector must have {v.lattice.poset.n} entries, got {len(x)}")
     if payoff(x, v.lattice.top) != v.value(v.lattice.top):
@@ -213,7 +217,7 @@ def game_from_configuration(lattice, config):
     config maps every compatible permutation to a payoff vector.  Raises
     ConsistencyError when two chains disagree on a shared coalition total
     ("shared-element") or when the coordinate added at a principal down-set
-    is nonzero ("zero-coordinate").
+    is nonzero ("zero-coordinate"); TypeError for a float entry.
     """
     chains = lattice.maximal_chains()
     if set(config) != {c.perm for c in chains}:
@@ -226,6 +230,8 @@ def game_from_configuration(lattice, config):
         y = config[c.perm]
         if len(y) != n:
             raise ValueError(f"vector for {format_perm(c.perm)} must have {n} entries")
+        if any(isinstance(t, float) for t in y):
+            raise TypeError("payoffs must be exact (int or Fraction), not float")
         run = Fraction(0)
         for step, player in enumerate(c.perm, start=1):
             run += Fraction(y[player - 1])

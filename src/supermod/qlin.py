@@ -1,82 +1,51 @@
-"""Exact rank over the rationals of sparse matrices.
+"""Exact rank over the rationals of sparse integer matrices.
 
-A matrix is a sequence of rows, and a row is a mapping {column: entry} of
-its nonzero entries, with nonnegative int columns; a column it does not
-name holds zero, so an empty mapping is a zero row.  Entries may be ints or
-Fractions.  Rows are read as integers, a row with Fraction entries through
-a copy scaled by their denominator lcm, so nothing here ever touches
-floating point or changes the caller's rows, and the equality systems of
-the extremality criteria (rows of a few +-1 entries each) are eliminated
-without touching their zeros.
+A matrix is a list of rows, and a row is a mapping {column: entry} of its
+nonzero int entries, with nonnegative int columns; a column it does not
+name holds zero, and an empty mapping is a zero row.  These are the
+equality systems of the extremality criteria (rows of a few +-1 entries
+each), eliminated without touching their zeros, floating point or the
+caller's rows.
 
-A caller that can prove an upper bound on the rank passes it as at_most,
-and rank first eliminates the integer rows modulo 2.  An integer matrix
-has no higher rank over GF(2) than over Q: a square minor that is odd is a
-nonzero integer.  So a GF(2) rank that reaches the proven bound is the
-rational rank, with no probability involved, and every other case takes
-the rational elimination unchanged.
+The caller proves an upper bound on the rank, and rank first eliminates
+the rows modulo 2.  An integer matrix has no higher rank over GF(2) than
+over Q: a square minor that is odd is a nonzero integer.  So a GF(2) rank
+that reaches the proven bound is the rational rank, with no probability
+involved, and every other case takes the rational elimination.
 """
 
 from itertools import compress, repeat
-from math import gcd, lcm
+from math import gcd
 from operator import and_
 
 __all__ = ["rank"]
 
-_INT = frozenset({int})
-_BIT = (1).__lshift__
 
-
-def _scaled(row):
-    """A {column: int} copy of the row's nonzero entries, scaled by their
-    denominator lcm.  The rows of the extremality criteria hold nonzero ints
-    only, so they are copied whole and type-tested in one pass."""
-    out = dict(row)
-    if 0 in out.values():
-        out = {j: x for j, x in out.items() if x}
-    if {*map(type, out.values())} <= _INT:
-        return out
-    den = lcm(*(x.denominator for x in out.values()))
-    return {j: int(x * den) for j, x in out.items()}
-
-
-def rank(rows, at_most=None):
-    """Rank of the matrix over the rationals.
-
-    at_most, when given, must be an upper bound on that rank which the
-    caller has proved; ValueError if the rows have more independent rows
-    modulo 2, which disproves it.  The rank is then certified by _rank_mod2
-    when it reaches the bound, and computed by _eliminate otherwise.
+def rank(rows, at_most):
+    """Rank over Q of the int rows, given an upper bound at_most on it that
+    the caller has proved; ValueError if the rows have more independent
+    rows modulo 2, which disproves it, and TypeError on an entry that is
+    not an int.  _rank_mod2 certifies a rank that reaches the bound, and
+    _eliminate ranks copies of the rows otherwise.
     """
-    if at_most is not None:
-        rows = list(rows)
-        low = _rank_mod2(rows)
-        if low == at_most:
-            return low
-        if low > at_most:
-            raise ValueError(f"the rows have rank at least {low}, above at_most={at_most}")
-    return _eliminate([row for row in map(_scaled, rows) if row])
-
-
-def _odd_mask(row):
-    """The bitmask of the columns where the row, scaled to integers, is
-    odd; an int row is read in place, its zeros being even."""
-    try:
-        return sum(map(_BIT, compress(row, map(and_, row.values(), repeat(1)))))
-    except TypeError:  # a Fraction entry has no & operator
-        return _odd_mask(_scaled(row))
+    low = _rank_mod2(rows)
+    if low == at_most:
+        return low
+    if low > at_most:
+        raise ValueError(f"the rows have rank at least {low}, above at_most={at_most}")
+    return _eliminate(map(dict, rows))
 
 
 def _rank_mod2(rows):
-    """Rank over GF(2) of the rows scaled to integers, a lower bound on
-    their rank over Q.
+    """Rank over GF(2) of the int rows, a lower bound on their rank over Q.
 
     Each row becomes the bitmask of its odd columns, and a mask is XORed
     with the pivot keyed by its lowest set bit until it vanishes or its
     lowest bit keys no pivot, where it becomes one.
     """
     pivots = {}
-    for m in map(_odd_mask, rows):
+    for row in rows:
+        m = sum(map((1).__lshift__, compress(row, map(and_, row.values(), repeat(1)))))
         while m:
             low = m & -m
             piv = pivots.get(low)
@@ -88,7 +57,7 @@ def _rank_mod2(rows):
 
 
 def _eliminate(rows):
-    """Rank over Q of nonzero {column: int} rows, which it consumes.
+    """Rank over Q of {column: int} rows, which it consumes.
 
     Fraction-free sparse elimination: rows are taken shortest first, and a
     row whose leading column already holds a pivot is cross-multiplied

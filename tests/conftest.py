@@ -702,7 +702,9 @@ def oracle_double_description(rows, dim):
                             for idx in range(len(processed))
                             if common >> idx & 1
                         ]
-                        if qlin.rank(zrows) == target:
+                        # both rays and the lineality space solve the
+                        # rows tight at both, which proves rank <= target
+                        if qlin.rank(zrows, at_most=target) == target:
                             combos.append(
                                 _reduce([tp * xm - tm * xp for xp, xm in zip(rp, rm)])
                             )

@@ -16,6 +16,7 @@ from conftest import (
     HIER4_GENERATORS,
     LADDER,
     core_structure,
+    dense_rows,
     equality_pairs,
     game_equality_system,
     game_from_table,
@@ -28,6 +29,7 @@ from conftest import (
     oracle_payoff_rows,
     oracle_vertex_rows,
     oracle_payoff_system,
+    oracle_rank,
     oracle_tight_family,
     payoff_equality_system,
     random_conic,
@@ -109,7 +111,7 @@ def equality_pair_solution_dimension(v):
         row((1, e.a | e.b), (1, e.a & e.b), (-1, e.a), (-1, e.b))
         for e in equality_pairs(v)
     ]
-    return size - qlin.rank(sparse_rows(rows))
+    return size - oracle_rank(rows)
 
 
 def test_game_rows_ignore_a_modular_shift_on_random_posets():
@@ -142,7 +144,7 @@ def test_tight_squares_span_the_equality_pair_rows_on_random_posets():
         probes.append(random_modular(rng, lat))
         for v in probes:
             rows, d = game_equality_system(v)
-            assert d - qlin.rank(rows) == equality_pair_solution_dimension(v)
+            assert d - oracle_rank(dense_rows(rows, d)) == equality_pair_solution_dimension(v)
 
 
 def test_generators_are_extreme_by_both_criteria(hier4_games):
@@ -211,7 +213,7 @@ def test_unreduced_payoff_system_has_the_same_solution_dimension(hier4, hier4_ga
     for v in probes:
         r_red, c_red = payoff_equality_system(v)
         r_full, c_full = oracle_payoff_system(v)
-        assert c_red - qlin.rank(r_red) == c_full - qlin.rank(sparse_rows(r_full))
+        assert c_red - oracle_rank(dense_rows(r_red, c_red)) == c_full - oracle_rank(r_full)
 
 
 def test_sparse_payoff_rows_match_the_dense_builder(
@@ -232,7 +234,11 @@ def test_sparse_payoff_rows_match_the_dense_builder(
         rows, ncols = payoff_equality_system(w)
         assert (rows, ncols) == oracle_vertex_rows(w)
         dense, dense_ncols = oracle_payoff_rows(w)
-        assert ncols - qlin.rank(rows) == dense_ncols - qlin.rank(sparse_rows(dense))
+        # the payoff array of w solves the dense rows, and is nonzero on
+        # every column, which bounds their rank for qlin.rank
+        bound = max(dense_ncols - 1, 0)
+        dense_rank = qlin.rank(sparse_rows(dense), at_most=bound)
+        assert ncols - oracle_rank(dense_rows(rows, ncols)) == dense_ncols - dense_rank
         assert all(rows) and all(0 <= j < ncols for row in rows for j in row)
         assert len({frozenset(row.items()) for row in rows}) == len(rows)
         for u in (v, v + random_modular(shift_rng, v.lattice)):
@@ -397,11 +403,27 @@ def test_facet_witness_exact_off_the_boolean_case(hier4):
         assert_witnesses_exact(lat, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
 
 
-def test_facet_witness_refuses_a_nonpositive_scale(flat3):
+def test_facet_witness_refuses_a_nonpositive_scale_or_a_non_square(flat3, hier4):
     t = sm.facet_triples(flat3)[0]
     for eps in (Fraction(0), Fraction(-1)):
         with pytest.raises(ValueError):
             facet_witness(flat3, t, eps=eps)
+    # a triple is a covering square only when base, base+i and base+j are
+    # elements and i, j are distinct players outside base: in hier4 player
+    # 1 sits above 2 and 3, so {1} and {1,2} are no down-sets
+    not_squares = [
+        (flat3, sm.FacetTriple(0, 1, 1)),
+        (flat3, sm.FacetTriple(0b1, 1, 2)),
+        (flat3, sm.FacetTriple(0b11, 2, 1)),
+        (flat3, sm.FacetTriple(0, 1, 4)),
+        (hier4, sm.FacetTriple(0, 1, 2)),
+        (hier4, sm.FacetTriple(0b10, 1, 3)),
+        (hier4, sm.FacetTriple(0b1, 2, 3)),
+        (hier4, sm.FacetTriple(0b110, 2, 4)),
+    ]
+    for lat, triple in not_squares:
+        with pytest.raises(ValueError, match="not a covering square"):
+            facet_witness(lat, triple)
 
 
 def test_ray_enumeration_matches_the_generator_tables(hier4, hier4_rays):
@@ -437,7 +459,7 @@ def test_rays_satisfy_all_facets_and_sit_on_a_corank_one_face(hier4, flat3):
                     row[pos[wi]] -= 1
                     row[pos[wj]] -= 1
                     tight_rows.append(row)
-            assert qlin.rank(sparse_rows(tight_rows)) == d - 1
+            assert oracle_rank(tight_rows) == d - 1
 
 
 def test_chain_lattices_have_no_rays(chain3, chain4):
@@ -610,8 +632,7 @@ def test_cone_dimension(hier4, flat3, flat4, chain3, single1, mixed5, wedge_chai
         assert sm.cone_dimension(lat) == len(lat.elements) - 1 - lat.poset.n
         # the enumerated rays span the whole cone
         rays = sm.extreme_rays(lat)
-        rank = qlin.rank(sparse_rows(g.values for g in rays)) if rays else 0
-        assert rank == sm.cone_dimension(lat)
+        assert oracle_rank([g.values for g in rays]) == sm.cone_dimension(lat)
 
 
 def test_extremality_criteria_agree_on_random_posets(hier4, flat4, one_rel5_rays):
@@ -642,8 +663,7 @@ def test_extremality_criteria_agree_on_random_posets(hier4, flat4, one_rel5_rays
             continue
         lattices += 1
         rays = sm.extreme_rays(lat)
-        rank = qlin.rank(sparse_rows(g.values for g in rays)) if rays else 0
-        assert rank == sm.cone_dimension(lat)
+        assert oracle_rank([g.values for g in rays]) == sm.cone_dimension(lat)
         agree(lat, rays, combinations(rays, 2))
     sums = rng.sample(list(combinations(one_rel5_rays, 2)), 300)
     agree(one_rel5_rays[0].lattice, one_rel5_rays, sums)

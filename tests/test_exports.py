@@ -1,7 +1,10 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-and the names that only tests use stay out of the package."""
+the names that only tests use stay out of the package, and no module of the
+package computes in floating point."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import supermod as sm
@@ -67,3 +70,25 @@ def test_no_name_is_listed_by_two_modules():
 def test_the_rank_kernel_stays_out_of_the_package():
     assert "rank" not in sm.__all__
     assert not hasattr(sm, "rank")
+
+
+def inexact_nodes(tree):
+    """The float literals, true divisions and float(...) calls of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            yield node
+
+
+def test_no_module_computes_in_floating_point():
+    # exact answers: every value is an int or a Fraction, so the source holds
+    # no float literal, no / (// and Fraction(p, q) divide exactly) and no
+    # float(...) call
+    paths = sorted(pathlib.Path(sm.__file__).parent.glob("*.py"))
+    assert {p.stem for p in paths} >= {"__init__", "cli", "cone", "qlin"}
+    for path in paths:
+        found = [node.lineno for node in inexact_nodes(ast.parse(path.read_text()))]
+        assert not found, f"{path.name} computes in floating point at lines {found}"

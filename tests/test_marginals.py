@@ -158,6 +158,27 @@ def test_core_contains(hier4, v1):
             sm.core_contains(v1, x)
 
 
+def _float_configuration(lat, v):
+    return {p: tuple(map(float, x)) for p, x in sm.point_configuration(v).items()}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lat: sm.core_contains(sm.unanimity(lat, 0b11), (0.1, 0.9)),
+        lambda lat: sm.payoff((0.5, 0.5), 0b11),
+        lambda lat: sm.game_from_configuration(lat, _float_configuration(lat, sm.unanimity(lat, 0b11))),
+    ],
+    ids=["core_contains", "payoff", "game_from_configuration"],
+)
+def test_payoff_vectors_refuse_floats(call):
+    # 0.1 + 0.9 is not 1 in binary, and 0.5 + 0.5 would come back a float:
+    # a float payoff is refused with TypeError, as a float game value is
+    flat2 = sm.build_lattice(sm.poset_from_covers(2, []))
+    with pytest.raises(TypeError, match="float"):
+        call(flat2)
+
+
 def test_core_vertices_examples(hier4, v1, hier4_games):
     assert sm.core_vertices(v1) == [(0, 0, 0, 1), (0, 1, 0, 0)]
     assert sm.core_vertices(sm.zero_game(hier4)) == [(0, 0, 0, 0)]

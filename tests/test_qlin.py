@@ -24,36 +24,45 @@ from conftest import (
 
 
 def test_rank_examples():
-    # rows are maps of their nonzero entries: an empty map is a zero row,
-    # a column a row does not name holds zero, and entries may be Fractions
-    assert qlin.rank([{0: 1}, {1: 1}]) == 2
-    assert qlin.rank([{}, {}, {}]) == 0
-    assert qlin.rank(sparse_rows([[1, 1, 0], [0, 1, 1], [1, 2, 1]])) == 2
-    assert qlin.rank([]) == 0
-    assert qlin.rank([{0: Fraction(1, 2), 1: Fraction(1, 3)}]) == 1
-    assert qlin.rank([{0: Fraction(1, 2), 1: 1}, {0: 3, 1: Fraction(6)}, {}]) == 1
-    assert qlin.rank([{7: 1}, {3: -2, 9: 1}, {3: 4, 9: -2}, {1000: Fraction(-5, 3)}]) == 3
-    assert qlin.rank([{5: 2, 2: 1}, {2: 1, 5: 2}]) == 1  # key order is free
+    # rows are maps of their nonzero int entries: an empty map is a zero
+    # row, and a column a row does not name holds zero
+    assert qlin.rank([{0: 1}, {1: 1}], at_most=2) == 2
+    assert qlin.rank([{}, {}, {}], at_most=0) == 0
+    assert qlin.rank(sparse_rows([[1, 1, 0], [0, 1, 1], [1, 2, 1]]), at_most=2) == 2
+    assert qlin.rank([], at_most=0) == 0
+    assert qlin.rank([{7: 1}, {3: -2, 9: 1}, {3: 4, 9: -2}, {1000: -5}], at_most=3) == 3
+    assert qlin.rank([{5: 2, 2: 1}, {2: 1, 5: 2}], at_most=1) == 1  # key order is free
+
+
+def test_rank_requires_a_bound():
+    with pytest.raises(TypeError):
+        qlin.rank([{0: 1}, {1: 1}])
+
+
+def test_rank_refuses_fraction_entries():
+    # a Fraction, even an integral one, is refused rather than ranked, also
+    # after rows that already reach the bound
+    for entry in (Fraction(1, 2), Fraction(2), 0.5):
+        with pytest.raises(TypeError):
+            qlin.rank([{0: 1}, {1: entry}], at_most=2)
+        with pytest.raises(TypeError):
+            qlin.rank([{0: 1}, {0: entry}], at_most=1)
 
 
 def test_rank_leaves_its_rows_unchanged():
     # elimination works on copies: the pivots and reduced rows never alias
-    # the caller's maps, whose entries and key order stay as they were
-    rows = [
-        {0: 2, 1: 4},
-        {0: 3, 1: 1, 2: Fraction(1, 2)},
-        {2: 1, 0: 1},
-        {},
-        {1: Fraction(2, 3), 2: -1},
-    ]
+    # the caller's maps, whose entries and key order stay as they were; the
+    # GF(2) rank 3 certifies at_most=3, and at_most=4 takes the elimination
+    rows = [{0: 2, 1: 4}, {0: 3, 1: 1, 2: 1}, {2: 1, 0: 1}, {}, {1: 1, 2: -1}]
     before = [list(row.items()) for row in rows]
-    assert qlin.rank(rows) == 3
-    assert [list(row.items()) for row in rows] == before
-    assert qlin.rank(rows) == 3
+    for bound in (3, 4, 3, 4):
+        assert qlin.rank(rows, at_most=bound) == 3
+        assert [list(row.items()) for row in rows] == before
 
 
 def test_rank_matches_bareiss_oracle_on_random_matrices():
-    # zero rows and repeated rows (scaled copies included) must not count
+    # zero rows and repeated rows (scaled copies included) must not count;
+    # the row count bounds the rank, so both paths of rank are taken
     rng = random.Random(4431)
     ranks = set()
     for k in range(120):
@@ -66,19 +75,21 @@ def test_rank_matches_bareiss_oracle_on_random_matrices():
             elif pick < 0.35 and rows:
                 rows.append([3 * x for x in rng.choice(rows)])
             elif k % 2:
-                rows.append([Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(ncols)])
+                rows.append([rng.randint(-24, 24) for _ in range(ncols)])
             else:
                 rows.append([rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(ncols)])
         rng.shuffle(rows)
-        assert qlin.rank(sparse_rows(rows)) == oracle_rank(rows)
-        ranks.add(qlin.rank(sparse_rows(rows)))
+        expected = oracle_rank(rows)
+        assert qlin.rank(sparse_rows(rows), at_most=min(len(rows), ncols)) == expected
+        assert qlin._eliminate(sparse_rows(rows)) == expected
+        ranks.add(expected)
     assert len(ranks) > 5
 
 
 def test_rank_matches_bareiss_oracle_on_random_sparse_systems():
     # a few entries per row over many columns, like the equality systems:
-    # +-1 entries, larger ints and Fractions, empty maps and rows that share
-    # their support; every system is ranked twice to catch aliasing
+    # +-1 entries, larger ints, empty maps and rows that share their
+    # support; every system is ranked twice to catch aliasing
     rng = random.Random(8821)
     ranks = set()
     for _ in range(150):
@@ -102,11 +113,12 @@ def test_rank_matches_bareiss_oracle_on_random_sparse_systems():
                 elif pick < 0.85:
                     row[j] = rng.choice((-1, 1)) * rng.randint(2, 9)
                 else:
-                    row[j] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(2, 5))
+                    row[j] = rng.choice((-1, 1)) * rng.randint(10, 60)
             rows.append(row)
         copies = [dict(row) for row in rows]
-        k = qlin.rank(rows)
-        assert k == qlin.rank(rows) == oracle_rank(dense_rows(rows, ncols))
+        bound = min(len(rows), ncols)
+        k = qlin.rank(rows, at_most=bound)
+        assert k == qlin.rank(rows, at_most=bound) == oracle_rank(dense_rows(rows, ncols))
         assert rows == copies
         ranks.add(k)
     assert len(ranks) > 10
@@ -114,26 +126,29 @@ def test_rank_matches_bareiss_oracle_on_random_sparse_systems():
 
 def test_rank_with_growing_non_unit_pivots():
     # the scaled Hilbert matrix has no +-1 pivot, so every step cross-
-    # multiplies by gcds; it is nonsingular, and a combination of its rows
-    # (with Fraction weights) adds nothing
-    hilbert = [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)]
-    scaled = [[x * 720720 for x in row] for row in hilbert]
-    assert qlin.rank(sparse_rows(scaled)) == oracle_rank(scaled) == 8
-    assert qlin.rank(sparse_rows(hilbert)) == 8
-    combo = [sum(Fraction(k + 1, 7) * row[j] for k, row in enumerate(hilbert[:5])) for j in range(8)]
-    assert qlin.rank(sparse_rows(hilbert[:5] + [combo])) == oracle_rank(hilbert[:5] + [combo]) == 5
-    assert qlin.rank(sparse_rows(row[:6] for row in scaled)) == 6
+    # multiplies by gcds; it is nonsingular, and an integer combination of
+    # its rows adds nothing
+    scaled = [[720720 // (i + j + 1) for j in range(8)] for i in range(8)]
+    assert qlin.rank(sparse_rows(scaled), at_most=8) == oracle_rank(scaled) == 8
+    assert qlin._eliminate(sparse_rows(scaled)) == 8
+    combo = [sum((k + 1) * row[j] for k, row in enumerate(scaled[:5])) for j in range(8)]
+    assert qlin._eliminate(sparse_rows(scaled[:5] + [combo])) == 5
+    assert oracle_rank(scaled[:5] + [combo]) == 5
+    assert qlin._eliminate(sparse_rows(row[:6] for row in scaled)) == 6
 
 
 def test_rank_matches_bareiss_oracle_on_one_rel5_systems(one_rel5_rays):
-    # both extremality systems of the rays (rank ncols - 1) and of sums of
-    # two rays, whose solution spaces are larger; Bareiss takes 68 s for
-    # the payoff systems of all 241 rays, so it sees a seeded sample of them
+    # both extremality systems of the rays (rank ncols - 1), certified mod 2
+    # and eliminated over Q, and of sums of two rays, whose solution spaces
+    # are larger; Bareiss takes 68 s for the payoff systems of all 241 rays,
+    # so it sees a seeded sample of them
     for r in one_rel5_rays:
         rows, d = game_equality_system(r)
-        assert qlin.rank(rows) == oracle_rank(dense_rows(rows, d)) == d - 1
+        assert qlin.rank(rows, at_most=d - 1) == oracle_rank(dense_rows(rows, d)) == d - 1
+        assert qlin._eliminate(map(dict, rows)) == d - 1
         rows, ncols = payoff_equality_system(r)
-        assert qlin.rank(rows) == ncols - 1
+        assert qlin.rank(rows, at_most=ncols - 1) == ncols - 1
+        assert qlin._eliminate(map(dict, rows)) == ncols - 1
     rng = random.Random(7301)
     for r in rng.sample(one_rel5_rays, 6):
         rows, ncols = payoff_equality_system(r)
@@ -142,7 +157,7 @@ def test_rank_matches_bareiss_oracle_on_one_rel5_systems(one_rel5_rays):
     for _ in range(8):
         a, b = rng.sample(one_rel5_rays, 2)
         for rows, ncols in (payoff_equality_system(a + b), game_equality_system(a + b)):
-            k = qlin.rank(rows)
+            k = qlin.rank(rows, at_most=ncols - 1)
             assert k == oracle_rank(dense_rows(rows, ncols))
             nullities.add(ncols - k)
     assert min(nullities) == 2 and max(nullities) > 2
@@ -162,26 +177,22 @@ def test_rank_certified_by_a_proven_bound(rational_path):
     assert qlin.rank([{0: 1}, {1: 1}], at_most=2) == 2
     assert qlin.rank([{0: 1, 1: 1}, {1: 1, 2: -1}, {0: 1, 2: 1}], at_most=2) == 2
     assert qlin.rank([{0: 3, 1: 2}, {0: 6, 1: 4}], at_most=1) == 1
-    assert qlin.rank([{0: Fraction(1, 2), 1: Fraction(1, 3)}], at_most=1) == 1  # (3, 2)
     assert qlin.rank([], at_most=0) == 0
-    assert qlin.rank([{}, {0: 0}], at_most=0) == 0
+    assert qlin.rank([{}], at_most=0) == 0
     assert rational_path == []
     # GF(2) falls short and the rational elimination reaches the bound:
-    # (1, 1) and (1, -1) coincide mod 2, all-even rows vanish there, and
-    # Fraction rows are scaled over their denominators first
+    # (1, 1) and (1, -1) coincide mod 2, and all-even rows vanish there
     assert qlin.rank([{0: 1, 1: 1}, {0: 1, 1: -1}], at_most=2) == 2
     assert qlin.rank([{0: 2, 1: 4}, {1: 6}], at_most=2) == 2
     assert qlin.rank([{0: 2}, {0: 1, 1: 1}], at_most=2) == 2
-    assert qlin.rank([{0: Fraction(1, 2), 1: Fraction(3, 2)}, {0: 1, 1: 5}], at_most=2) == 2
-    assert qlin.rank([{0: Fraction(2, 3), 1: Fraction(4, 3)}, {1: Fraction(1, 5)}], at_most=2) == 2
+    assert qlin.rank([{0: 1, 1: 3}, {0: 1, 1: 5}], at_most=2) == 2
+    assert qlin.rank([{0: 2, 1: 4}, {1: 3}], at_most=2) == 2
     assert len(rational_path) == 5
     # a bound that holds but is not reached is no certificate either
     assert qlin.rank([{0: 1, 1: 1}, {0: 2, 1: 2}], at_most=2) == 1
     assert qlin.rank([{0: 2, 1: 2}], at_most=1) == 1
     assert len(rational_path) == 7
-    # rows given once, as an iterator, are read by both passes
-    assert qlin.rank(iter([{0: 1, 1: 1}, {0: 1, 1: -1}]), at_most=2) == 2
-    assert qlin.rank((sparse_rows([[2, 0], [0, 2]])), at_most=2) == 2
+    assert qlin.rank(sparse_rows([[2, 0], [0, 2]]), at_most=2) == 2
 
 
 def test_rank_refuses_a_bound_below_the_gf2_rank(rational_path):
@@ -196,19 +207,11 @@ def test_rank_refuses_a_bound_below_the_gf2_rank(rational_path):
     assert len(rational_path) == 1
 
 
-def test_certified_rank_leaves_its_rows_unchanged():
-    rows = [{0: 2, 1: 4}, {0: 3, 1: 1, 2: Fraction(1, 2)}, {2: 1, 0: 1}, {}, {1: 1, 2: -1}]
-    before = [list(row.items()) for row in rows]
-    for bound in (3, 4):
-        assert qlin.rank(rows, at_most=bound) == 3
-        assert [list(row.items()) for row in rows] == before
-
-
 def test_certified_rank_matches_the_oracle_on_planted_kernels(rational_path):
     # seeded matrices with a planted nonzero kernel vector z, so rank <=
     # ncols - 1 is proven: each row is random off column t, and its entry at
-    # t (where z is 1) cancels the rest.  Small entries, even scalings and
-    # Fraction weights give both GF(2) certificates and rational fallbacks.
+    # t (where z is 1) cancels the rest.  Small entries and even and odd
+    # scalings give both GF(2) certificates and rational fallbacks.
     rng = random.Random(9377)
     certified = fallbacks = 0
     for k in range(200):
@@ -224,18 +227,18 @@ def test_certified_rank_matches_the_oracle_on_planted_kernels(rational_path):
             if rng.random() < 0.2:
                 row = [2 * x for x in row]
             elif k % 3 == 0:
-                w = Fraction(rng.randint(1, 6), rng.randint(2, 5))
+                w = rng.randint(3, 7)
                 row = [w * x for x in row]
             rows.append(row)
         assert all(sum(x * y for x, y in zip(row, z)) == 0 for row in rows)
         expected = oracle_rank(rows) if rows else 0
         before = len(rational_path)
         assert qlin.rank(sparse_rows(rows), at_most=ncols - 1) == expected
-        assert qlin.rank(sparse_rows(rows)) == expected
-        if len(rational_path) == before + 1:
+        if len(rational_path) == before:
             certified += 1
         else:
             fallbacks += 1
+        assert qlin._eliminate(sparse_rows(rows)) == expected
     assert certified > 40 and fallbacks > 40
 
 
@@ -277,7 +280,7 @@ def test_nullspace_vectors_satisfy_system_exactly():
     for _ in range(50):
         rows = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(rng.randint(1, 5))]
         basis = nullspace(rows)
-        assert qlin.rank(sparse_rows(rows)) + len(basis) == 6
+        assert qlin.rank(sparse_rows(rows), at_most=len(rows)) + len(basis) == 6
         for b in basis:
             for row in rows:
                 assert sum(x * y for x, y in zip(row, b)) == 0
