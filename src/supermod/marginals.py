@@ -36,17 +36,25 @@ __all__ = [
 def payoff(x, mask):
     """Total payoff x(A) of the coalition mask under the vector x.
 
-    ValueError if the mask holds a player past the end of x.  A vector with
-    more entries than players cannot be told apart without n, so callers
-    that know n (such as core_contains) check that themselves.  A float
-    entry is refused with TypeError, since it is already rounded.
+    ValueError if the mask holds a player past the end of x; TypeError on a
+    float.  A vector longer than the players cannot be told apart without n,
+    so callers that know n (such as core_contains) check that themselves.
     """
-    if any(isinstance(t, float) for t in x):
-        raise TypeError("payoffs must be exact (int or Fraction), not float")
     if mask >> len(x):
         raise ValueError(
             f"coalition holds player {mask.bit_length()}, the vector has {len(x)} entries"
         )
+    return _total(_exact(x), mask)
+
+
+def _exact(x):
+    """x, or TypeError if it holds a float, which is already rounded."""
+    if any(isinstance(t, float) for t in x):
+        raise TypeError("payoffs must be exact (int or Fraction), not float")
+    return x
+
+
+def _total(x, mask):
     return sum((x[i - 1] for i in players_from_mask(mask)), Fraction(0))
 
 
@@ -158,14 +166,13 @@ def point_configuration(v):
 
 
 def core_contains(v, x):
-    """True iff x is efficient and dominates v on every element; x holds
-    ints or Fractions, and a float entry is refused by payoff."""
-    x = tuple(x)
+    """True iff x is efficient and dominates v everywhere; TypeError on a float."""
+    x = tuple(map(Fraction, _exact(tuple(x))))
     if len(x) != v.lattice.poset.n:
         raise ValueError(f"vector must have {v.lattice.poset.n} entries, got {len(x)}")
-    if payoff(x, v.lattice.top) != v.value(v.lattice.top):
+    if _total(x, v.lattice.top) != v.value(v.lattice.top):
         return False
-    return all(payoff(x, a) >= v.value(a) for a in v.lattice.elements)
+    return all(_total(x, a) >= v.value(a) for a in v.lattice.elements)
 
 
 def core_vertices(v, max_chains=DEFAULT_MAX_CHAINS):
@@ -227,11 +234,9 @@ def game_from_configuration(lattice, config):
     n = lattice.poset.n
     totals = {}
     for c in chains:
-        y = config[c.perm]
+        y = _exact(config[c.perm])
         if len(y) != n:
             raise ValueError(f"vector for {format_perm(c.perm)} must have {n} entries")
-        if any(isinstance(t, float) for t in y):
-            raise TypeError("payoffs must be exact (int or Fraction), not float")
         run = Fraction(0)
         for step, player in enumerate(c.perm, start=1):
             run += Fraction(y[player - 1])

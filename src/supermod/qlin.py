@@ -1,8 +1,8 @@
 """Exact rank over the rationals of sparse integer matrices.
 
-A matrix is a list of rows, and a row is a mapping {column: entry} of its
-nonzero int entries, with nonnegative int columns; a column it does not
-name holds zero, and an empty mapping is a zero row.  These are the
+A matrix is an iterable of rows, and a row is a mapping {column: entry}
+of its nonzero int entries, with nonnegative int columns; a column it
+does not name holds zero, and an empty mapping is a zero row.  These are the
 equality systems of the extremality criteria (rows of a few +-1 entries
 each), eliminated without touching their zeros, floating point or the
 caller's rows.
@@ -28,6 +28,7 @@ def rank(rows, at_most):
     not an int.  _rank_mod2 certifies a rank that reaches the bound, and
     _eliminate ranks copies of the rows otherwise.
     """
+    rows = list(rows)
     low = _rank_mod2(rows)
     if low == at_most:
         return low

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,9 @@ def test_core_contains(hier4, v1):
     assert not sm.core_contains(v1, (1, 0, 0, 0))
     assert not sm.core_contains(v1, (0, 0, 0, 2))  # not efficient
     assert sm.core_contains(sm.zero_game(hier4), (0, 0, 0, 0))
+    # exact entries of any kind are read as Fractions, from any iterable
+    assert sm.core_contains(v1, ("0", "1/2", Decimal(0), Decimal("0.5")))
+    assert sm.core_contains(v1, iter((0, 0, 0, 1)))
     # one entry per player, neither more nor fewer
     for x, got in (((0, 0, 0, 1, 5), 5), ((0, 1), 2)):
         with pytest.raises(ValueError, match=f"vector must have 4 entries, got {got}"):

@@ -192,6 +192,8 @@ def test_rank_certified_by_a_proven_bound(rational_path):
     assert qlin.rank([{0: 1, 1: 1}, {0: 2, 1: 2}], at_most=2) == 1
     assert qlin.rank([{0: 2, 1: 2}], at_most=1) == 1
     assert len(rational_path) == 7
+    # rows given once, as an iterator, are read by both passes
+    assert qlin.rank(iter([{0: 1, 1: 1}, {0: 1, 1: -1}]), at_most=2) == 2
     assert qlin.rank(sparse_rows([[2, 0], [0, 2]]), at_most=2) == 2
 
 
