@@ -152,6 +152,11 @@ def vector_payload(x):
     return [str(t) for t in x]
 
 
+def value_lines(game, indent, empty):
+    """Table lines of the game's nonzero values, or [empty] for none."""
+    return [f"{indent}{format_coalition(a)}: {v}" for a, v in game.to_mapping().items()] or [empty]
+
+
 # -- input loading -------------------------------------------------------------
 
 
@@ -209,10 +214,10 @@ def load_game(path, args):
 
 
 def emit(args, lines, payload):
-    """Prints lines under --format table, else the JSON of payload(), a
-    function called only then."""
+    """Prints the lines of lines() under --format table, else the JSON of
+    payload(): two functions, of which only the one for the format runs."""
     if args.format == "table":
-        for line in lines:
+        for line in lines():
             print(line)
     else:
         print(json.dumps(payload(), sort_keys=True, indent=2))
@@ -223,19 +228,15 @@ def emit(args, lines, payload):
 
 def cmd_poset_show(args):
     p = load_poset(args.poset)
-    leq_pairs = [
-        [i, j]
-        for i in range(1, p.n + 1)
-        for j in range(1, p.n + 1)
-        if i != j and p.leq(i, j)
-    ]
-    lines = [f"n = {p.n}", "covers: " + " ".join(f"{i}<{j}" for i, j in p.covers())]
-    for i in range(1, p.n + 1):
-        lines.append(f"down({i}) = {format_coalition(p.principal_down_set(i))}")
-    emit(args, lines, lambda: {
+    players = range(1, p.n + 1)
+    emit(args, lambda: [
+        f"n = {p.n}",
+        "covers: " + " ".join(f"{i}<{j}" for i, j in p.covers()),
+        *(f"down({i}) = {format_coalition(p.principal_down_set(i))}" for i in players),
+    ], lambda: {
         "n": p.n,
         "covers": [list(c) for c in p.covers()],
-        "leq_pairs": leq_pairs,
+        "leq_pairs": [[i, j] for i in players for j in players if i != j and p.leq(i, j)],
         "principal_down_sets": {
             str(i): players_from_mask(p.principal_down_set(i)) for i in range(1, p.n + 1)
         },
@@ -245,7 +246,7 @@ def cmd_poset_show(args):
 
 def cmd_lattice_downsets(args):
     lat = load_lattice(args.poset, args)
-    emit(args, [format_coalition(a) for a in lat.elements], lambda: {
+    emit(args, lambda: map(format_coalition, lat.elements), lambda: {
         "count": len(lat.elements),
         "downsets": [players_from_mask(a) for a in lat.elements],
     })
@@ -255,11 +256,10 @@ def cmd_lattice_downsets(args):
 def cmd_lattice_chains(args):
     lat = load_lattice(args.poset, args)
     chains = lat.maximal_chains(max_chains=args.max_chains)
-    lines = [
+    emit(args, lambda: (
         f"{format_perm(c.perm)}: " + " < ".join(format_coalition(a) for a in c.sets)
         for c in chains
-    ]
-    emit(args, lines, lambda: {
+    ), lambda: {
         "count": len(chains),
         "chains": [
             {"perm": format_perm(c.perm), "sets": [players_from_mask(a) for a in c.sets]}
@@ -274,7 +274,7 @@ def cmd_lattice_moebius(args):
     x = parse_coalition(args.from_set, lat.poset.n)
     y = parse_coalition(args.to_set, lat.poset.n)
     value = lat.mobius(x, y)
-    emit(args, [f"mu({format_coalition(x)}, {format_coalition(y)}) = {value}"], lambda: {
+    emit(args, lambda: [f"mu({format_coalition(x)}, {format_coalition(y)}) = {value}"], lambda: {
         "from": players_from_mask(x),
         "to": players_from_mask(y),
         "value": str(value),
@@ -293,7 +293,7 @@ _CLASS_CHECKS = {
 def cmd_game_check(args):
     g = load_game(args.game, args)
     result = _CLASS_CHECKS[args.cls](g)
-    emit(args, [f"{args.cls}: {'yes' if result else 'no'}"],
+    emit(args, lambda: [f"{args.cls}: {'yes' if result else 'no'}"],
          lambda: {"class": args.cls, "result": result})
     return 0 if result else 1
 
@@ -301,26 +301,25 @@ def cmd_game_check(args):
 def cmd_game_moebius(args):
     g = load_game(args.game, args)
     t = mobius_transform(g)
-    lines = [f"{format_coalition(a)}: {v}" for a, v in t.to_mapping().items()]
-    emit(args, lines or ["(zero transform)"], lambda: {"values": game_payload(t)})
+    emit(args, lambda: value_lines(t, "", "(zero transform)"),
+         lambda: {"values": game_payload(t)})
     return 0
 
 
 def cmd_game_normalize(args):
     g = load_game(args.game, args)
     w, m = zero_normalize(g)
-    lines = ["zero-normalized part:"]
-    lines += [f"  {format_coalition(a)}: {v}" for a, v in w.to_mapping().items()] or ["  0"]
-    lines.append("modular part:")
-    lines += [f"  {format_coalition(a)}: {v}" for a, v in m.to_mapping().items()] or ["  0"]
-    emit(args, lines, lambda: {"zero_normalized": game_payload(w), "modular": game_payload(m)})
+    emit(args, lambda: [
+        "zero-normalized part:", *value_lines(w, "  ", "  0"),
+        "modular part:", *value_lines(m, "  ", "  0"),
+    ], lambda: {"zero_normalized": game_payload(w), "modular": game_payload(m)})
     return 0
 
 
 def cmd_core_vertices(args):
     g = load_game(args.game, args)
     verts = core_vertices(g, max_chains=args.max_chains)
-    emit(args, ["(" + ", ".join(str(t) for t in x) + ")" for x in verts],
+    emit(args, lambda: ("(" + ", ".join(str(t) for t in x) + ")" for x in verts),
          lambda: {"count": len(verts), "vertices": [vector_payload(x) for x in verts]})
     return 0
 
@@ -332,12 +331,11 @@ def cmd_core_tight(args):
     tight_set = tight_sets(g, chain)
     tight = [a for a in g.lattice.elements if a in tight_set]
     zero_players = sorted(zero_coords(g, chain))
-    lines = [
+    emit(args, lambda: [
         f"marginal: (" + ", ".join(str(t) for t in x) + ")",
         "tight: " + " ".join(format_coalition(a) for a in tight),
         "zero players: " + (" ".join(str(i) for i in zero_players) or "none"),
-    ]
-    emit(args, lines, lambda: {
+    ], lambda: {
         "perm": format_perm(chain.perm),
         "marginal": vector_payload(x),
         "tight": [players_from_mask(a) for a in tight],
@@ -350,7 +348,7 @@ def cmd_core_envelope(args):
     g = load_game(args.game, args)
     mask = parse_coalition(args.coalition, g.lattice.poset.n)
     value = lower_envelope(g, mask)
-    emit(args, [f"min over chains of x({format_coalition(mask)}) = {value}"],
+    emit(args, lambda: [f"min over chains of x({format_coalition(mask)}) = {value}"],
          lambda: {"coalition": players_from_mask(mask), "value": str(value)})
     return 0
 
@@ -358,10 +356,9 @@ def cmd_core_envelope(args):
 def cmd_core_witness(args):
     lat = load_lattice(args.poset, args)
     x = unboundedness_witness(lat)
-    lines = (
-        ["(" + ", ".join(str(t) for t in x) + ")"] if x else ["no witness: the order is flat"]
-    )
-    emit(args, lines, lambda: {"witness": vector_payload(x) if x else None})
+    emit(args, lambda: [
+        "(" + ", ".join(str(t) for t in x) + ")" if x else "no witness: the order is flat"
+    ], lambda: {"witness": vector_payload(x) if x else None})
     return 0 if x else 1
 
 
@@ -374,9 +371,12 @@ def cmd_cone_is_extreme(args):
     # an extreme game is never modular
     if not extreme and is_modular(g):
         payload["note"] = "0-normalized part is zero; non-extreme by convention"
-    lines = [f"extreme: {'yes' if extreme else 'no'}"]
-    if "note" in payload:
-        lines.append(payload["note"])
+
+    def lines():
+        yield f"extreme: {'yes' if extreme else 'no'}"
+        if "note" in payload:
+            yield payload["note"]
+
     emit(args, lines, lambda: payload)
     return 0 if extreme else 1
 
@@ -384,20 +384,20 @@ def cmd_cone_is_extreme(args):
 def cmd_cone_rays(args):
     lat = load_lattice(args.poset, args)
     rays = extreme_rays(lat, max_elements=args.max_cone, max_rays=args.max_dd_rays)
-    # built only when emit prints them, under --format table
-    lines = (
+    emit(args, lambda: [
         f"ray {k}: " + ", ".join(f"{format_coalition(a)}={v}" for a, v in g.to_mapping().items())
         for k, g in enumerate(rays, start=1)
-    )
-    emit(args, lines if rays else ["(no rays: the cone is trivial)"],
-         lambda: {"count": len(rays), "rays": [game_payload(g) for g in rays]})
+    ] or ["(no rays: the cone is trivial)"], lambda: {
+        "count": len(rays),
+        "rays": [game_payload(g) for g in rays],
+    })
     return 0
 
 
 def cmd_cone_facets(args):
     lat = load_lattice(args.poset, args)
     triples = facet_triples(lat)
-    emit(args, [t.render() for t in triples], lambda: {
+    emit(args, lambda: (t.render() for t in triples), lambda: {
         "count": len(triples),
         "facets": [
             {
@@ -416,7 +416,7 @@ def cmd_cone_dim(args):
     lat = load_lattice(args.poset, args)
     dim = cone_dimension(lat)
     ambient = len(lat.elements) - 1
-    emit(args, [f"dimension {dim} in ambient {ambient}"],
+    emit(args, lambda: [f"dimension {dim} in ambient {ambient}"],
          lambda: {"dimension": dim, "ambient": ambient})
     return 0
 
@@ -425,7 +425,7 @@ def cmd_cone_face_compare(args):
     g1 = load_game(args.game1, args)
     g2 = load_game(args.game2, args)
     relation = face_compare(g1, g2)
-    emit(args, [relation], lambda: {"relation": relation})
+    emit(args, lambda: [relation], lambda: {"relation": relation})
     return 0
 
 
@@ -582,15 +582,16 @@ def reproduce_paper(
 
 def cmd_reproduce_paper(args):
     report = reproduce_paper(args.golden, lattice_cap(args), args.max_dd_rays)
-    lines = []
-    for c in report["checks"]:
-        status = "PASS" if c["pass"] else "FAIL"
-        lines.append(f"{status}  {c['claim']}")
-        if not c["pass"]:
-            lines.append(f"      expected: {c['expected']}")
-            lines.append(f"      got:      {c['got']}")
-    results = report["results"]
-    lines.append(f"{results['checks_passed']}/{results['checks_total']} checks passed")
+
+    def lines():
+        for c in report["checks"]:
+            yield f"{'PASS' if c['pass'] else 'FAIL'}  {c['claim']}"
+            if not c["pass"]:
+                yield f"      expected: {c['expected']}"
+                yield f"      got:      {c['got']}"
+        results = report["results"]
+        yield f"{results['checks_passed']}/{results['checks_total']} checks passed"
+
     emit(args, lines, lambda: report)
     failure = next((c for c in report["checks"] if not c["pass"]), None)
     if failure is not None:

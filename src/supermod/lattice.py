@@ -2,9 +2,10 @@
 
 Meet and join of down-sets are plain intersection and union of masks, so the
 lattice stores only the element list (canonically ordered), the players
-addable to each element (recorded by the breadth-first build that finds the
-elements) and the join-irreducible elements with their unique lower covers.
-Everything is exact integer work.
+addable to each element (recorded by the build that finds the elements by
+doubling them player by player over a linear extension) and the
+join-irreducible elements with their unique lower covers.  Everything is
+exact integer work.
 """
 
 from __future__ import annotations
@@ -53,31 +54,34 @@ class DownSetLattice:
         self.poset = poset
         n = poset.n
         strict = [poset.strict_down_set(i + 1) for i in range(n)]
-        addable = {0: 0}  # every element found, with its addable players
-        queue = [0]
-        head = 0
-        while head < len(queue):
-            a = queue[head]
-            head += 1
-            out = 0
-            for i in range(n):
-                bit = 1 << i
-                if a & bit or strict[i] & ~a:
-                    continue
-                out |= bit
-                b = a | bit
-                if b not in addable:
-                    addable[b] = 0
-                    if len(addable) > max_elements:
-                        raise SizeError(
-                            f"lattice exceeds the cap of {max_elements} elements;"
-                            " raise it with --max-lattice or max_elements"
-                        )
-                    queue.append(b)
-            addable[a] = out
-        self.elements = tuple(sorted(addable, key=_canonical_key))
+        # doubling over a linear extension (the players by the size of their
+        # down-sets): the down-sets within the players seen so far, each with
+        # its addable players, gain a + i for every a that i is addable to
+        elements = [0]
+        addable = [sum(1 << i for i in range(n) if not strict[i])]
+        seen = 0
+        for i in sorted(range(n), key=[s.bit_count() for s in strict].__getitem__):
+            bit = 1 << i
+            seen |= bit
+            # a + i newly admits only players whose strict down-sets end at i
+            fresh = [(1 << j, s) for j, s in enumerate(strict) if s & bit and not s & ~seen]
+            ups = [a | bit for a, out in zip(elements, addable) if out & bit]
+            outs = [out ^ bit for out in addable if out & bit]
+            for j, s in fresh:
+                outs = [out | j if not s & ~b else out for b, out in zip(ups, outs)]
+            if len(elements) + len(ups) > max_elements:
+                raise SizeError(
+                    f"lattice exceeds the cap of {max_elements} elements;"
+                    " raise it with --max-lattice or max_elements"
+                )
+            elements += ups
+            addable += outs
+        table = dict(zip(elements, addable))
+        elements.sort()
+        elements.sort(key=int.bit_count)
+        self.elements = tuple(elements)
         self.index = {a: k for k, a in enumerate(self.elements)}
-        self._addable = tuple(addable[a] for a in self.elements)
+        self._addable = tuple(map(table.__getitem__, self.elements))
         self.top = self.elements[-1]
         self.bottom = 0
         # join-irreducible elements are exactly the principal down-sets;
@@ -90,7 +94,7 @@ class DownSetLattice:
             raise RuntimeError("principal down-sets are not pairwise distinct")
         self.join_irreducibles = tuple(sorted(self._ji_pred, key=_canonical_key))
         # every element must pass the poset's own down-set test; this guards
-        # the breadth-first enumeration above
+        # the doubling build above
         if not all(map(poset.is_down_set, self.elements)):
             raise RuntimeError("down-set enumeration produced a non-down-set")
 

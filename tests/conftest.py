@@ -139,6 +139,28 @@ def brute_downsets(p):
     return out
 
 
+def oracle_addable(p, a):
+    """Mask of the players i outside a whose principal down-set lies inside
+    a + i, tested player by player."""
+    out = 0
+    for i in range(1, p.n + 1):
+        bit = 1 << (i - 1)
+        if not a & bit and not p.principal_down_set(i) & ~(a | bit):
+            out |= bit
+    return out
+
+
+def oracle_join_irreducibles(p):
+    """The down-sets with exactly one lower cover among all down-sets, by a
+    subset scan, in (size, mask) order."""
+    downs = brute_downsets(p)
+    members = set(downs)
+    return [
+        a for a in downs
+        if sum(a >> k & 1 and a & ~(1 << k) in members for k in range(p.n)) == 1
+    ]
+
+
 def oracle_covers(p):
     """Cover pairs by definition: i < j with no k strictly between them."""
     n = range(1, p.n + 1)

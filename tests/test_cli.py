@@ -416,14 +416,105 @@ def test_cone_rays_table_keeps_its_bytes(ws, capsys):
     assert code == 0 and payload_of(out) == {"count": 0, "rays": []}
 
 
-def test_cone_rays_json_builds_no_table_line(ws, capsys, monkeypatch):
-    # format_coalition writes the table's coalitions and no JSON key
-    def refuse(mask):
-        raise AssertionError("a table line was built")
+def emit_commands(ws):
+    """One command line for each cmd_* handler, each of which calls emit."""
+    hier4, v1 = ws["hier4.json"], ws["v1.json"]
+    return {
+        "cmd_poset_show": ("poset", "show", hier4),
+        "cmd_lattice_downsets": ("lattice", "downsets", hier4),
+        "cmd_lattice_chains": ("lattice", "chains", hier4),
+        "cmd_lattice_moebius": ("lattice", "moebius", hier4, "--from", "[]", "--to", "[2,3]"),
+        "cmd_game_check": ("game", "check", v1, "--class", "supermodular"),
+        "cmd_game_moebius": ("game", "moebius", ws["shifted.json"]),
+        "cmd_game_normalize": ("game", "normalize", ws["shifted.json"]),
+        "cmd_core_vertices": ("core", "vertices", v1),
+        "cmd_core_tight": ("core", "tight", v1, "--perm", "2314"),
+        "cmd_core_envelope": ("core", "envelope", v1, "--coalition", "[2,4]"),
+        "cmd_core_witness": ("core", "witness", hier4),
+        "cmd_cone_is_extreme": ("cone", "is-extreme", ws["card.json"]),
+        "cmd_cone_rays": ("cone", "rays", hier4),
+        "cmd_cone_facets": ("cone", "facets", hier4),
+        "cmd_cone_dim": ("cone", "dim", hier4),
+        "cmd_cone_face_compare": ("cone", "face-compare", v1, ws["sum.json"]),
+        "cmd_reproduce_paper": ("reproduce-paper",),
+    }
 
-    monkeypatch.setattr(cli, "format_coalition", refuse)
-    code, out, _ = run(capsys, "cone", "rays", ws["hier4.json"])
-    assert code == 0 and payload_of(out)["count"] == 6
+
+def test_no_command_builds_the_output_of_the_other_format(ws, capsys, monkeypatch):
+    # every command hands emit its table lines and its JSON payload as two
+    # functions and builds neither itself: under JSON no coalition is
+    # written in the table's notation, under --format table no game or
+    # vector is serialized (but for reproduce-paper, whose checks compare
+    # serialized games and vectors), and the function of the other format
+    # never runs
+    commands = emit_commands(ws)
+    assert set(commands) == {name for name in vars(cli) if name.startswith("cmd_")}
+    formats = ("json", "table")
+    expected = {
+        (name, fmt): run(capsys, *argv, "--format", fmt)
+        for name, argv in commands.items()
+        for fmt in formats
+    }
+    emit = cli.emit
+    calls = []
+
+    def refuse(*args):
+        raise AssertionError("the output of the other format was built")
+
+    def spy(args, lines, payload):
+        assert callable(lines) and callable(payload)
+        calls.append(args.format)
+        if args.format == "table":
+            emit(args, lines, refuse)
+        else:
+            emit(args, refuse, payload)
+
+    monkeypatch.setattr(cli, "emit", spy)
+    refused = {"json": ["format_coalition"], "table": ["game_payload", "vector_payload"]}
+    for (name, fmt), want in expected.items():
+        with monkeypatch.context() as patch:
+            for helper in refused[fmt] if name != "cmd_reproduce_paper" else ():
+                patch.setattr(cli, helper, refuse)
+            calls.clear()
+            assert run(capsys, *commands[name], "--format", fmt) == want, name
+            assert calls == [fmt], name
+            assert want[0] in (0, 1) and want[1] and not want[2], name
+
+
+def test_game_transform_tables_keep_their_bytes(ws, capsys):
+    # moebius and normalize tables pinned byte for byte, with the
+    # "(zero transform)" line and the "  0" of an empty part
+    for name, values in (
+        ("zero.json", {}),
+        ("halves.json", {"[2]": "1/2", "[2,3]": "-3/2", "[1,2,3,4]": 2}),
+    ):
+        with open(os.path.join(ws["dir"], name), "w") as fh:
+            json.dump({"poset": "hier4.json", "values": values}, fh)
+    cases = {
+        ("moebius", "shifted.json"): "2: 1\n3: 1\n4: 1\n24: 1\n123: 1\n",
+        ("moebius", "v1.json"): "24: 1\n",
+        ("moebius", "zero.json"): "(zero transform)\n",
+        ("moebius", "halves.json"):
+            "2: 1/2\n23: -2\n24: -1/2\n123: 3/2\n234: 2\n1234: 1/2\n",
+        ("normalize", "shifted.json"):
+            "zero-normalized part:\n  24: 1\n  234: 1\n  1234: 1\n"
+            "modular part:\n  2: 1\n  3: 1\n  4: 1\n  23: 2\n  24: 2\n  34: 2\n"
+            "  123: 3\n  234: 3\n  1234: 4\n",
+        ("normalize", "card.json"):
+            "zero-normalized part:\n  0\n"
+            "modular part:\n  2: 1\n  3: 1\n  4: 1\n  23: 2\n  24: 2\n  34: 2\n"
+            "  123: 3\n  234: 3\n  1234: 4\n",
+        ("normalize", "v1.json"):
+            "zero-normalized part:\n  24: 1\n  234: 1\n  1234: 1\nmodular part:\n  0\n",
+        ("normalize", "zero.json"): "zero-normalized part:\n  0\nmodular part:\n  0\n",
+        ("normalize", "halves.json"):
+            "zero-normalized part:\n  23: -2\n  24: -1/2\n  123: -2\n  234: -1/2\n"
+            "modular part:\n  2: 1/2\n  23: 1/2\n  24: 1/2\n  123: 2\n  234: 1/2\n"
+            "  1234: 2\n",
+    }
+    for (cmd, name), want in cases.items():
+        path = os.path.join(ws["dir"], name)
+        assert run(capsys, "game", cmd, path, "--format", "table") == (0, want, ""), (cmd, name)
 
 
 def test_coalition_key_is_the_compact_json_list():
@@ -435,23 +526,6 @@ def test_coalition_key_is_the_compact_json_list():
         assert key == json.dumps(sm.players_from_mask(a), separators=(",", ":"))
     assert cli.coalition_key(0) == "[]"
     assert cli.coalition_key(sm.mask_from_players([1, 2, 10], 12)) == "[1,2,10]"
-
-
-def test_table_output_builds_no_json_payload(ws, capsys, monkeypatch):
-    argvs = [
-        ("cone", "rays", ws["hier4.json"]),
-        ("game", "moebius", ws["shifted.json"]),
-        ("game", "normalize", ws["shifted.json"]),
-    ]
-    expected = [run(capsys, *argv, "--format", "table") for argv in argvs]
-
-    def refuse(game):
-        raise AssertionError("a JSON payload was built")
-
-    monkeypatch.setattr(cli, "game_payload", refuse)
-    for argv, want in zip(argvs, expected):
-        assert want[0] == 0 and want[1]
-        assert run(capsys, *argv, "--format", "table") == want
 
 
 def test_parse_values_agrees_with_the_json_parser(monkeypatch):

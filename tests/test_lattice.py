@@ -4,9 +4,12 @@ import pytest
 
 import supermod as sm
 from conftest import (
+    LADDER,
     brute_downsets,
     brute_linear_extensions,
     lower_covers,
+    oracle_addable,
+    oracle_join_irreducibles,
     oracle_mobius,
     random_poset,
 )
@@ -256,6 +259,68 @@ def test_the_build_refuses_an_element_the_down_set_test_rejects(monkeypatch):
     assert refused in sm.build_lattice(p)
 
 
+def assert_lattice_matches_the_oracles(p, lat):
+    assert list(lat.elements) == brute_downsets(p)
+    assert lat.index == {a: k for k, a in enumerate(lat.elements)}
+    assert lat._addable == tuple(oracle_addable(p, a) for a in lat.elements)
+    assert list(lat.join_irreducibles) == oracle_join_irreducibles(p)
+
+
+def test_the_doubling_build_matches_the_oracles_on_random_posets():
+    rng = random.Random(2311)
+    sizes = set()
+    for _ in range(80):
+        p = random_poset(rng, rng.randint(1, 9))
+        lat = sm.build_lattice(p)
+        assert_lattice_matches_the_oracles(p, lat)
+        sizes.add(p.n)
+    assert sizes == set(range(1, 10))
+
+
+def test_the_doubling_build_on_chains_and_a_forest():
+    # a 30-player chain: each down-set but the top adds exactly its next player
+    chain = sm.poset_from_covers(30, [(i, i + 1) for i in range(1, 30)])
+    lat = sm.build_lattice(chain)
+    assert lat.elements == tuple((1 << k) - 1 for k in range(31))
+    assert lat._addable == tuple(1 << k for k in range(30)) + (0,)
+    assert lat.join_irreducibles == lat.elements[1:]
+    # two 8-chains, 1 < ... < 8 and 9 < ... < 16: 9 x 9 down-sets
+    two = sm.poset_from_covers(16, [(i, i + 1) for i in (*range(1, 8), *range(9, 16))])
+    lat = sm.build_lattice(two)
+    assert len(lat) == 81
+    expected = {
+        (1 << x) - 1 | ((1 << y) - 1) << 8: (1 << x if x < 8 else 0) | (1 << 8 + y if y < 8 else 0)
+        for x in range(9)
+        for y in range(9)
+    }
+    assert dict(zip(lat.elements, lat._addable)) == expected
+    assert lat.elements == tuple(sorted(expected, key=lambda m: (m.bit_count(), m)))
+    # the benchmark's forest10
+    forest = sm.poset_from_covers(10, [(2, 1), (3, 1), (5, 4), (6, 4), (8, 7)])
+    lat = sm.build_lattice(forest)
+    assert len(lat) == 300
+    assert_lattice_matches_the_oracles(forest, lat)
+
+
+@pytest.mark.parametrize("name", ["hier4", "flat4", "one-rel5", "chain5"])
+def test_the_cap_refuses_exactly_the_lattices_above_it(name):
+    # every cap from 0 to L: the doubling steps of flat4 end at 1, 2, 4, 8
+    # and 16 elements, so caps such as 11 fall inside a step
+    n, covers = {**LADDER, "chain5": (5, [(1, 2), (2, 3), (3, 4), (4, 5)])}[name]
+    p = sm.poset_from_covers(n, covers)
+    size = len(brute_downsets(p))
+    for cap in range(size + 1):
+        if cap < size:
+            with pytest.raises(sm.SizeError) as info:
+                sm.build_lattice(p, max_elements=cap)
+            assert str(info.value) == (
+                f"lattice exceeds the cap of {cap} elements;"
+                " raise it with --max-lattice or max_elements"
+            )
+        else:
+            assert len(sm.build_lattice(p, max_elements=cap)) == size
+
+
 def test_position_and_membership(hier4):
     n = 4
     m = sm.mask_from_players
@@ -273,12 +338,7 @@ def test_addable_masks_match_brute_force_on_random_posets():
         p = random_poset(rng, rng.randint(1, 6))
         lat = sm.build_lattice(p)
         for a in lat.elements:
-            expected = 0
-            for i in range(1, p.n + 1):
-                bit = 1 << (i - 1)
-                if not a & bit and not p.principal_down_set(i) & ~(a | bit):
-                    expected |= bit
-            assert lat.addable_mask(a) == expected
+            assert lat.addable_mask(a) == oracle_addable(p, a)
         for mask in range(1 << p.n):
             if mask not in lat:
                 refused += 1
