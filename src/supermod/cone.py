@@ -14,7 +14,7 @@ from math import gcd
 
 from . import qlin
 from .errors import CrossCheckError, NotSupermodularError, SizeError
-from .game import Game, _scaled_values, _square_slacks, is_supermodular
+from .game import Game, _scaled_values, _square_slacks
 from .lattice import DEFAULT_MAX_CHAINS, _covering_steps, _square_corners
 from .marginals import _split_plan, _tight_zeros, _vertex_walk
 from .poset import _automorphisms, format_coalition, mask_from_players, players_from_mask
@@ -65,20 +65,18 @@ class FacetTriple:
 class _Plan:
     """The lattice-only work of both extremality criteria, built once for
     every game checked on one lattice; nothing is kept on the lattice.  For
-    _payoff_rows (payoff=True): the lattice's _covering_steps and
-    _split_plan, and the positions of each principal down-set and of that
-    set less its top player.  For _game_rows (games=True): the corners,
-    rows, dimension and coordinates of _facet_rows."""
+    _payoff_rows: the lattice's _covering_steps and _split_plan, and the
+    positions of each principal down-set and of that set less its top
+    player.  For _game_rows: the corners, rows, dimension and coordinates
+    of _facet_rows."""
 
-    def __init__(self, lat, payoff=True, games=True):
+    def __init__(self, lat):
         self.lat = lat
-        if payoff:
-            self.steps = _covering_steps(lat)
-            self.split = _split_plan(self.steps)
-            down = [lat.poset.principal_down_set(i + 1) for i in range(lat.poset.n)]
-            self.down = [(lat.index[d], lat.index[d ^ 1 << i]) for i, d in enumerate(down)]
-        if games:
-            self.corners, self.rows, self.d, self.coord = _facet_rows(lat)
+        self.steps = _covering_steps(lat)
+        self.split = _split_plan(self.steps)
+        down = [lat.poset.principal_down_set(i + 1) for i in range(lat.poset.n)]
+        self.down = [(lat.index[d], lat.index[d ^ 1 << i]) for i, d in enumerate(down)]
+        self.corners, self.rows, self.d, self.coord = _facet_rows(lat)
 
 
 def _payoff_rows(plan, val, max_chains=DEFAULT_MAX_CHAINS):
@@ -162,16 +160,20 @@ def _payoff_extreme(plan, val, max_chains=DEFAULT_MAX_CHAINS):
 
 
 def is_extreme(v, max_chains=DEFAULT_MAX_CHAINS):
-    """Extremality of the ray spanned by the 0-normalization of v.
+    """Extremality of the ray spanned by the 0-normalization of v, by both
+    criteria on one _Plan; CrossCheckError if they disagree.
 
-    A modular game is not extreme: its 0-normalization is zero, which pins
-    every payoff coordinate, so the system has no column.  max_chains caps
-    the partial marginal vectors one rank of the vertex walk holds;
-    SizeError past it.
+    The games criterion runs first: its slack pass refuses a game that is
+    not supermodular.  A modular game is not extreme.  max_chains caps the
+    partial marginal vectors one rank of the vertex walk holds; SizeError
+    past it.
     """
-    if not is_supermodular(v):
-        raise NotSupermodularError("extremality is defined for supermodular games")
-    return _payoff_extreme(_Plan(v.lattice, games=False), _scaled_values(v)[0], max_chains)
+    plan = _Plan(v.lattice)
+    val = _scaled_values(v)[0]
+    extreme = _games_extreme(plan, val)
+    if _payoff_extreme(plan, val, max_chains) != extreme:
+        raise CrossCheckError("extremality criteria disagree; please report this")
+    return extreme
 
 
 def _facet_rows(lat):
@@ -245,7 +247,7 @@ def is_extreme_via_games(v):
     A modular game is not extreme: every facet row is tight at it, and they
     have rank d because the cone is pointed; it is refused before ranking.
     """
-    return _games_extreme(_Plan(v.lattice, payoff=False), _scaled_values(v)[0])
+    return _games_extreme(_Plan(v.lattice), _scaled_values(v)[0])
 
 
 def facet_triples(lat):

@@ -30,6 +30,13 @@ __all__ = [
 ]
 
 
+def _exact(xs, what):
+    """xs, or TypeError naming what if it holds a float (already rounded)."""
+    if any(isinstance(x, float) for x in xs):
+        raise TypeError(f"{what} must be exact (int or Fraction), not float")
+    return xs
+
+
 class Game:
     """Rational-valued set function on a lattice, vanishing on the bottom.
 
@@ -44,9 +51,7 @@ class Game:
     def __init__(self, lattice, values):
         if not isinstance(lattice, DownSetLattice):
             raise TypeError("lattice required")
-        values = tuple(values)
-        if any(isinstance(v, float) for v in values):
-            raise TypeError("game values must be exact (int or Fraction), not float")
+        values = _exact(tuple(values), "game values")
         # a plain Fraction is kept; ints and Fraction subclasses are converted
         values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         if len(values) != len(lattice.elements):
@@ -97,9 +102,7 @@ class Game:
         return Game(self.lattice, [-a for a in self.values])
 
     def __mul__(self, scalar):
-        if isinstance(scalar, float):
-            raise TypeError("a game scales by an exact number (int or Fraction), not float")
-        scalar = Fraction(scalar)
+        scalar = Fraction(_exact([scalar], "a game scalar")[0])
         return Game(self.lattice, [scalar * a for a in self.values])
 
     __rmul__ = __mul__
@@ -180,8 +183,7 @@ def modular_from_irreducibles(lattice, targets):
     n = p.n
     if set(targets) != set(range(1, n + 1)):
         raise ValueError("targets must cover exactly the players 1..n")
-    if any(isinstance(x, float) for x in targets.values()):
-        raise TypeError("targets must be exact (int or Fraction), not float")
+    _exact(targets.values(), "targets")
     exact = {i: Fraction(x) for i, x in targets.items()}
     den = lcm(*(x.denominator for x in exact.values()))
     weight = {}

@@ -14,7 +14,7 @@ from itertools import compress
 from operator import eq
 
 from .errors import ConsistencyError, NotSupermodularError, SizeError
-from .game import Game, _scaled_values, is_supermodular
+from .game import Game, _exact, _scaled_values, is_supermodular
 from .lattice import DEFAULT_MAX_CHAINS, _covering_steps
 from .poset import format_perm, players_from_mask
 
@@ -44,14 +44,7 @@ def payoff(x, mask):
         raise ValueError(
             f"coalition holds player {mask.bit_length()}, the vector has {len(x)} entries"
         )
-    return _total(_exact(x), mask)
-
-
-def _exact(x):
-    """x, or TypeError if it holds a float, which is already rounded."""
-    if any(isinstance(t, float) for t in x):
-        raise TypeError("payoffs must be exact (int or Fraction), not float")
-    return x
+    return _total(_exact(x, "payoffs"), mask)
 
 
 def _total(x, mask):
@@ -71,22 +64,17 @@ def marginal_vector(v, chain):
 
 def tight_sets(v, chain):
     """Elements where v meets the marginal vector of the chain."""
-    return _along(v, chain)[0]
-
-
-def zero_coords(v, chain):
-    """Players whose marginal increment along the chain is zero."""
-    return _along(v, chain)[1]
-
-
-def _along(v, chain):
-    """(tight elements, zero-increment players) of v along one chain."""
     lat = v.lattice
     val, _ = _scaled_values(v)
     x = [0] * lat.poset.n
     for below, a, player in zip(chain.sets, chain.sets[1:], chain.perm):
         x[player - 1] = val[lat.index[a]] - val[lat.index[below]]
-    return next(_tight_zeros(lat, _split_plan(_covering_steps(lat)), val, [x]))
+    return next(_tight_zeros(lat, _split_plan(_covering_steps(lat)), val, [x]))[0]
+
+
+def zero_coords(v, chain):
+    """Players whose marginal increment along the chain is zero."""
+    return frozenset(i for i, t in enumerate(marginal_vector(v, chain), start=1) if not t)
 
 
 def _split_plan(steps):
@@ -167,7 +155,7 @@ def point_configuration(v):
 
 def core_contains(v, x):
     """True iff x is efficient and dominates v everywhere; TypeError on a float."""
-    x = tuple(map(Fraction, _exact(tuple(x))))
+    x = tuple(map(Fraction, _exact(tuple(x), "payoffs")))
     if len(x) != v.lattice.poset.n:
         raise ValueError(f"vector must have {v.lattice.poset.n} entries, got {len(x)}")
     if _total(x, v.lattice.top) != v.value(v.lattice.top):
@@ -234,7 +222,7 @@ def game_from_configuration(lattice, config):
     n = lattice.poset.n
     totals = {}
     for c in chains:
-        y = _exact(config[c.perm])
+        y = _exact(config[c.perm], "payoffs")
         if len(y) != n:
             raise ValueError(f"vector for {format_perm(c.perm)} must have {n} entries")
         run = Fraction(0)

@@ -30,7 +30,9 @@ def mask_from_players(players, n):
 
 
 def players_from_mask(mask):
-    """Sorted list of the players in a coalition mask."""
+    """Sorted list of the players in a coalition mask; ValueError if negative."""
+    if mask < 0:
+        raise ValueError(f"coalition mask {mask} is negative")
     out = []
     while mask:
         low = mask & -mask

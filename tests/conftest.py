@@ -570,13 +570,13 @@ def payoff_equality_system(v):
     """The payoff system that is_extreme ranks, for any supermodular game;
     returns (rows, ncols) with sparse {column: entry} rows (dense_rows
     turns them into the lists oracle_rank reads)."""
-    return cone._payoff_rows(cone._Plan(v.lattice, games=False), _scaled_values(v)[0])
+    return cone._payoff_rows(cone._Plan(v.lattice), _scaled_values(v)[0])
 
 
 def game_equality_system(v):
     """The tight facet rows that is_extreme_via_games ranks, for any
     supermodular game; returns (rows, d) with sparse rows, as above."""
-    plan = cone._Plan(v.lattice, payoff=False)
+    plan = cone._Plan(v.lattice)
     return cone._game_rows(plan, _scaled_values(v)[0]), plan.d
 
 

@@ -333,12 +333,16 @@ def test_cone_is_extreme_normalizes_once_per_criterion(ws, capsys, monkeypatch):
                 monkeypatch.setattr(mod, fname, counted)
     # neither criterion normalizes: the payoff criterion reads the vertices
     # of v and their modular shift, the game criterion and the dimension
-    # certificate read square slacks, which a modular shift keeps
+    # certificate read square slacks, which a modular shift keeps; the game
+    # criterion's slack pass is also the supermodularity check
     for game in ("v1.json", "card.json", "shifted.json"):
         calls.update(is_supermodular=0, zero_normalize=0)
         code, _, _ = run(capsys, "cone", "is-extreme", ws[game])
         assert code in (0, 1)
-        assert calls == {"is_supermodular": 1, "zero_normalize": 0}
+        assert calls == {"is_supermodular": 0, "zero_normalize": 0}
+    code, out, err = run(capsys, "cone", "is-extreme", ws["nonsuper.json"])
+    assert code == 2 and out == ""
+    assert err == "error: extremality is defined for supermodular games\n"
     calls.update(is_supermodular=0, zero_normalize=0)
     code, _, _ = run(capsys, "cone", "dim", ws["hier4.json"])
     assert code == 0 and calls["zero_normalize"] == 0
@@ -347,11 +351,11 @@ def test_cone_is_extreme_normalizes_once_per_criterion(ws, capsys, monkeypatch):
 def test_failed_cross_checks_exit_with_code_3(ws, capsys, monkeypatch):
     # a self-check failure is a defect, not a negative answer (exit 1),
     # whichever of the two criteria is the one that is wrong
-    for name in ("is_extreme", "is_extreme_via_games"):
-        public = getattr(sm, name)
+    for half in ("_games_extreme", "_payoff_extreme"):
+        check = getattr(sm.cone, half)
         for game in ("v1.json", "sum.json"):
             with monkeypatch.context() as m:
-                m.setattr(cli, name, lambda g, _f=public, **kw: not _f(g, **kw))
+                m.setattr(sm.cone, half, lambda plan, val, *a, _c=check: not _c(plan, val, *a))
                 code, out, err = run(capsys, "cone", "is-extreme", ws[game])
             assert code == 3 and out == ""
             assert err == "error: extremality criteria disagree; please report this\n"

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -562,13 +563,36 @@ def test_extreme_rays_refuses_a_set_not_closed_under_the_automorphisms(
     assert sm.extreme_rays(flat4) == [g for g in flat4_rays if g != grand]
 
 
-def test_the_payoff_criterion_builds_no_facet_row(hier4_games, monkeypatch):
-    def refuse(lat):
-        raise AssertionError("facet rows built")
+def test_is_extreme_cross_checks_both_criteria_on_one_plan(hier4_games, monkeypatch):
+    # one plan and one scaling serve both criteria, through every module
+    # that binds the three builders; either criterion disagreeing with the
+    # other is a defect
+    calls = dict.fromkeys(("_facet_rows", "_covering_steps", "_scaled_values"), 0)
+    modules = [m for name, m in sys.modules.items() if name.startswith("supermod.")]
+    for fname in calls:
+        original = getattr(cone, fname)
 
-    monkeypatch.setattr(cone, "_facet_rows", refuse)
+        def counted(*args, _fname=fname, _original=original):
+            calls[_fname] += 1
+            return _original(*args)
+
+        for mod in modules:
+            if getattr(mod, fname, None) is original:
+                monkeypatch.setattr(mod, fname, counted)
+    pair = hier4_games[0] + hier4_games[1]
     assert all(sm.is_extreme(g) for g in hier4_games)
-    assert not sm.is_extreme(hier4_games[0] + hier4_games[1])
+    assert not sm.is_extreme(pair)
+    for g in (hier4_games[0], pair):
+        calls.update(dict.fromkeys(calls, 0))
+        sm.is_extreme(g)
+        assert calls == {"_facet_rows": 1, "_covering_steps": 1, "_scaled_values": 1}
+    for half in ("_games_extreme", "_payoff_extreme"):
+        check = getattr(cone, half)
+        with monkeypatch.context() as m:
+            m.setattr(cone, half, lambda plan, val, *a, _c=check: not _c(plan, val, *a))
+            for g in (hier4_games[0], pair):
+                with pytest.raises(sm.CrossCheckError, match="extremality criteria disagree"):
+                    sm.is_extreme(g)
 
 
 def test_extreme_rays_refuses_a_sum_of_two_rays(hier4, flat4, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -329,6 +330,32 @@ def test_position_and_membership(hier4):
     assert m([1, 2], n) not in hier4
     with pytest.raises(ValueError):
         hier4.position(m([1, 2], n))
+
+
+def test_negative_masks_are_refused(hier4):
+    # -mask & mask never clears the sign bit, so players_from_mask, which
+    # spells the error of each lookup below, must refuse a negative mask
+    # rather than loop; the alarm turns such a loop into a failure
+    def hang(signum, frame):
+        raise AssertionError("a negative mask looped")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="coalition mask -1 is negative"):
+            sm.players_from_mask(-1)
+        for lookup, mask in (
+            (hier4.position, -1),
+            (sm.Game(hier4, [0] * len(hier4)).value, -1),
+            (lambda a: sm.unanimity(hier4, a), -2),
+            (hier4.addable_mask, -3),
+            (hier4.join_irreducible_predecessor, -1),
+        ):
+            with pytest.raises(ValueError, match=f"coalition mask {mask} is negative"):
+                lookup(mask)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_addable_masks_match_brute_force_on_random_posets():

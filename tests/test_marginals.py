@@ -179,7 +179,7 @@ def test_payoff_vectors_refuse_floats(call):
     # 0.1 + 0.9 is not 1 in binary, and 0.5 + 0.5 would come back a float:
     # a float payoff is refused with TypeError, as a float game value is
     flat2 = sm.build_lattice(sm.poset_from_covers(2, []))
-    with pytest.raises(TypeError, match="float"):
+    with pytest.raises(TypeError, match=r"^payoffs must be exact \(int or Fraction\), not float$"):
         call(flat2)
 
 
