@@ -16,6 +16,7 @@ import os
 import sys
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 
 from .cone import (
     DEFAULT_MAX_CONE_ELEMENTS,
@@ -25,11 +26,11 @@ from .cone import (
     face_compare,
     facet_triples,
     is_extreme,
-    is_extreme_via_games,
 )
 from .errors import CrossCheckError, SupermodError
 from .game import (
     Game,
+    _scaled_values,
     is_modular,
     is_monotone,
     is_nonnegative,
@@ -66,6 +67,12 @@ def coalition_key(mask):
     return f"[{','.join(map(str, players_from_mask(mask)))}]"
 
 
+def coalition_keys(lat):
+    """The coalition_key of every element of lat, by position; a command
+    spells them once and passes the list to parse_values and game_payload."""
+    return list(map(coalition_key, lat.elements))
+
+
 def parse_perm(text):
     t = text.strip()
     if "," in t:
@@ -93,40 +100,44 @@ def parse_coalition(text, n):
 
 
 def parse_value(val):
-    """A game value as a Fraction: an int, or a string Fraction reads.
+    """A game value as a pair (numerator, denominator) of ints, the
+    denominator positive: an int, or a string Fraction reads.
 
     The spellings of str(Fraction), "p/q" and "p" with an optional "-" and
-    ASCII digits, are read as ints; every other string goes to Fraction,
-    whose grammar depends on the Python version."""
+    ASCII digits, are read as two ints, as written and not reduced; every
+    other string goes to Fraction, whose grammar depends on the Python
+    version."""
     if type(val) is str:
         num, slash, den = val.partition("/")
         digits = num[1:] if num[:1] == "-" else num
         if digits.isascii() and digits.isdigit():
             if not slash:
-                return Fraction(int(num))
+                return int(num), 1
             if den.isascii() and den.isdigit() and den.strip("0"):
-                return Fraction(int(num), int(den))
+                return int(num), int(den)
     if isinstance(val, bool):
         raise ValueError("game values must be integers or 'p/q' strings")
     if isinstance(val, int):
-        return Fraction(val)
+        return val, 1
     if isinstance(val, str):
         try:
-            return Fraction(val)
+            x = Fraction(val)
         except ZeroDivisionError:
             raise ValueError(f"game value {val!r} has a zero denominator") from None
+        return x.numerator, x.denominator
     raise ValueError(f"game values must be integers or 'p/q' strings, got {val!r}")
 
 
-def parse_values(table, lat):
-    """{mask: Fraction} from a game file's "values" table for the lattice
-    lat; ValueError when two keys name one coalition, such as "12" and
-    "[2,1]".  A key spelled by coalition_key is looked up among the
-    elements; any other goes to parse_coalition."""
+def parse_values(table, lat, keys):
+    """{mask: (numerator, denominator)} from a game file's "values" table
+    for the lattice lat, each value read by parse_value; ValueError when
+    two keys name one coalition, such as "12" and "[2,1]".  keys holds the
+    coalition_keys of lat: a key among them is looked up, any other goes
+    to parse_coalition."""
     if not isinstance(table, dict):
         raise ValueError(f'"values" must be a JSON object, got {table!r}')
     n = lat.poset.n
-    canonical = {coalition_key(a): a for a in lat.elements}
+    canonical = dict(zip(keys, lat.elements))
     mapping = {}
     keys = {}
     for key, val in table.items():
@@ -143,9 +154,23 @@ def parse_values(table, lat):
     return mapping
 
 
-def game_payload(game):
-    """Nonzero values keyed by coalition, reusable as a game file "values"."""
-    return {coalition_key(a): str(v) for a, v in game.to_mapping().items()}
+def read_game(table, lat, keys):
+    """The game on lat of a game file's "values" table, read by parse_values
+    (keys are the coalition_keys of lat) straight into integers over the
+    lcm of the denominators."""
+    pairs = parse_values(table, lat, keys)
+    den = lcm(*(q for _, q in pairs.values()))
+    num = [0] * len(lat.elements)
+    for mask, (p, q) in pairs.items():
+        num[lat.position(mask)] = p * (den // q)
+    return Game._from_ints(lat, num, den)
+
+
+def game_payload(game, keys):
+    """Nonzero values keyed by coalition, reusable as a game file "values";
+    keys are the coalition_keys of the game's lattice."""
+    num, den = _scaled_values(game)
+    return {keys[k]: str(Fraction(x, den)) for k, x in enumerate(num) if x}
 
 
 def vector_payload(x):
@@ -197,6 +222,7 @@ def load_lattice(path, args):
 
 
 def load_game(path, args):
+    """The game of a game file and the coalition_keys of its lattice."""
     data = _read_json(path)
     if not isinstance(data, dict) or "poset" not in data:
         raise ValueError(f'{path}: a game file needs a "poset" entry')
@@ -210,7 +236,8 @@ def load_game(path, args):
     else:
         raise ValueError('"poset" must be a file name or an inline object')
     lat = build_lattice(p, max_elements=lattice_cap(args))
-    return Game.from_values(lat, parse_values(data.get("values", {}), lat))
+    keys = coalition_keys(lat)
+    return read_game(data.get("values", {}), lat, keys), keys
 
 
 def emit(args, lines, payload):
@@ -291,7 +318,7 @@ _CLASS_CHECKS = {
 
 
 def cmd_game_check(args):
-    g = load_game(args.game, args)
+    g, _ = load_game(args.game, args)
     result = _CLASS_CHECKS[args.cls](g)
     emit(args, lambda: [f"{args.cls}: {'yes' if result else 'no'}"],
          lambda: {"class": args.cls, "result": result})
@@ -299,25 +326,25 @@ def cmd_game_check(args):
 
 
 def cmd_game_moebius(args):
-    g = load_game(args.game, args)
+    g, keys = load_game(args.game, args)
     t = mobius_transform(g)
     emit(args, lambda: value_lines(t, "", "(zero transform)"),
-         lambda: {"values": game_payload(t)})
+         lambda: {"values": game_payload(t, keys)})
     return 0
 
 
 def cmd_game_normalize(args):
-    g = load_game(args.game, args)
+    g, keys = load_game(args.game, args)
     w, m = zero_normalize(g)
     emit(args, lambda: [
         "zero-normalized part:", *value_lines(w, "  ", "  0"),
         "modular part:", *value_lines(m, "  ", "  0"),
-    ], lambda: {"zero_normalized": game_payload(w), "modular": game_payload(m)})
+    ], lambda: {"zero_normalized": game_payload(w, keys), "modular": game_payload(m, keys)})
     return 0
 
 
 def cmd_core_vertices(args):
-    g = load_game(args.game, args)
+    g, _ = load_game(args.game, args)
     verts = core_vertices(g, max_chains=args.max_chains)
     emit(args, lambda: ("(" + ", ".join(str(t) for t in x) + ")" for x in verts),
          lambda: {"count": len(verts), "vertices": [vector_payload(x) for x in verts]})
@@ -325,7 +352,7 @@ def cmd_core_vertices(args):
 
 
 def cmd_core_tight(args):
-    g = load_game(args.game, args)
+    g, _ = load_game(args.game, args)
     chain = g.lattice.chain_from_perm(parse_perm(args.perm))
     x = marginal_vector(g, chain)
     tight_set = tight_sets(g, chain)
@@ -345,7 +372,7 @@ def cmd_core_tight(args):
 
 
 def cmd_core_envelope(args):
-    g = load_game(args.game, args)
+    g, _ = load_game(args.game, args)
     mask = parse_coalition(args.coalition, g.lattice.poset.n)
     value = lower_envelope(g, mask)
     emit(args, lambda: [f"min over chains of x({format_coalition(mask)}) = {value}"],
@@ -363,7 +390,7 @@ def cmd_core_witness(args):
 
 
 def cmd_cone_is_extreme(args):
-    g = load_game(args.game, args)
+    g, _ = load_game(args.game, args)
     extreme = is_extreme(g, max_chains=args.max_chains)
     payload = {"extreme": extreme, "method": "both", "system": extreme, "games": extreme}
     # an extreme game is never modular
@@ -382,13 +409,15 @@ def cmd_cone_is_extreme(args):
 def cmd_cone_rays(args):
     lat = load_lattice(args.poset, args)
     rays = extreme_rays(lat, max_elements=args.max_cone, max_rays=args.max_dd_rays)
+
+    def payload():
+        keys = coalition_keys(lat)
+        return {"count": len(rays), "rays": [game_payload(g, keys) for g in rays]}
+
     emit(args, lambda: [
         f"ray {k}: " + ", ".join(f"{format_coalition(a)}={v}" for a, v in g.to_mapping().items())
         for k, g in enumerate(rays, start=1)
-    ] or ["(no rays: the cone is trivial)"], lambda: {
-        "count": len(rays),
-        "rays": [game_payload(g) for g in rays],
-    })
+    ] or ["(no rays: the cone is trivial)"], payload)
     return 0
 
 
@@ -420,8 +449,8 @@ def cmd_cone_dim(args):
 
 
 def cmd_cone_face_compare(args):
-    g1 = load_game(args.game1, args)
-    g2 = load_game(args.game2, args)
+    g1, _ = load_game(args.game1, args)
+    g2, _ = load_game(args.game2, args)
     relation = face_compare(g1, g2)
     emit(args, lambda: [relation], lambda: {"relation": relation})
     return 0
@@ -497,8 +526,10 @@ def reproduce_paper(
         lambda: [format_perm(c.perm) for c in chains],
     )
 
+    keys = coalition_keys(lat)
+
     def load_ref_game(table):
-        return Game.from_values(lat, parse_values(table, lat))
+        return read_game(table, lat, keys)
 
     def by_permutation(groups, key):
         return {
@@ -533,20 +564,21 @@ def reproduce_paper(
         tight_map,
     )
 
-    check(
-        "hierarchy4: reference generators extreme (payoff system)",
-        lambda: [True] * len(ref["extreme_rays"]),
-        lambda: [is_extreme(load_ref_game(t)) for t in ref["extreme_rays"]],
+    # is_extreme decides by both criteria and raises CrossCheckError when
+    # they disagree, so one verdict per ray answers the rows of both
+    verdicts = functools.cache(
+        lambda: [is_extreme(load_ref_game(t)) for t in ref["extreme_rays"]]
     )
-    check(
-        "hierarchy4: reference generators extreme (game-equality system)",
-        lambda: [True] * len(ref["extreme_rays"]),
-        lambda: [is_extreme_via_games(load_ref_game(t)) for t in ref["extreme_rays"]],
-    )
+    for system in ("payoff system", "game-equality system"):
+        check(
+            f"hierarchy4: reference generators extreme ({system})",
+            lambda: [True] * len(ref["extreme_rays"]),
+            verdicts,
+        )
     check(
         "hierarchy4: enumerated extreme rays",
         lambda: ref["extreme_rays"],
-        lambda: [game_payload(g) for g in extreme_rays(lat, max_rays=max_rays)],
+        lambda: [game_payload(g, keys) for g in extreme_rays(lat, max_rays=max_rays)],
     )
     check(
         "hierarchy4: cone dimension",

@@ -455,7 +455,7 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, max_rays=DEFAUL
                     "the enumerated generators are not closed under the poset's automorphisms"
                 )
             certified.add(image)
-    return [Game(lat, val) for val in vals]
+    return [Game._from_ints(lat, val) for val in vals]
 
 
 def cone_dimension(lat):

@@ -9,7 +9,7 @@ split of a game into its 0-normalized and modular parts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import EmptyCoalitionError, LatticeMismatchError
 from .lattice import DownSetLattice, _covering_steps, _square_corners
@@ -40,28 +40,42 @@ def _exact(xs, what):
 class Game:
     """Rational-valued set function on a lattice, vanishing on the bottom.
 
-    Immutable.  Values and scalars are held as Fractions; a float is
+    Immutable.  The values are held as integers by element position over
+    one positive denominator, reduced so that equal games have equal
+    fields.  Values and scalars go in as ints or Fractions; a float is
     refused with TypeError, since it is already rounded.  Arithmetic
     combines games bound to equal lattices and returns a new game; anything
     else raises LatticeMismatchError.
     """
 
-    __slots__ = ("lattice", "values")
+    __slots__ = ("lattice", "_num", "_den")
 
     def __init__(self, lattice, values):
         if not isinstance(lattice, DownSetLattice):
             raise TypeError("lattice required")
         values = _exact(tuple(values), "game values")
-        # a plain Fraction is kept; ints and Fraction subclasses are converted
-        values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-        if len(values) != len(lattice.elements):
-            raise ValueError(
-                f"expected {len(lattice.elements)} values, got {len(values)}"
-            )
-        if values[0]:
+        exact = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+        den = lcm(*(x.denominator for x in exact))
+        self._bind(lattice, [x.numerator * (den // x.denominator) for x in exact], den)
+
+    @classmethod
+    def _from_ints(cls, lattice, num, den=1):
+        """The game worth num[k] / den at element position k, for integers
+        num and a positive integer den; reduced, with the checks of
+        __init__."""
+        game = cls.__new__(cls)
+        game._bind(lattice, num, den)
+        return game
+
+    def _bind(self, lattice, num, den):
+        if len(num) != len(lattice.elements):
+            raise ValueError(f"expected {len(lattice.elements)} values, got {len(num)}")
+        if num[0]:
             raise ValueError("a game must vanish on the empty coalition")
+        g = gcd(den, *num)
         self.lattice = lattice
-        self.values = values
+        self._num = tuple(num) if g == 1 else tuple(x // g for x in num)
+        self._den = den // g
 
     @classmethod
     def from_values(cls, lattice, mapping):
@@ -71,18 +85,25 @@ class Game:
             vals[lattice.position(mask)] = val
         return cls(lattice, vals)
 
+    @property
+    def values(self):
+        """The values as Fractions, by element position."""
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num)
+
     def value(self, mask):
         """The value of one coalition (a lattice element)."""
-        return self.values[self.lattice.position(mask)]
+        return Fraction(self._num[self.lattice.position(mask)], self._den)
 
     __getitem__ = value
 
     def to_mapping(self):
         """Nonzero values keyed by coalition mask."""
-        return {a: v for a, v in zip(self.lattice.elements, self.values) if v}
+        den = self._den
+        return {a: Fraction(x, den) for a, x in zip(self.lattice.elements, self._num) if x}
 
     def is_zero(self):
-        return not any(self.values)
+        return not any(self._num)
 
     def _same_lattice(self, other):
         if not isinstance(other, Game):
@@ -90,27 +111,34 @@ class Game:
         if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeMismatchError("games are bound to different lattices")
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other, over the lcm of the two denominators."""
         self._same_lattice(other)
-        return Game(self.lattice, [a + b for a, b in zip(self.values, other.values)])
+        den = lcm(self._den, other._den)
+        s, t = den // self._den, sign * (den // other._den)
+        num = [s * a + t * b for a, b in zip(self._num, other._num)]
+        return Game._from_ints(self.lattice, num, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        self._same_lattice(other)
-        return Game(self.lattice, [a - b for a, b in zip(self.values, other.values)])
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return Game(self.lattice, [-a for a in self.values])
+        return Game._from_ints(self.lattice, [-a for a in self._num], self._den)
 
     def __mul__(self, scalar):
         scalar = Fraction(_exact([scalar], "a game scalar")[0])
-        return Game(self.lattice, [scalar * a for a in self.values])
+        p, q = scalar.numerator, scalar.denominator
+        return Game._from_ints(self.lattice, [p * a for a in self._num], q * self._den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, Game):
             return NotImplemented
-        return self.lattice == other.lattice and self.values == other.values
+        return self.lattice == other.lattice and (self._den, self._num) == (other._den, other._num)
 
     __hash__ = None
 
@@ -134,11 +162,11 @@ def unanimity(lattice, a):
 
 
 def _scaled_values(v):
-    """Values of v as integers over one common denominator; returns
-    ([integer by element position], den).  den is positive, so the integers
-    keep every sign, order and zero of the values and of their sums."""
-    den = lcm(*(x.denominator for x in v.values))
-    return [x.numerator * (den // x.denominator) for x in v.values], den
+    """The stored values of v: (a tuple of integers by element position,
+    den), v being worth num[k] / den at position k.  den is positive, so
+    the integers keep every sign, order and zero of the values and of their
+    sums.  A kernel that writes in place copies the tuple first."""
+    return v._num, v._den
 
 
 def _zeta(lat, val, inverse=False):
@@ -194,23 +222,25 @@ def modular_from_irreducibles(lattice, targets):
         weight[i] = x.numerator * (den // x.denominator) - sum(weight[j] for j in below)
         val[lattice.index[p.principal_down_set(i)]] = weight[i]
     _zeta(lattice, val)
-    return Game(lattice, [Fraction(x, den) for x in val])
+    return Game._from_ints(lattice, val, den)
 
 
 def mobius_transform(v):
     """The Moebius transform of v, as a game on the same lattice: the
     inverse zeta pass, since v sums its transform below each element."""
     val, den = _scaled_values(v)
+    val = list(val)
     _zeta(v.lattice, val, inverse=True)
-    return Game(v.lattice, [Fraction(x, den) for x in val])
+    return Game._from_ints(v.lattice, val, den)
 
 
 def mobius_inverse(vhat):
     """Inverse of the Moebius transform: the zeta pass sums the
     coefficients below each element."""
     val, den = _scaled_values(vhat)
+    val = list(val)
     _zeta(vhat.lattice, val)
-    return Game(vhat.lattice, [Fraction(x, den) for x in val])
+    return Game._from_ints(vhat.lattice, val, den)
 
 
 def _square_slacks(val, corners):
@@ -252,7 +282,7 @@ def is_monotone(v):
 
 
 def is_nonnegative(v):
-    return all(x >= 0 for x in v.values)
+    return all(x >= 0 for x in _scaled_values(v)[0])
 
 
 def zero_normalize(v):
@@ -271,5 +301,5 @@ def zero_normalize(v):
     for a in lat.join_irreducibles:
         mod[idx[a]] = val[idx[a]] - val[idx[lat.join_irreducible_predecessor(a)]]
     _zeta(lat, mod)
-    w = [Fraction(x - y, den) for x, y in zip(val, mod)]
-    return Game(lat, w), Game(lat, [Fraction(y, den) for y in mod])
+    w = [x - y for x, y in zip(val, mod)]
+    return Game._from_ints(lat, w, den), Game._from_ints(lat, mod, den)

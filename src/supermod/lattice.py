@@ -93,9 +93,8 @@ class DownSetLattice:
         if len(self._ji_pred) != n:
             raise RuntimeError("principal down-sets are not pairwise distinct")
         self.join_irreducibles = tuple(sorted(self._ji_pred, key=_canonical_key))
-        # every element must pass the poset's own down-set test; this guards
-        # the doubling build above
-        if not all(map(poset.is_down_set, self.elements)):
+        # a guard on the doubling build above, over every element
+        if not _all_down_sets(poset, elements):
             raise RuntimeError("down-set enumeration produced a non-down-set")
 
     # -- basic structure ----------------------------------------------------
@@ -254,6 +253,22 @@ class DownSetLattice:
 def build_lattice(poset, max_elements=DEFAULT_MAX_ELEMENTS):
     """The down-set lattice of a poset, capped at max_elements."""
     return DownSetLattice(poset, max_elements=max_elements)
+
+
+def _all_down_sets(poset, masks):
+    """True iff every mask is a down-set of the poset, checked player by
+    player: each fits the n players, and none holds a player i without the
+    strict down-set of i.  That set is read from principal_down_set, not
+    from the strict_down_set the doubling build reads."""
+    n = poset.n
+    if min(masks) < 0 or max(masks) >> n:
+        return False
+    for i in range(n):
+        bit = 1 << i
+        s = poset.principal_down_set(i + 1) & ~bit
+        if s and any(a & bit and s & ~a for a in masks):
+            return False
+    return True
 
 
 def _covering_steps(lat):

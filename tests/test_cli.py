@@ -390,12 +390,13 @@ def test_cone_rays_matches_the_library(ws, capsys):
     assert data["rays"][3] == {"[2,4]": "1", "[2,3,4]": "1", "[1,2,3,4]": "1"}
 
     lat = sm.build_lattice(sm.poset_from_covers(4, [(2, 1), (3, 1)]))
-    expected = [cli.game_payload(g) for g in sm.extreme_rays(lat)]
+    keys = cli.coalition_keys(lat)
+    expected = [cli.game_payload(g, keys) for g in sm.extreme_rays(lat)]
     assert data["rays"] == expected
     tables = sorted(
         (game_from_table(lat, t) for t in HIER4_GENERATORS), key=lambda g: g.values
     )
-    assert expected == [cli.game_payload(g) for g in tables]
+    assert expected == [cli.game_payload(g, keys) for g in tables]
 
 
 def test_cone_rays_table_keeps_its_bytes(ws, capsys):
@@ -486,14 +487,21 @@ def test_no_command_builds_the_output_of_the_other_format(ws, capsys, monkeypatc
 
 
 def test_game_transform_tables_keep_their_bytes(ws, capsys):
-    # moebius and normalize tables pinned byte for byte, with the
-    # "(zero transform)" line and the "  0" of an empty part
+    # moebius and normalize tables and JSON pinned byte for byte, with the
+    # "(zero transform)" line and the "  0" of an empty part, a modular
+    # game (card.json), and unreduced spellings over large denominators
     for name, values in (
         ("zero.json", {}),
         ("halves.json", {"[2]": "1/2", "[2,3]": "-3/2", "[1,2,3,4]": 2}),
+        ("unreduced.json", {
+            "[2]": "2/4", "[3]": "-0/7", "[2,3]": "-6/4", "[2,4]": "007/014",
+            "[2,3,4]": "2000000014/1000000007", "[1,2,3]": "5/123456789012",
+            "[1,2,3,4]": "+10/4",
+        }),
     ):
         with open(os.path.join(ws["dir"], name), "w") as fh:
             json.dump({"poset": "hier4.json", "values": values}, fh)
+    big = "123456789012"
     cases = {
         ("moebius", "shifted.json"): "2: 1\n3: 1\n4: 1\n24: 1\n123: 1\n",
         ("moebius", "v1.json"): "24: 1\n",
@@ -515,10 +523,64 @@ def test_game_transform_tables_keep_their_bytes(ws, capsys):
             "zero-normalized part:\n  23: -2\n  24: -1/2\n  123: -2\n  234: -1/2\n"
             "modular part:\n  2: 1/2\n  23: 1/2\n  24: 1/2\n  123: 2\n  234: 1/2\n"
             "  1234: 2\n",
+        ("moebius", "unreduced.json"):
+            f"2: 1/2\n23: -2\n123: 185185183523/{big}\n234: 7/2\n1234: -123456789017/{big}\n",
+        ("normalize", "unreduced.json"):
+            f"zero-normalized part:\n  23: -2\n  123: -2\n  234: 3/2\n  1234: 61728394501/{big}\n"
+            f"modular part:\n  2: 1/2\n  23: 1/2\n  24: 1/2\n  123: 246913578029/{big}\n"
+            f"  234: 1/2\n  1234: 246913578029/{big}\n",
     }
     for (cmd, name), want in cases.items():
         path = os.path.join(ws["dir"], name)
         assert run(capsys, "game", cmd, path, "--format", "table") == (0, want, ""), (cmd, name)
+    modular = {
+        "[1,2,3,4]": "4", "[1,2,3]": "3", "[2,3,4]": "3", "[2,3]": "2", "[2,4]": "2",
+        "[2]": "1", "[3,4]": "2", "[3]": "1", "[4]": "1",
+    }
+    v1 = {"[1,2,3,4]": "1", "[2,3,4]": "1", "[2,4]": "1"}
+    json_cases = {
+        ("moebius", "shifted.json"):
+            {"values": {"[1,2,3]": "1", "[2,4]": "1", "[2]": "1", "[3]": "1", "[4]": "1"}},
+        ("moebius", "v1.json"): {"values": {"[2,4]": "1"}},
+        ("moebius", "card.json"):
+            {"values": {"[1,2,3]": "1", "[2]": "1", "[3]": "1", "[4]": "1"}},
+        ("moebius", "zero.json"): {"values": {}},
+        ("moebius", "halves.json"): {"values": {
+            "[1,2,3,4]": "1/2", "[1,2,3]": "3/2", "[2,3,4]": "2", "[2,3]": "-2",
+            "[2,4]": "-1/2", "[2]": "1/2",
+        }},
+        ("moebius", "unreduced.json"): {"values": {
+            "[1,2,3,4]": f"-123456789017/{big}", "[1,2,3]": f"185185183523/{big}",
+            "[2,3,4]": "7/2", "[2,3]": "-2", "[2]": "1/2",
+        }},
+        ("normalize", "shifted.json"): {"modular": modular, "zero_normalized": v1},
+        ("normalize", "v1.json"): {"modular": {}, "zero_normalized": v1},
+        ("normalize", "card.json"): {"modular": modular, "zero_normalized": {}},
+        ("normalize", "zero.json"): {"modular": {}, "zero_normalized": {}},
+        ("normalize", "halves.json"): {
+            "modular": {
+                "[1,2,3,4]": "2", "[1,2,3]": "2", "[2,3,4]": "1/2", "[2,3]": "1/2",
+                "[2,4]": "1/2", "[2]": "1/2",
+            },
+            "zero_normalized": {
+                "[1,2,3]": "-2", "[2,3,4]": "-1/2", "[2,3]": "-2", "[2,4]": "-1/2",
+            },
+        },
+        ("normalize", "unreduced.json"): {
+            "modular": {
+                "[1,2,3,4]": f"246913578029/{big}", "[1,2,3]": f"246913578029/{big}",
+                "[2,3,4]": "1/2", "[2,3]": "1/2", "[2,4]": "1/2", "[2]": "1/2",
+            },
+            "zero_normalized": {
+                "[1,2,3,4]": f"61728394501/{big}", "[1,2,3]": "-2", "[2,3,4]": "3/2",
+                "[2,3]": "-2",
+            },
+        },
+    }
+    for (cmd, name), want in json_cases.items():
+        path = os.path.join(ws["dir"], name)
+        text = json.dumps(want, sort_keys=True, indent=2) + "\n"
+        assert run(capsys, "game", cmd, path) == (0, text, ""), (cmd, name)
 
 
 def test_coalition_key_is_the_compact_json_list():
@@ -530,6 +592,13 @@ def test_coalition_key_is_the_compact_json_list():
         assert key == json.dumps(sm.players_from_mask(a), separators=(",", ":"))
     assert cli.coalition_key(0) == "[]"
     assert cli.coalition_key(sm.mask_from_players([1, 2, 10], 12)) == "[1,2,10]"
+
+
+def read_fractions(table, lat):
+    """cli.parse_values of a table, each (numerator, denominator) pair read
+    back as a Fraction, as the oracle parser gives it."""
+    pairs = cli.parse_values(table, lat, cli.coalition_keys(lat))
+    return {mask: Fraction(*pair) for mask, pair in pairs.items()}
 
 
 def test_parse_values_agrees_with_the_json_parser(monkeypatch):
@@ -553,19 +622,20 @@ def test_parse_values_agrees_with_the_json_parser(monkeypatch):
         return parse_coalition(text, n)
 
     monkeypatch.setattr(cli, "parse_coalition", spy)
+    assert cli.coalition_keys(lat) == canonical
     for keys in spellings:
         table = {key: str(k) for k, key in enumerate(keys)}
         read.clear()
-        assert cli.parse_values(table, lat) == oracle_parse_values(table, 12)
+        assert read_fractions(table, lat) == oracle_parse_values(table, 12)
         assert read == [key for key in keys if key not in set(canonical)]
     odd = ["12", "9", "123456789", "", "{}", "[]", "[1,1]", "[12,1]", "[01]", "[1.0]",
            "[true]", "[0]", "[13]", "[1,]", "[-1]", "[1]x", "\u0661"]
     for key in odd:
-        got = outcome(lambda: cli.parse_values({key: 1}, lat))
+        got = outcome(lambda: read_fractions({key: 1}, lat))
         assert got == outcome(lambda: oracle_parse_values({key: 1}, 12)), key
     # two keys for one coalition, in either order
     for table in ({"[1,2]": 1, "12": 2}, {"12": 1, "[1,2]": 2}, {"[2,1]": 1, " [1,2]": 2}):
-        got = outcome(lambda: cli.parse_values(table, lat))
+        got = outcome(lambda: read_fractions(table, lat))
         assert got[0] is ValueError and "is given twice" in got[1]
         assert got == outcome(lambda: oracle_parse_values(table, 12))
 
@@ -578,12 +648,16 @@ def test_parse_value_reads_values_as_fraction_does(monkeypatch):
               "007/014", "\u0663/\u0662", "5", "-5", "-", "3/", "/2", "1/2/3", True, 1.5, None, 7]
     for val in values:
         got = outcome(lambda: cli.parse_value(val))
+        if got[0] == "ok":
+            num, den = got[1]
+            assert type(num) is int and type(den) is int and den > 0, val
+            got = ("ok", Fraction(num, den))
         assert got == outcome(lambda: oracle_parse_value(val)), val
-        assert outcome(lambda: cli.parse_values({"[1]": val}, flat3)) == outcome(
+        assert outcome(lambda: read_fractions({"[1]": val}, flat3)) == outcome(
             lambda: oracle_parse_values({"[1]": val}, 3)
         )
-        if got[0] == "ok":
-            assert type(got[1]) is Fraction and got[1] == Fraction(val)
+    # the ints of a "p/q" spelling are kept as written, not reduced
+    assert cli.parse_value("007/014") == (7, 14) and cli.parse_value("-6/4") == (-6, 4)
     read = []
 
     def spy(*args):
@@ -925,6 +999,29 @@ def test_reproduce_paper_fails_malformed_references_without_crashing(
     code, _, err = run(capsys, "reproduce-paper", "--golden", str(bad))
     assert code in (1, 2)
     assert "Traceback" not in err
+
+
+def test_reproduce_paper_reads_one_extremality_verdict_per_reference_ray(monkeypatch):
+    # is_extreme decides by both criteria, so one call per reference ray
+    # answers the payoff-system row and the game-equality row alike
+    rows = [
+        "hierarchy4: reference generators extreme (payoff system)",
+        "hierarchy4: reference generators extreme (game-equality system)",
+    ]
+    calls = []
+    is_extreme = cli.is_extreme
+    monkeypatch.setattr(cli, "is_extreme", lambda v: calls.append(v) or is_extreme(v))
+    checks = {c["claim"]: c for c in cli.reproduce_paper()["checks"]}
+    assert len(calls) == len(HIER4_GENERATORS) == len(checks[rows[0]]["got"])
+    assert all(checks[row]["pass"] and checks[row]["got"] == [True] * 6 for row in rows)
+    # a disagreement of the criteria fails both rows with the same error
+    monkeypatch.setattr(sm.cone, "_payoff_extreme", lambda *args: False)
+    checks = {c["claim"]: c for c in cli.reproduce_paper()["checks"]}
+    for row in rows:
+        assert not checks[row]["pass"]
+        assert checks[row]["got"] == (
+            "error: CrossCheckError: extremality criteria disagree; please report this"
+        )
 
 
 def test_reproduce_paper_is_deterministic(ws, capsys):

@@ -1,9 +1,14 @@
+import argparse
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import supermod as sm
+from supermod import cli
+from supermod.game import _scaled_values
 
 from conftest import (
     HIER4_GENERATORS,
@@ -35,10 +40,12 @@ def test_game_construction(hier4):
         sm.Game(hier4, [0, 1])  # wrong length
     with pytest.raises(ValueError):
         sm.Game.from_values(hier4, {sm.mask_from_players([1, 2], 4): 1})
-    # a plain Fraction is kept as it is; a subclass is stored as a plain
-    # Fraction, and a float, even inside a subclass, is refused
+    # values are stored as integers over one denominator and read back as
+    # plain Fractions, a subclass's too; a float, even inside a subclass,
+    # is refused
     half = Fraction(1, 2)
-    assert sm.Game.from_values(hier4, {hier4.top: half}).value(hier4.top) is half
+    got = sm.Game.from_values(hier4, {hier4.top: half}).value(hier4.top)
+    assert got == half and type(got) is Fraction
 
     class Ratio(Fraction):
         pass
@@ -368,3 +375,98 @@ def test_modular_games_form_an_n_dimensional_space(hier4):
 def test_modular_from_irreducibles_validates_targets(hier4):
     with pytest.raises(ValueError):
         sm.modular_from_irreducibles(hier4, {1: 1})
+
+
+def _assert_stored_as(g, fracs):
+    """g holds canonical integers over one denominator and reads back, by
+    every accessor, as the plain Fraction tuple fracs."""
+    num, den = _scaled_values(g)
+    els = g.lattice.elements
+    # canonical: a tuple of ints by position over a positive denominator
+    # coprime to them, so a kernel that writes into it raises
+    assert type(num) is tuple and len(num) == len(els)
+    assert all(type(x) is int for x in num) and type(den) is int
+    assert den > 0 and gcd(den, *num) == 1
+    with pytest.raises(TypeError):
+        num[0] = 0
+    assert g.values == fracs and all(type(x) is Fraction for x in g.values)
+    assert [g.value(a) for a in els] == list(fracs)
+    assert g.to_mapping() == {a: x for a, x in zip(els, fracs) if x}
+    assert g.is_zero() == (not any(fracs))
+
+
+def test_the_integer_store_agrees_with_a_fraction_oracle(tmp_path):
+    # games built four ways, each against a tuple of plain Fractions worked
+    # out on its own: from Fractions, from a game file of unreduced
+    # spellings over large denominators, by + - * and neg, and by every
+    # transform
+    rng = random.Random(2520)
+    args = argparse.Namespace(max_lattice=None)
+    dens = (1, 2, 3, 12, 360360, 10**9 + 7, 2**61 - 1)
+
+    def fraction():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-10**12, 10**12), rng.choice(dens))
+
+    def spelled(x):
+        # x as an unreduced "p/q" with leading zeros, or a zero spelled
+        # one of several ways
+        k = rng.randint(1, 40)
+        p, q = x.numerator * k, x.denominator * k
+        if not p:
+            return rng.choice(("0", "-0/7", "0/360360", 0))
+        sign = "-" if p < 0 else ""
+        return f"{sign}{'0' * rng.randint(0, 2)}{abs(p)}/{q}"
+
+    def modular(lat, targets):
+        # the modular game with the targets at the principal down-sets:
+        # player weights in Fractions, summed over every element
+        p = lat.poset
+        w = {}
+        for i in sorted(targets, key=lambda i: p.principal_down_set(i).bit_count()):
+            w[i] = targets[i] - sum(w[j] for j in sm.players_from_mask(p.strict_down_set(i)))
+        return tuple(sum((w[i] for i in sm.players_from_mask(a)), Fraction(0)) for a in lat.elements)
+
+    for k in range(25):
+        p = random_poset(rng, rng.randint(1, 6))
+        lat = sm.build_lattice(p)
+        a, b = ((Fraction(0),) + tuple(fraction() for _ in lat.elements[1:]) for _ in "ab")
+        ga = sm.Game(lat, a)
+        path = tmp_path / f"g{k}.json"
+        path.write_text(json.dumps({"poset": sm.poset_to_dict(p), "values": {
+            cli.coalition_key(m): spelled(x) for m, x in zip(lat.elements, b) if x or rng.random() < 0.5
+        }}))
+        gb, _ = cli.load_game(str(path), args)
+        assert gb.lattice == lat
+        c = rng.choice((Fraction(-3, 7), Fraction(0), 2, Fraction(10**9 + 7, 360360)))
+        targets = {i: fraction() for i in range(1, p.n + 1)}
+        built = [
+            (ga, a),
+            (gb, b),
+            (ga + gb, tuple(x + y for x, y in zip(a, b))),
+            (ga - gb, tuple(x - y for x, y in zip(a, b))),
+            (-gb, tuple(-y for y in b)),
+            (c * ga, tuple(c * x for x in a)),
+            (gb * c, tuple(y * c for y in b)),
+            (sm.modular_from_irreducibles(lat, targets), modular(lat, targets)),
+        ]
+        for g, vals in [(ga, a), (gb, b)]:
+            mod = tuple(oracle_modular_part(g).values)
+            w, m = sm.zero_normalize(g)
+            built += [
+                (sm.mobius_transform(g), oracle_mobius_transform(g).values),
+                (sm.mobius_inverse(g), oracle_mobius_inverse(g).values),
+                (w, tuple(x - y for x, y in zip(vals, mod))),
+                (m, mod),
+            ]
+        for g, vals in built:
+            _assert_stored_as(g, tuple(vals))
+            assert sm.mobius_inverse(sm.mobius_transform(g)) == g
+        # games are equal exactly when their Fraction tuples are, whatever
+        # route built them
+        for g, x in built:
+            for h, y in built:
+                assert (g == h) == (tuple(x) == tuple(y))
+        assert ga + gb - gb == ga and -(-gb) == gb
+        assert _scaled_values(ga) == _scaled_values(sm.Game(lat, a))

@@ -14,6 +14,7 @@ from conftest import (
     oracle_mobius,
     random_poset,
 )
+from supermod.lattice import _all_down_sets
 
 
 def players(mask):
@@ -248,16 +249,27 @@ def test_size_caps():
 
 
 def test_the_build_refuses_an_element_the_down_set_test_rejects(monkeypatch):
+    # the doubling reads strict_down_set and the guard principal_down_set:
+    # hiding the players below 1 from the doubling makes it yield {1}, {1,2},
+    # {1,3} and {1,2,3}, which are not down-sets, and the guard refuses them
     p = sm.poset_from_covers(4, [(2, 1), (3, 1)])
-    refused = sm.mask_from_players([2, 3], 4)
-    is_down_set = sm.Poset.is_down_set
+    strict = sm.Poset.strict_down_set
     monkeypatch.setattr(
-        sm.Poset, "is_down_set", lambda self, mask: mask != refused and is_down_set(self, mask)
+        sm.Poset, "strict_down_set", lambda self, i: 0 if i == 1 else strict(self, i)
     )
     with pytest.raises(RuntimeError, match="non-down-set"):
         sm.build_lattice(p)
     monkeypatch.undo()
-    assert refused in sm.build_lattice(p)
+    lat = sm.build_lattice(p)
+    assert sm.mask_from_players([1], 4) not in lat
+    assert sm.mask_from_players([1, 2, 3], 4) in lat
+    # the player-major guard accepts exactly the masks the poset's
+    # is_down_set accepts, one mask at a time
+    rng = random.Random(25)
+    for q in [p] + [random_poset(rng, rng.randint(1, 7)) for _ in range(20)]:
+        for mask in range(1 << q.n):
+            assert _all_down_sets(q, [mask]) == q.is_down_set(mask), (q, mask)
+    assert not _all_down_sets(p, [0, 1 << 4]) and not _all_down_sets(p, [0, -1])
 
 
 def assert_lattice_matches_the_oracles(p, lat):
