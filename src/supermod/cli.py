@@ -16,7 +16,8 @@ import os
 import sys
 from fractions import Fraction
 from importlib import resources
-from math import lcm
+from itertools import islice
+from math import gcd, lcm
 
 from .cone import (
     DEFAULT_MAX_CONE_ELEMENTS,
@@ -69,8 +70,26 @@ def coalition_key(mask):
 
 def coalition_keys(lat):
     """The coalition_key of every element of lat, by position; a command
-    spells them once and passes the list to parse_values and game_payload."""
-    return list(map(coalition_key, lat.elements))
+    spells them once and passes the list to parse_values and game_payload.
+
+    In (cardinality, mask) order, a less its highest player top comes
+    before a; when that is an element, a's key is its key with ",top]" in
+    place of the closing "]".  Only the other elements, where top lies
+    below another player of a, are spelled by coalition_key."""
+    keys = ["[]"]  # the bottom, the empty coalition, comes first
+    append = keys.append
+    get = lat.index.get
+    tails = [f",{i}]" for i in range(lat.poset.n + 1)]
+    for a in islice(lat.elements, 1, None):
+        top = a.bit_length()
+        k = get(a ^ 1 << top - 1)
+        if k:
+            append(keys[k][:-1] + tails[top])
+        elif k is None:
+            append(coalition_key(a))
+        else:
+            append(f"[{top}]")
+    return keys
 
 
 def parse_perm(text):
@@ -139,17 +158,17 @@ def parse_values(table, lat, keys):
     n = lat.poset.n
     canonical = dict(zip(keys, lat.elements))
     mapping = {}
-    keys = {}
+    seen = {}
     for key, val in table.items():
         mask = canonical.get(key)
         if mask is None:
             mask = parse_coalition(key, n)
-        if mask in keys:
+        if mask in seen:
             raise ValueError(
-                f"coalition {coalition_key(mask)} is given twice, as {keys[mask]!r}"
+                f"coalition {coalition_key(mask)} is given twice, as {seen[mask]!r}"
                 f" and as {key!r}"
             )
-        keys[mask] = key
+        seen[mask] = key
         mapping[mask] = parse_value(val)
     return mapping
 
@@ -166,11 +185,23 @@ def read_game(table, lat, keys):
     return Game._from_ints(lat, num, den)
 
 
+def _ratio_text(x, den):
+    """str(Fraction(x, den)) for ints x and den > 0, by one gcd."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
+def _nonzero_values(game):
+    """(position, text) of each nonzero value of game, by position, the
+    text written from the stored integers: both output formats use it."""
+    num, den = _scaled_values(game)
+    return ((k, _ratio_text(x, den)) for k, x in enumerate(num) if x)
+
+
 def game_payload(game, keys):
     """Nonzero values keyed by coalition, reusable as a game file "values";
     keys are the coalition_keys of the game's lattice."""
-    num, den = _scaled_values(game)
-    return {keys[k]: str(Fraction(x, den)) for k, x in enumerate(num) if x}
+    return {keys[k]: v for k, v in _nonzero_values(game)}
 
 
 def vector_payload(x):
@@ -179,7 +210,10 @@ def vector_payload(x):
 
 def value_lines(game, indent, empty):
     """Table lines of the game's nonzero values, or [empty] for none."""
-    return [f"{indent}{format_coalition(a)}: {v}" for a, v in game.to_mapping().items()] or [empty]
+    elements = game.lattice.elements
+    return [
+        f"{indent}{format_coalition(elements[k])}: {v}" for k, v in _nonzero_values(game)
+    ] or [empty]
 
 
 # -- input loading -------------------------------------------------------------
@@ -415,8 +449,10 @@ def cmd_cone_rays(args):
         return {"count": len(rays), "rays": [game_payload(g, keys) for g in rays]}
 
     emit(args, lambda: [
-        f"ray {k}: " + ", ".join(f"{format_coalition(a)}={v}" for a, v in g.to_mapping().items())
-        for k, g in enumerate(rays, start=1)
+        f"ray {r}: " + ", ".join(
+            f"{format_coalition(lat.elements[k])}={v}" for k, v in _nonzero_values(g)
+        )
+        for r, g in enumerate(rays, start=1)
     ] or ["(no rays: the cone is trivial)"], payload)
     return 0
 

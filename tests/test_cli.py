@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ import pytest
 
 import supermod as sm
 from supermod import cli
+from supermod.cone import DEFAULT_MAX_CONE_ELEMENTS
 
 from conftest import (
     HIER4_GENERATORS,
@@ -25,6 +27,7 @@ from conftest import (
     oracle_parse_value,
     oracle_parse_values,
     outcome,
+    random_poset,
 )
 
 
@@ -592,6 +595,106 @@ def test_coalition_key_is_the_compact_json_list():
         assert key == json.dumps(sm.players_from_mask(a), separators=(",", ":"))
     assert cli.coalition_key(0) == "[]"
     assert cli.coalition_key(sm.mask_from_players([1, 2, 10], 12)) == "[1,2,10]"
+
+
+FOREST10 = (10, [(2, 1), (3, 1), (5, 4), (6, 4), (8, 7)])
+
+
+def reversed_chain(n):
+    """n < n-1 < ... < 1: each down-set's highest player is its least, so
+    no key but a singleton's extends an earlier one."""
+    return n, [(i + 1, i) for i in range(1, n)]
+
+
+def test_coalition_keys_extend_earlier_keys():
+    # the extended keys are coalition_key's, on posets where most, some and
+    # none of the keys extend an earlier one, two-digit players included
+    rng = random.Random(26)
+    posets = [random_poset(rng, rng.randint(1, 12)) for _ in range(48)]
+    posets += [
+        sm.poset_from_covers(*reversed_chain(12)),
+        sm.poset_from_covers(*FOREST10),
+        sm.poset_from_covers(12, []),
+    ]
+    for p in posets:
+        lat = sm.build_lattice(p)
+        assert cli.coalition_keys(lat) == [cli.coalition_key(a) for a in lat.elements], p
+
+
+def test_coalition_keys_spell_only_the_keys_they_cannot_extend(monkeypatch):
+    # a flat poset's keys all extend earlier ones; a reversed chain spells
+    # every key past the singleton
+    calls = []
+    coalition_key = cli.coalition_key
+
+    def spy(mask):
+        calls.append(mask)
+        return coalition_key(mask)
+
+    monkeypatch.setattr(cli, "coalition_key", spy)
+    for n in range(1, 13):
+        lat = sm.build_lattice(sm.poset_from_covers(n, []))
+        assert len(cli.coalition_keys(lat)) == 2 ** n
+    assert calls == []
+    lat = sm.build_lattice(sm.poset_from_covers(*reversed_chain(12)))
+    assert cli.coalition_keys(lat)[:3] == ["[]", "[12]", "[11,12]"]
+    assert calls == list(lat.elements[2:])
+
+
+def test_ratio_text_is_the_fraction_spelling():
+    rng = random.Random(26)
+    big = 10 ** 39
+    pairs = [(0, 1), (0, 7), (5, 1), (-5, 1), (6, 3), (-6, 3), (3, 6), (-3, 6), (-7, 14),
+             (14, 7), (big * 6, 3), (-big, 7 * big), (big + 1, big)]
+    pairs += [
+        (rng.choice((-1, 1)) * rng.randrange(10 ** rng.randint(0, 40)),
+         rng.choice((1, 2, 12, rng.randrange(1, 10 ** rng.randint(1, 40)))))
+        for _ in range(500)
+    ]
+    for x, den in pairs:
+        assert cli._ratio_text(x, den) == str(Fraction(x, den)), (x, den)
+
+
+def compact(mask):
+    return json.dumps(sm.players_from_mask(mask), separators=(",", ":"))
+
+
+def oracle_values(game):
+    """A game's nonzero values as a game file table, spelled by json.dumps
+    and str(Fraction)."""
+    return {compact(a): str(v) for a, v in zip(game.lattice.elements, game.values) if v}
+
+
+@pytest.mark.parametrize("n,covers", [
+    (11, [(i, i + 1) for i in range(1, 10)]),
+    reversed_chain(10),
+    FOREST10,
+])
+def test_outputs_spell_two_digit_players_and_large_values(tmp_path, capsys, n, covers):
+    # game moebius, game normalize and cone rays JSON, byte for byte, on
+    # posets with players 10 and up: a 10-chain with a free player, a
+    # reversed 10-chain and forest10
+    (tmp_path / "p.json").write_text(json.dumps({"n": n, "covers": covers}))
+    lat = sm.build_lattice(sm.poset_from_covers(n, covers))
+    rng = random.Random(n)
+    values = {
+        compact(a): str(Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.choice((1, 6, 10 ** 20))))
+        for a in rng.sample(lat.elements[1:], min(60, len(lat.elements) - 1))
+    }
+    (tmp_path / "g.json").write_text(json.dumps({"poset": "p.json", "values": values}))
+    g = game_from_table(lat, {tuple(json.loads(k)): v for k, v in values.items()})
+    w, m = sm.zero_normalize(g)
+    cases = {
+        ("game", "moebius"): {"values": oracle_values(sm.mobius_transform(g))},
+        ("game", "normalize"): {"zero_normalized": oracle_values(w), "modular": oracle_values(m)},
+    }
+    for argv, want in cases.items():
+        text = json.dumps(want, sort_keys=True, indent=2) + "\n"
+        assert run(capsys, *argv, str(tmp_path / "g.json")) == (0, text, ""), argv
+    if len(lat.elements) <= DEFAULT_MAX_CONE_ELEMENTS:
+        rays = [oracle_values(r) for r in sm.extreme_rays(lat)]
+        text = json.dumps({"count": len(rays), "rays": rays}, sort_keys=True, indent=2) + "\n"
+        assert run(capsys, "cone", "rays", str(tmp_path / "p.json")) == (0, text, "")
 
 
 def read_fractions(table, lat):
