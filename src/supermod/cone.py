@@ -17,7 +17,7 @@ from .errors import CrossCheckError, NotSupermodularError, SizeError
 from .game import Game, _scaled_values, _square_slacks
 from .lattice import DEFAULT_MAX_CHAINS, _covering_steps, _square_corners
 from .marginals import _split_plan, _tight_zeros, _vertex_walk
-from .poset import _automorphisms, format_coalition, mask_from_players, players_from_mask
+from .poset import _automorphisms, format_coalition
 
 __all__ = [
     "FacetTriple",
@@ -65,10 +65,11 @@ class FacetTriple:
 class _Plan:
     """The lattice-only work of both extremality criteria, built once for
     every game checked on one lattice; nothing is kept on the lattice.  For
-    _payoff_rows: the lattice's _covering_steps and _split_plan, and the
-    positions of each principal down-set and of that set less its top
-    player.  For _game_rows: the corners, rows, dimension and coordinates
-    of _facet_rows."""
+    _payoff_rows: the lattice's _covering_steps and _split_plan (which
+    extreme_rays also reads to map its automorphisms), and the positions
+    of each principal down-set and of that set less its top player.  For
+    _game_rows: the corners, rows, dimension and coordinates of
+    _facet_rows."""
 
     def __init__(self, lat):
         self.lat = lat
@@ -110,7 +111,7 @@ def _payoff_rows(plan, val, max_chains=DEFAULT_MAX_CHAINS):
     n = lat.poset.n
     shift = [val[d] - val[below] for d, below in plan.down]
     verts = sorted(_vertex_walk(lat, plan.steps, val, max_chains))
-    pos = lat.index
+    els = lat.elements
     # masks[p]: one bitmask of the columns of element p's members under each
     # vertex tight at p, in vertex order; bit k*n + i stands for player i+1
     # under vertex k, and col maps it to its column
@@ -126,8 +127,8 @@ def _payoff_rows(plan, val, max_chains=DEFAULT_MAX_CHAINS):
                 free |= 1 << i
                 col.append(ncols)
                 ncols += 1
-        for a in tight:
-            masks[pos[a]].append((a & free) << k * n)
+        for p in tight:
+            masks[p].append((els[p] & free) << k * n)
     rows = []
     seen = set()
     for held in masks[1:]:
@@ -430,15 +431,14 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, max_rays=DEFAUL
         for z in double_description(plan.rows, plan.d, max_rays)
     )
     # each automorphism as the position of the image of every element: the
-    # image of a down-set is the set of its players' images
-    pos, n = lat.index, lat.poset.n
-    maps = [
-        [
-            pos[mask_from_players([perm[i - 1] for i in players_from_mask(a)], n)]
-            for a in lat.elements
-        ]
-        for perm in _automorphisms(lat.poset)
-    ]
+    # image of a down-set is the set of its players' images, built along
+    # the split plan as the image of the lower cover plus the moved player
+    maps = []
+    for perm in _automorphisms(lat.poset):
+        image = [0]
+        for k, i in plan.split:
+            image.append(image[k] | 1 << perm[i] - 1)
+        maps.append(list(map(lat.index.__getitem__, image)))
     enumerated = set(vals)
     certified = set()
     for val in vals:
@@ -466,11 +466,12 @@ def cone_dimension(lat):
     g(A) = |A|^2 is strictly inside every facet, since g has slack 2 on
     every covering square and a modular shift leaves the slacks unchanged.
     That certificate is rechecked on g itself in O(L*n^2); CrossCheckError
-    if it fails.
+    if it fails.  The free coordinates are the L - 1 nonempty elements less
+    the n join-irreducibles, which the lattice build checks it has found.
     """
     if not all(s > 0 for s in _square_slacks(_squares(lat), _square_corners(lat))):
         raise CrossCheckError("a covering square is not slack at |A|^2")
-    return _facet_rows(lat)[2]
+    return len(lat.elements) - 1 - lat.poset.n
 
 
 def face_compare(v, w):

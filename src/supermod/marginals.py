@@ -69,7 +69,8 @@ def tight_sets(v, chain):
     x = [0] * lat.poset.n
     for below, a, player in zip(chain.sets, chain.sets[1:], chain.perm):
         x[player - 1] = val[lat.index[a]] - val[lat.index[below]]
-    return next(_tight_zeros(lat, _split_plan(_covering_steps(lat)), val, [x]))[0]
+    tight, _ = next(_tight_zeros(lat, _split_plan(_covering_steps(lat)), val, [x]))
+    return frozenset(map(lat.elements.__getitem__, tight))
 
 
 def zero_coords(v, chain):
@@ -86,16 +87,17 @@ def _split_plan(steps):
 
 
 def _tight_zeros(lat, split, val, vectors, shift=None):
-    """(tight elements, zero players) of each integer marginal vector x:
-    the elements a where x(a) equals their value, and the players i whose
-    coordinate x[i-1] equals shift[i-1] (zero when no shift is given).
+    """(tight positions, zero players) of each integer marginal vector x:
+    the positions, ascending, of the elements a where x(a) equals their
+    value, and the players i whose coordinate x[i-1] equals shift[i-1]
+    (zero when no shift is given).
 
     val holds an integer at every element position, the values of a game
     scaled over one common denominator (game._scaled_values).  split is the
     lattice's _split_plan, so the coalition totals x(a) = x(parent) +
     x[player] take one addition per element: O(L) per vector.
     """
-    els = lat.elements
+    places = range(len(lat.elements))
     players = range(1, lat.poset.n + 1)
     shift = shift or [0] * lat.poset.n
     for x in vectors:
@@ -103,7 +105,7 @@ def _tight_zeros(lat, split, val, vectors, shift=None):
         for k, i in split:
             tot.append(tot[k] + x[i])
         yield (
-            frozenset(compress(els, map(eq, tot, val))),
+            list(compress(places, map(eq, tot, val))),
             frozenset(compress(players, map(eq, x, shift))),
         )
 
@@ -134,10 +136,13 @@ def _vertex_walk(lat, steps, val, max_chains):
             held = 0
         vecs = reach.pop(k)
         for i, b in steps[k]:
-            d = (val[b] - val[k],)
+            d = val[b] - val[k]
             out = reach.setdefault(b, set())
             size = len(out)
-            out.update(x[:i] + d + x[i + 1 :] for x in vecs)
+            for x in vecs:
+                y = list(x)
+                y[i] = d
+                out.add(tuple(y))
             held += len(out) - size
             if held > max_chains:
                 raise SizeError(

@@ -14,9 +14,7 @@ that reaches the proven bound is the rational rank, with no probability
 involved, and every other case takes the rational elimination.
 """
 
-from itertools import compress, repeat
 from math import gcd
-from operator import and_
 
 __all__ = ["rank"]
 
@@ -46,7 +44,10 @@ def _rank_mod2(rows):
     """
     pivots = {}
     for row in rows:
-        m = sum(map((1).__lshift__, compress(row, map(and_, row.values(), repeat(1)))))
+        m = 0
+        for c, x in row.items():
+            if x & 1:
+                m |= 1 << c
         while m:
             low = m & -m
             piv = pivots.get(low)

@@ -542,7 +542,8 @@ class TightFamily:
 def tight_family(v):
     """TightFamily of v over all maximal chains, from one call of the
     package's tight kernel on the integer marginal vectors of every chain
-    (tight_sets and zero_coords are its one-chain case)."""
+    (tight_sets and zero_coords are its one-chain case), with the tight
+    positions it yields read back as element masks."""
     lat = v.lattice
     val, _ = _scaled_values(v)
     pos = lat.index
@@ -556,6 +557,7 @@ def tight_family(v):
     perms = tuple(c.perm for c in chains)
     split = _split_plan(_covering_steps(lat))
     tight, zeros = zip(*_tight_zeros(lat, split, val, vectors))
+    tight = [frozenset(map(lat.elements.__getitem__, t)) for t in tight]
     return TightFamily(perms, dict(zip(perms, tight)), dict(zip(perms, zeros)))
 
 

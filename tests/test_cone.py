@@ -293,7 +293,10 @@ def test_vertices_carry_every_tight_structure_of_the_chains():
             val, _ = _scaled_values(v)
             steps = _covering_steps(lat)
             verts = _vertex_walk(lat, steps, val, len(tight))
-            by_vertex = list(_tight_zeros(lat, _split_plan(steps), val, verts))
+            by_vertex = [
+                (frozenset(lat.elements[p] for p in tight), zeros)
+                for tight, zeros in _tight_zeros(lat, _split_plan(steps), val, verts)
+            ]
             assert len(set(by_vertex)) == len(by_vertex)
             assert set(by_vertex) == by_chain
             merged += len(tight) - len(verts)
@@ -514,21 +517,38 @@ def test_extreme_rays_builds_the_facet_rows_once(flat4, monkeypatch):
     assert set().union(*orbits) == {g.values for g in rays}
 
 
-def test_extreme_rays_checks_one_ray_per_orbit(one_rel5_rays, monkeypatch):
+def test_extreme_rays_checks_one_ray_per_orbit(one_rel5_rays, dd_random_lattices, monkeypatch):
     # 2, 24, 4 and 6 automorphisms split the 6, 37, 52 and 241 rays of
     # hier4, flat4, mixed5 and one-rel5 into 5, 10, 29 and 79 orbits
-    # (oracle_orbit), and the criteria run once per orbit
-    checked = []
-    check = cone._games_extreme
-    monkeypatch.setattr(
-        cone, "_games_extreme", lambda plan, val: checked.append(val) or check(plan, val)
-    )
+    # (oracle_orbit), and both criteria run once per orbit, on one ray of
+    # each; so do they on the 40 random lattices, so every automorphism
+    # map certifies the images it should
+    checked = {"_games_extreme": [], "_payoff_extreme": []}
+    for name, seen in checked.items():
+        check = getattr(cone, name)
+        monkeypatch.setattr(
+            cone, name, lambda plan, val, *a, _c=check, _s=seen: _s.append(val) or _c(plan, val, *a)
+        )
+
+    def orbits_checked(lat):
+        for seen in checked.values():
+            seen.clear()
+        rays = sm.extreme_rays(lat)
+        orbits = {min(oracle_orbit(g)) for g in rays}
+        assert checked["_games_extreme"] == checked["_payoff_extreme"]
+        assert {min(oracle_orbit(sm.Game(lat, val))) for val in checked["_games_extreme"]} == orbits
+        assert len(checked["_games_extreme"]) == len(orbits)
+        return rays, len(orbits)
+
     for name, orbits in (("hier4", 5), ("flat4", 10), ("mixed5", 29), ("one-rel5", 79)):
-        checked.clear()
-        rays = sm.extreme_rays(sm.build_lattice(sm.poset_from_covers(*LADDER[name])))
-        assert len(checked) == orbits
-        assert len({min(oracle_orbit(g)) for g in rays}) == orbits
+        rays, count = orbits_checked(sm.build_lattice(sm.poset_from_covers(*LADDER[name])))
+        assert count == orbits
     assert rays == one_rel5_rays
+    moved = 0
+    for lat, _, _, _ in dd_random_lattices:
+        rays, count = orbits_checked(lat)
+        moved += len(rays) - count
+    assert moved > 0
 
 
 def test_extreme_rays_refuses_a_set_not_closed_under_the_automorphisms(
@@ -638,13 +658,29 @@ def test_double_description_caps_its_intermediate_rays(hier4, flat4, monkeypatch
 
 def test_the_payoff_half_keeps_the_vertex_walk_cap():
     # |A|^2 on flat6 has 720 core vertices; the plan path refuses a walk
-    # past max_chains with the vertex walk's own message
+    # past max_chains with the vertex walk's own message, which names the
+    # partial vectors held after the covering edge that passed the cap
     lat = sm.build_lattice(sm.poset_from_covers(6, []))
     val = [a.bit_count() ** 2 for a in lat.elements]
     plan = cone._Plan(lat)
-    with pytest.raises(sm.SizeError, match="over the cap of 100; raise it with --max-chains"):
-        cone._payoff_extreme(plan, val, 100)
+    for cap, held, rank in ((100, 102, 3), (119, 120, 3), (120, 126, 4), (719, 720, 5)):
+        with pytest.raises(sm.SizeError) as exc:
+            cone._payoff_extreme(plan, val, cap)
+        assert str(exc.value) == (
+            f"the vertex walk holds {held} partial marginal vectors at rank {rank},"
+            f" over the cap of {cap}; raise it with --max-chains or max_chains"
+        )
     assert cone._payoff_extreme(plan, val, 720) is False
+
+
+def test_cone_dimension_builds_no_facet_row(hier4, flat4, mixed5, monkeypatch):
+    # the dimension is read off the lattice's size and the poset's players,
+    # after the |A|^2 certificate, with no facet row built
+    def refuse(lat):
+        raise AssertionError("facet rows built")
+
+    monkeypatch.setattr(cone, "_facet_rows", refuse)
+    assert [sm.cone_dimension(lat) for lat in (hier4, flat4, mixed5)] == [5, 11, 14]
 
 
 def test_cone_dimension(hier4, flat3, flat4, chain3, single1, mixed5, wedge_chain5):

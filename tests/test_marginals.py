@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 
 import supermod as sm
+from supermod.game import _scaled_values
+from supermod.lattice import _covering_steps
+from supermod.marginals import _vertex_walk
 
 from conftest import (
     HIER4_GENERATORS,
@@ -226,6 +229,25 @@ def test_core_vertices_match_marginal_set_on_random_posets():
             dens.update(x.denominator for x in v.values)
             assert sm.core_vertices(v) == marginal_set(v)
     assert {2, 3, 4} <= dens
+
+
+def test_vertex_walk_is_the_set_of_chain_marginal_vectors():
+    # on 40 seeded random posets, for a random supermodular game and an
+    # arbitrary one, the walk's integer vectors are the Fraction marginal
+    # vectors of every maximal chain scaled by the common denominator
+    rng = random.Random(2719)
+    merged = 0
+    for _ in range(40):
+        lat = sm.build_lattice(random_poset(rng, rng.randint(1, 6)))
+        chains = lat.maximal_chains()
+        steps = _covering_steps(lat)
+        arbitrary = sm.Game(lat, [0] + [random_fraction(rng, -2, 2) for _ in lat.elements[1:]])
+        for v in (random_unanimity_sum(rng, lat), arbitrary):
+            val, den = _scaled_values(v)
+            want = {tuple(int(t * den) for t in sm.marginal_vector(v, c)) for c in chains}
+            assert _vertex_walk(lat, steps, val, len(chains)) == want
+            merged += len(chains) - len(want)
+    assert merged > 0
 
 
 def test_lower_envelope_matches_chain_minimum_on_random_posets():

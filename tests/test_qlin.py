@@ -40,13 +40,54 @@ def test_rank_requires_a_bound():
 
 
 def test_rank_refuses_fraction_entries():
-    # a Fraction, even an integral one, is refused rather than ranked, also
-    # after rows that already reach the bound
-    for entry in (Fraction(1, 2), Fraction(2), 0.5):
+    # a Fraction, even an integral one, a float or a str is refused rather
+    # than ranked, wherever it sits in its row: after rows that already
+    # reach the bound, and on rows that would take the rational elimination
+    for entry in (Fraction(1, 2), Fraction(2), 0.5, 1.0, "1"):
         with pytest.raises(TypeError):
             qlin.rank([{0: 1}, {1: entry}], at_most=2)
         with pytest.raises(TypeError):
             qlin.rank([{0: 1}, {0: entry}], at_most=1)
+        for bad in ({2: entry, 0: 1}, {0: 1, 2: entry}):
+            with pytest.raises(TypeError):
+                qlin.rank([{0: 1}, {1: 1}, bad], at_most=2)
+            with pytest.raises(TypeError):
+                qlin.rank([{0: 2, 1: 2}, {1: 2}, bad], at_most=3)
+
+
+def gf2_rank(rows):
+    """Rank over GF(2) from the size of the span of the odd-column masks."""
+    span = {0}
+    for row in rows:
+        m = sum(1 << c for c, x in row.items() if x % 2)
+        span |= {s ^ m for s in span}
+    return len(span).bit_length() - 1
+
+
+def test_odd_masks_of_signed_and_large_entries():
+    # entries 2, -2, -1, 3 and 2**70 + 1 in shuffled key order: the GF(2)
+    # pass reads -1, 3 and 2**70 + 1 as odd and +-2 as even, and rank
+    # agrees with the oracle whether the GF(2) rank reaches the bound or
+    # the rational elimination decides
+    rng = random.Random(7027)
+    entries = (2, -2, -1, 3, 2**70 + 1)
+    paths = set()
+    for _ in range(300):
+        ncols = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            cols = rng.sample(range(ncols), rng.randint(0, ncols))
+            rows.append({c: rng.choice(entries) for c in cols})
+        low = qlin._rank_mod2(rows)
+        assert low == gf2_rank(rows)
+        full = oracle_rank(dense_rows(rows, ncols))
+        paths.add(low == full)
+        assert qlin.rank(rows, at_most=full) == full
+        shuffled = [dict(rng.sample(list(row.items()), len(row))) for row in rows]
+        assert qlin._rank_mod2(shuffled) == low
+        assert qlin.rank(shuffled, at_most=full) == full
+    assert paths == {True, False}
+    assert qlin._rank_mod2([{3: 2**70 + 1, 0: -2}, {0: -1, 3: 3}, {0: 2, 3: -2}]) == 2
 
 
 def test_rank_leaves_its_rows_unchanged():
