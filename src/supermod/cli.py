@@ -13,6 +13,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -39,7 +40,7 @@ from .game import (
     mobius_transform,
     zero_normalize,
 )
-from .lattice import DEFAULT_MAX_CHAINS, DEFAULT_MAX_ELEMENTS, build_lattice
+from .lattice import DEFAULT_MAX_CHAINS, DEFAULT_MAX_ELEMENTS, _canonical_key, build_lattice
 from .marginals import (
     core_vertices,
     lower_envelope,
@@ -104,7 +105,7 @@ def parse_perm(text):
 def parse_coalition(text, n):
     t = text.strip()
     if t.startswith("["):
-        players = json.loads(t)
+        players = _decode_json(t, "coalition")
         if not isinstance(players, list) or not all(
             isinstance(p, int) and not isinstance(p, bool) for p in players
         ):
@@ -125,7 +126,9 @@ def parse_value(val):
     The spellings of str(Fraction), "p/q" and "p" with an optional "-" and
     ASCII digits, are read as two ints, as written and not reduced; every
     other string goes to Fraction, whose grammar depends on the Python
-    version."""
+    version, unless it ends in an exponent, as Fraction's grammar spells
+    one, larger in magnitude than sys.get_int_max_str_digits() (when that
+    is nonzero)."""
     if type(val) is str:
         num, slash, den = val.partition("/")
         digits = num[1:] if num[:1] == "-" else num
@@ -139,6 +142,13 @@ def parse_value(val):
     if isinstance(val, int):
         return val, 1
     if isinstance(val, str):
+        # Fraction builds 10**e for the exponent e it reads: refuse one past
+        # the digit limit of int-string conversion (none before Python
+        # 3.10.7), where the value could not be written out
+        exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", val)
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if exp and limit and abs(int(exp[1])) > limit:
+            raise ValueError(f"game value {val!r} has an exponent beyond the limit of {limit}")
         try:
             x = Fraction(val)
         except ZeroDivisionError:
@@ -221,7 +231,17 @@ def value_lines(game, indent, empty):
 
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _decode_json(fh.read(), path)
+
+
+def _decode_json(text, name):
+    """json.loads(text), with a decoder RecursionError (nesting deeper than
+    the interpreter's stack) turned into a ValueError naming the source,
+    a file or "coalition"."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{name}: JSON nested too deeply to read") from None
 
 
 def cap_value(text):
@@ -389,8 +409,7 @@ def cmd_core_tight(args):
     g, _ = load_game(args.game, args)
     chain = g.lattice.chain_from_perm(parse_perm(args.perm))
     x = marginal_vector(g, chain)
-    tight_set = tight_sets(g, chain)
-    tight = [a for a in g.lattice.elements if a in tight_set]
+    tight = sorted(tight_sets(g, chain), key=_canonical_key)
     zero_players = sorted(zero_coords(g, chain))
     emit(args, lambda: [
         f"marginal: (" + ", ".join(str(t) for t in x) + ")",
@@ -514,7 +533,7 @@ def reproduce_paper(
     else:
         with open(golden_path, "rb") as fh:
             blob = fh.read()
-    golden = json.loads(blob)
+    golden = _decode_json(blob, golden_path)
     if not isinstance(golden, dict) or not all(
         isinstance(golden.get(key), dict) for key in ("hierarchy4", "flat4")
     ):

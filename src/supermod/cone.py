@@ -16,7 +16,7 @@ from . import qlin
 from .errors import CrossCheckError, NotSupermodularError, SizeError
 from .game import Game, _scaled_values, _square_slacks
 from .lattice import DEFAULT_MAX_CHAINS, _covering_steps, _square_corners
-from .marginals import _split_plan, _tight_zeros, _vertex_walk
+from .marginals import _split_plan, _tight, _vertex_walk
 from .poset import _automorphisms, format_coalition
 
 __all__ = [
@@ -118,10 +118,10 @@ def _payoff_rows(plan, val, max_chains=DEFAULT_MAX_CHAINS):
     masks = [[] for _ in lat.elements]
     col = []
     ncols = 0
-    for k, (tight, zeros) in enumerate(_tight_zeros(lat, plan.split, val, verts, shift)):
+    for k, (x, tight) in enumerate(zip(verts, _tight(lat, plan.split, val, verts))):
         free = 0
         for i in range(n):
-            if i + 1 in zeros:
+            if x[i] == shift[i]:
                 col.append(None)
             else:
                 free |= 1 << i
@@ -432,9 +432,10 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, max_rays=DEFAUL
     )
     # each automorphism as the position of the image of every element: the
     # image of a down-set is the set of its players' images, built along
-    # the split plan as the image of the lower cover plus the moved player
+    # the split plan as the image of the lower cover plus the moved player;
+    # a cone without rays, such as a chain's, searches for none
     maps = []
-    for perm in _automorphisms(lat.poset):
+    for perm in _automorphisms(lat.poset) if vals else ():
         image = [0]
         for k, i in plan.split:
             image.append(image[k] | 1 << perm[i] - 1)

@@ -195,6 +195,12 @@ class DownSetLattice:
         The count equals the number of order-compatible permutations.  It is
         counted in O(L*n) before any chain is built, and SizeError refuses a
         lattice with more than max_chains of them.
+
+        A depth-first walk over an explicit stack of covering moves (a+i,
+        i, position of a+i, rank of a+i), each element's moves pushed
+        highest player first so the lowest is taken first; the chain being
+        built is overwritten in place from the rank of the move taken, and
+        no call nests per player.
         """
         steps = _covering_steps(self)
         count = self._chain_count(steps)
@@ -203,23 +209,20 @@ class DownSetLattice:
                 f"more than {max_chains} maximal chains: the lattice has {count},"
                 " over the cap; raise it with --max-chains or max_chains"
             )
-        elements = self.elements
+        el = self.elements
+        moves = [[(el[b], i + 1, b, el[b].bit_count()) for i, b in out[::-1]] for out in steps]
+        n = self.poset.n
+        sets = [0] * (n + 1)
+        perm = [0] * n
         chains = []
-        sets = [0]
-        perm = []
-
-        def walk(k):
-            moves = steps[k]
-            if not moves:  # only the top has no upper cover
+        stack = moves[0][:]
+        while stack:
+            a, i, k, r = stack.pop()
+            sets[r] = a
+            perm[r - 1] = i
+            stack += moves[k]
+            if r == n:  # only the top has no move
                 chains.append(MaximalChain(tuple(sets), tuple(perm)))
-            for i, b in moves:
-                sets.append(elements[b])
-                perm.append(i + 1)
-                walk(b)
-                sets.pop()
-                perm.pop()
-
-        walk(0)
         return tuple(chains)
 
     def _chain_count(self, steps):
@@ -238,15 +241,13 @@ class DownSetLattice:
         if sorted(perm) != list(range(1, n + 1)):
             raise ValueError(f"{perm} is not a permutation of 1..{n}")
         sets = [0]
-        a = 0
         for p in perm:
             bit = 1 << (p - 1)
-            if not self.addable_mask(a) & bit:
+            if not self.addable_mask(sets[-1]) & bit:
                 raise ValueError(
                     f"permutation {perm} is not compatible with the order"
                 )
-            a |= bit
-            sets.append(a)
+            sets.append(sets[-1] | bit)
         return MaximalChain(tuple(sets), perm)
 
 

@@ -53,44 +53,48 @@ def _total(x, mask):
 
 def marginal_vector(v, chain):
     """Increments of v along a maximal chain, indexed by player."""
-    x = [Fraction(0)] * v.lattice.poset.n
-    prev = Fraction(0)
-    for step, player in enumerate(chain.perm, start=1):
-        cur = v.value(chain.sets[step])
-        x[player - 1] = cur - prev
-        prev = cur
-    return tuple(x)
+    _, den = _scaled_values(v)
+    return tuple(Fraction(t, den) for t in _chain_increments(v, chain))
 
 
 def tight_sets(v, chain):
     """Elements where v meets the marginal vector of the chain."""
     lat = v.lattice
-    val, _ = _scaled_values(v)
-    x = [0] * lat.poset.n
-    for below, a, player in zip(chain.sets, chain.sets[1:], chain.perm):
-        x[player - 1] = val[lat.index[a]] - val[lat.index[below]]
-    tight, _ = next(_tight_zeros(lat, _split_plan(_covering_steps(lat)), val, [x]))
+    split = _split_plan(_covering_steps(lat))
+    (tight,) = _tight(lat, split, _scaled_values(v)[0], [_chain_increments(v, chain)])
     return frozenset(map(lat.elements.__getitem__, tight))
 
 
 def zero_coords(v, chain):
     """Players whose marginal increment along the chain is zero."""
-    return frozenset(i for i, t in enumerate(marginal_vector(v, chain), start=1) if not t)
+    return frozenset(i for i, t in enumerate(_chain_increments(v, chain), start=1) if not t)
+
+
+def _chain_increments(v, chain):
+    """The marginal vector of v along a maximal chain over v's one
+    denominator: a list, by player, of the increments of the stored
+    integers (game._scaled_values); ValueError, as from Game.value, for a
+    chain through a coalition that is not an element of v's lattice."""
+    val, _ = _scaled_values(v)
+    pos = v.lattice.position
+    x = [0] * v.lattice.poset.n
+    for below, a, player in zip(chain.sets, chain.sets[1:], chain.perm):
+        x[player - 1] = val[pos(a)] - val[pos(below)]
+    return x
 
 
 def _split_plan(steps):
     """Every nonempty element, by position, as one lower cover plus one
     player, from the lattice's _covering_steps: the pairs (position of the
-    cover, player index) along which _tight_zeros sums."""
+    cover, player index) along which _tight sums."""
     into = {b: (k, i) for k, moves in enumerate(steps) for i, b in moves}
     return [into[b] for b in range(1, len(steps))]
 
 
-def _tight_zeros(lat, split, val, vectors, shift=None):
-    """(tight positions, zero players) of each integer marginal vector x:
-    the positions, ascending, of the elements a where x(a) equals their
-    value, and the players i whose coordinate x[i-1] equals shift[i-1]
-    (zero when no shift is given).
+def _tight(lat, split, val, vectors):
+    """The tight positions of each integer marginal vector x: a list, in
+    ascending order, of the positions of the elements a where x(a) equals
+    their value.
 
     val holds an integer at every element position, the values of a game
     scaled over one common denominator (game._scaled_values).  split is the
@@ -98,16 +102,11 @@ def _tight_zeros(lat, split, val, vectors, shift=None):
     x[player] take one addition per element: O(L) per vector.
     """
     places = range(len(lat.elements))
-    players = range(1, lat.poset.n + 1)
-    shift = shift or [0] * lat.poset.n
     for x in vectors:
         tot = [0]
         for k, i in split:
             tot.append(tot[k] + x[i])
-        yield (
-            list(compress(places, map(eq, tot, val))),
-            frozenset(compress(players, map(eq, x, shift))),
-        )
+        yield list(compress(places, map(eq, tot, val)))
 
 
 def _vertex_walk(lat, steps, val, max_chains):
@@ -231,9 +230,8 @@ def game_from_configuration(lattice, config):
         if len(y) != n:
             raise ValueError(f"vector for {format_perm(c.perm)} must have {n} entries")
         run = Fraction(0)
-        for step, player in enumerate(c.perm, start=1):
+        for a, player in zip(c.sets[1:], c.perm):
             run += Fraction(y[player - 1])
-            a = c.sets[step]
             known = totals.get(a)
             if known is None:
                 totals[a] = (run, c.perm)
@@ -247,16 +245,15 @@ def game_from_configuration(lattice, config):
                 )
     for c in chains:
         y = config[c.perm]
-        for step, player in enumerate(c.perm, start=1):
-            if c.sets[step] == lattice.poset.principal_down_set(player):
-                if Fraction(y[player - 1]):
-                    raise ConsistencyError(
-                        f"chain {format_perm(c.perm)} reaches the principal"
-                        f" down-set of player {player}, whose coordinate must"
-                        f" be zero (got {y[player - 1]})",
-                        kind="zero-coordinate",
-                        witness=(c.perm, player),
-                    )
+        for a, player in zip(c.sets[1:], c.perm):
+            if a == lattice.poset.principal_down_set(player) and Fraction(y[player - 1]):
+                raise ConsistencyError(
+                    f"chain {format_perm(c.perm)} reaches the principal"
+                    f" down-set of player {player}, whose coordinate must"
+                    f" be zero (got {y[player - 1]})",
+                    kind="zero-coordinate",
+                    witness=(c.perm, player),
+                )
     return Game(lattice, [Fraction(0)] + [totals[a][0] for a in lattice.elements[1:]])
 
 

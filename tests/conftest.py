@@ -7,6 +7,8 @@ so the tests do not simply mirror the implementation.
 
 import json
 import random
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -19,7 +21,7 @@ from supermod import cone, qlin
 from supermod.cone import _reduce
 from supermod.game import _scaled_values
 from supermod.lattice import _covering_steps
-from supermod.marginals import _split_plan, _tight_zeros
+from supermod.marginals import _chain_increments, _split_plan, _tight
 
 # The six minimal integer generators of the supermodular cone on the
 # 4-player hierarchy lattice (players 2 and 3 below player 1, player 4
@@ -73,12 +75,19 @@ def oracle_parse_coalition(text, n):
 
 def oracle_parse_value(val):
     """A game file's value read by Fraction alone: an int, or any string
-    the running interpreter's Fraction accepts."""
+    the running interpreter's Fraction accepts, save one ending in an "e"
+    or "E", an int of digits and underscores larger in magnitude than the
+    digit limit of int-string conversion (when that is nonzero), and
+    optional whitespace."""
     if isinstance(val, bool):
         raise ValueError("game values must be integers or 'p/q' strings")
     if isinstance(val, int):
         return Fraction(val)
     if isinstance(val, str):
+        limit = sys.get_int_max_str_digits()
+        exp = re.fullmatch(r".*[eE]([-+]?\d+(?:_\d+)*)\s*", val, re.DOTALL)
+        if limit and exp and abs(int(exp[1])) > limit:
+            raise ValueError(f"game value {val!r} has an exponent beyond the limit of {limit}")
         try:
             return Fraction(val)
         except ZeroDivisionError:
@@ -540,24 +549,19 @@ class TightFamily:
 
 
 def tight_family(v):
-    """TightFamily of v over all maximal chains, from one call of the
-    package's tight kernel on the integer marginal vectors of every chain
-    (tight_sets and zero_coords are its one-chain case), with the tight
-    positions it yields read back as element masks."""
+    """TightFamily of v over all maximal chains, from the package's chain
+    kernel (_chain_increments) and one call of its tight kernel on the
+    integer marginal vectors of every chain (tight_sets and zero_coords
+    are its one-chain case), with the tight positions it yields read back
+    as element masks."""
     lat = v.lattice
     val, _ = _scaled_values(v)
-    pos = lat.index
     chains = lat.maximal_chains()
-    vectors = []
-    for c in chains:
-        x = [0] * lat.poset.n
-        for below, a, player in zip(c.sets, c.sets[1:], c.perm):
-            x[player - 1] = val[pos[a]] - val[pos[below]]
-        vectors.append(x)
+    vectors = [_chain_increments(v, c) for c in chains]
     perms = tuple(c.perm for c in chains)
     split = _split_plan(_covering_steps(lat))
-    tight, zeros = zip(*_tight_zeros(lat, split, val, vectors))
-    tight = [frozenset(map(lat.elements.__getitem__, t)) for t in tight]
+    tight = [frozenset(map(lat.elements.__getitem__, t)) for t in _tight(lat, split, val, vectors)]
+    zeros = [frozenset(i for i, t in enumerate(x, start=1) if not t) for x in vectors]
     return TightFamily(perms, dict(zip(perms, tight)), dict(zip(perms, zeros)))
 
 
@@ -896,6 +900,12 @@ def chain3():
 @pytest.fixture(scope="session")
 def chain4():
     return sm.build_lattice(sm.poset_from_covers(4, [(1, 2), (2, 3), (3, 4)]))
+
+
+@pytest.fixture(scope="session")
+def chain1200():
+    # deeper than the interpreter's default recursion limit
+    return sm.build_lattice(sm.poset_from_covers(1200, [(i, i + 1) for i in range(1, 1200)]))
 
 
 @pytest.fixture(scope="session")

@@ -748,7 +748,17 @@ def test_parse_value_reads_values_as_fraction_does(monkeypatch):
     # read by the running interpreter's Fraction, whose grammar is the oracle
     flat3 = sm.build_lattice(sm.poset_from_covers(3, []))
     values = ["3/2", "-3/2", "+3/2", " 3/2 ", "1_0/3", "1.5", "1e2", "3/0", "0/0", "-0",
-              "007/014", "\u0663/\u0662", "5", "-5", "-", "3/", "/2", "1/2/3", True, 1.5, None, 7]
+              "007/014", "\u0663/\u0662", "5", "-5", "-", "3/", "/2", "1/2/3", True, 1.5, None, 7,
+              "1e4300", "-1E-4300", "2.5e_3", "1e", "e5"]
+    # an exponent past the digit limit of int-string conversion is refused
+    # before Fraction builds its power of ten
+    limit = sys.get_int_max_str_digits()
+    huge = ["1e-10000000", f"1E{limit + 1}", f"-2.5e+{limit + 1} ", "1e10_000_000",
+            "1e" + "".join(chr(0x660 + int(c)) for c in str(limit + 1)), "x1e10000000"]
+    # an exponent of more digits than the limit fails int() before Fraction
+    # runs, with the message Fraction would give
+    long_exp = "1e" + "9" * (limit + 1)
+    values += huge + [f"1e {limit + 1}", f"1e{limit + 1}x", long_exp]
     for val in values:
         got = outcome(lambda: cli.parse_value(val))
         if got[0] == "ok":
@@ -774,7 +784,10 @@ def test_parse_value_reads_values_as_fraction_does(monkeypatch):
         if isinstance(val, str):
             read.clear()
             outcome(lambda: cli.parse_value(val))
-            assert read == ([] if val in fast else [val]), val
+            assert read == ([] if val in fast or val in huge or val == long_exp else [val]), val
+    for val in huge:
+        with pytest.raises(ValueError, match=f"exponent beyond the limit of {limit}"):
+            cli.parse_value(val)
 
 
 def test_cone_rays_of_one_rel5_keep_their_bytes(tmp_path, capsys):
@@ -1164,7 +1177,9 @@ def test_the_parser_is_built_once_on_first_use():
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_every_subcommand_path_names_one_handler():
+def _subcommand_paths():
+    """Every path of subcommand names that the parser accepts."""
+
     def leaves(parser, path):
         subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         if not subs:
@@ -1173,7 +1188,11 @@ def test_every_subcommand_path_names_one_handler():
             for name, child in action.choices.items():
                 yield from leaves(child, (*path, name))
 
-    paths = list(leaves(cli.build_parser(), ()))
+    return list(leaves(cli.build_parser(), ()))
+
+
+def test_every_subcommand_path_names_one_handler():
+    paths = _subcommand_paths()
     names = {"cmd_" + "_".join(path).replace("-", "_") for path in paths}
     assert len(paths) == len(names) == 17
     assert all(callable(getattr(cli, name, None)) for name in names)
@@ -1208,3 +1227,156 @@ def test_a_handler_replaced_after_the_first_call_runs(ws, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_cone_dim", lambda args: seen.append(args.poset) or 7)
     assert run(capsys, "cone", "dim", ws["hier4.json"]) == (7, "", "")
     assert seen == [ws["hier4.json"]]
+
+
+# -- edge inputs ----------------------------------------------------------------
+
+
+def _chain(k, free=0):
+    """Poset file form of players 1 < 2 < ... < k plus `free` unrelated ones."""
+    return {"n": k + free, "covers": [[i, i + 1] for i in range(1, k)]}
+
+
+def test_a_long_chain_lists_its_chain_and_its_empty_cone(tmp_path, capsys):
+    # 1,200 players: the one maximal chain in full, and no extreme ray
+    # under a --max-cone that admits the 1,201 down-sets
+    path = tmp_path / "chain1200.json"
+    path.write_text(json.dumps(_chain(1200)))
+    code, out, err = run(capsys, "lattice", "chains", str(path))
+    assert (code, err) == (0, "")
+    players = list(range(1, 1201))
+    assert payload_of(out) == {
+        "count": 1,
+        "chains": [
+            {"perm": ",".join(map(str, players)), "sets": [players[:k] for k in range(1201)]}
+        ],
+    }
+    code, out, err = run(capsys, "cone", "rays", str(path), "--max-cone", "5000")
+    assert (code, err) == (0, "")
+    assert payload_of(out) == {"count": 0, "rays": []}
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # the decoder's RecursionError exits 2 with one line naming the file
+    deep = "[" * 100_000 + "]" * 100_000
+    poset = tmp_path / "deep.json"
+    poset.write_text(deep)
+    game = tmp_path / "deep-game.json"
+    game.write_text('{"poset": {"n": 1}, "values": ' + deep + "}")
+    via = tmp_path / "via.json"
+    via.write_text(json.dumps({"poset": "deep.json", "values": {}}))
+    key = tmp_path / "deep-key.json"
+    key.write_text(json.dumps({"poset": {"n": 1}, "values": {deep: 1}}))
+    golden = tmp_path / "deep-golden.json"
+    golden.write_text(deep)
+    cases = [
+        (("poset", "show", str(poset)), str(poset)),
+        (("lattice", "chains", str(poset)), str(poset)),
+        (("game", "check", str(game), "--class", "supermodular"), str(game)),
+        (("core", "vertices", str(via)), str(poset)),
+        (("game", "moebius", str(key)), "coalition"),
+        (("reproduce-paper", "--golden", str(golden)), str(golden)),
+    ]
+    for argv, name in cases:
+        assert run(capsys, *argv) == (2, "", f"error: {name}: JSON nested too deeply to read\n")
+
+
+def test_a_huge_exponent_is_refused_before_it_is_built(tmp_path, capsys):
+    # "1e-10000000" would make Fraction build 10**10000000 and fail only
+    # when written; other spellings that Fraction reads keep their bytes
+    (tmp_path / "flat3.json").write_text(json.dumps({"n": 3, "covers": []}))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"poset": "flat3.json", "values": {"[1]": "1e-10000000"}}))
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, "game", "moebius", str(path)) == (
+        2, "", f"error: game value '1e-10000000' has an exponent beyond the limit of {limit}\n"
+    )
+    path.write_text(json.dumps({
+        "poset": "flat3.json", "values": {"[1]": "1e2", "[2]": "1.5", "[1,2,3]": "2.5E-1"},
+    }))
+    code, out, err = run(capsys, "game", "moebius", str(path), "--format", "table")
+    assert (code, err) == (0, "")
+    assert out == "1: 100\n2: 3/2\n12: -203/2\n13: -100\n23: -3/2\n123: 407/4\n"
+
+
+def _frames():
+    f, k = sys._getframe(), 0
+    while f is not None:
+        f, k = f.f_back, k + 1
+    return k
+
+
+def test_every_subcommand_survives_the_edge_inputs(tmp_path, capsys):
+    # every subcommand on a 250-player chain, that chain plus a free player,
+    # deeply nested JSON, a huge exponent and a raised --max-cone: main
+    # returns 0-3, with one error line for 2 and 3, and raises nothing.
+    # The recursion limit is held 200 frames above this test, so a walk
+    # nesting one call per player overflows here as it would on a
+    # 1,000-player chain under the default limit.
+    files = {
+        "long.json": _chain(250),
+        "wide.json": _chain(250, 1),
+        "glong.json": {"poset": "long.json", "values": {"[1]": 1, "[1,2]": "3/2"}},
+        "gwide.json": {"poset": "wide.json", "values": {"[251]": 1, "[1]": "1e2", "[1,251]": 3}},
+        "gkey.json": {"poset": {"n": 2}, "values": {"[" * 50_000 + "]" * 50_000: 1}},
+        "ghuge.json": {"poset": {"n": 2}, "values": {"[1]": "1e-10000000"}},
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    (tmp_path / "deep.json").write_text("[" * 50_000 + "]" * 50_000)
+    gold = json.loads(resources.files("supermod").joinpath(cli.GOLDEN_RESOURCE).read_bytes())
+    gold["hierarchy4"]["detailed_ray"]["values"]["[2,4]"] = "1e-10000000"
+    (tmp_path / "golden-huge.json").write_text(json.dumps(gold))
+    p = {k: str(tmp_path / k) for k in ("long.json", "wide.json", "deep.json")}
+    games = ("glong.json", "gwide.json", "gkey.json", "ghuge.json", "deep.json")
+    g = {k: str(tmp_path / k) for k in games}
+    long_perm = ",".join(map(str, range(1, 251)))
+    perms = {g["glong.json"]: long_perm, g["gwide.json"]: long_perm + ",251"}
+    calls = [
+        ("reproduce-paper", "--golden", str(tmp_path / name))
+        for name in ("deep.json", "golden-huge.json")
+    ]
+    calls.append(("lattice", "chains", p["wide.json"], "--max-chains", "250"))
+    for path in p.values():
+        calls += [
+            ("poset", "show", path),
+            ("lattice", "downsets", path),
+            ("lattice", "moebius", path, "--from", "[]", "--to", "[1]"),
+            ("core", "witness", path),
+            ("cone", "facets", path),
+            ("cone", "dim", path),
+            ("cone", "rays", path) + (() if path == p["wide.json"] else ("--max-cone", "5000")),
+        ]
+        if path != p["wide.json"]:
+            calls.append(("lattice", "chains", path))
+    for path in g.values():
+        calls += [
+            ("game", "check", path, "--class", "supermodular"),
+            ("game", "moebius", path),
+            ("game", "normalize", path),
+            ("core", "vertices", path),
+            ("core", "tight", path, "--perm", perms.get(path, "12")),
+            ("core", "envelope", path, "--coalition", "[1]"),
+            ("cone", "is-extreme", path),
+            ("cone", "face-compare", path, path),
+        ]
+    swept = {c[0] + " " + c[1] for c in calls if c[0] != "reproduce-paper"}
+    assert swept | {"reproduce-paper"} == {" ".join(path) for path in _subcommand_paths()}
+    codes = {}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 200)
+    try:
+        for argv in calls:
+            for fmt in ("json", "table"):
+                code, _, err = run(capsys, *argv, "--format", fmt)
+                assert code in (0, 1, 2, 3), argv
+                assert code < 2 or (err.startswith("error:") and err.count("\n") == 1), argv
+                codes[argv] = code
+    finally:
+        sys.setrecursionlimit(limit)
+    assert codes[("lattice", "chains", p["long.json"])] == 0
+    assert codes[("cone", "rays", p["long.json"], "--max-cone", "5000")] == 0
+    assert all(code == 2 for argv, code in codes.items() if p["deep.json"] in argv)
+    refused = (g["gkey.json"], g["ghuge.json"])
+    assert all(codes[argv] == 2 for argv in calls if any(path in argv for path in refused))
+    assert codes[calls[0]] == 2 and codes[calls[1]] == 1

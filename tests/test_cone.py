@@ -11,7 +11,7 @@ from supermod import cone, qlin
 from supermod.cone import facet_witness
 from supermod.game import _scaled_values
 from supermod.lattice import _covering_steps, _square_corners
-from supermod.marginals import _split_plan, _tight_zeros, _vertex_walk
+from supermod.marginals import _split_plan, _tight, _vertex_walk
 
 from conftest import (
     HIER4_GENERATORS,
@@ -294,8 +294,11 @@ def test_vertices_carry_every_tight_structure_of_the_chains():
             steps = _covering_steps(lat)
             verts = _vertex_walk(lat, steps, val, len(tight))
             by_vertex = [
-                (frozenset(lat.elements[p] for p in tight), zeros)
-                for tight, zeros in _tight_zeros(lat, _split_plan(steps), val, verts)
+                (
+                    frozenset(lat.elements[p] for p in tight),
+                    frozenset(i for i, t in enumerate(x, start=1) if not t),
+                )
+                for x, tight in zip(verts, _tight(lat, _split_plan(steps), val, verts))
             ]
             assert len(set(by_vertex)) == len(by_vertex)
             assert set(by_vertex) == by_chain
@@ -818,3 +821,18 @@ def test_tight_structure_determines_equality_pairs(hier4, hier4_rays):
             same_pairs = set(equality_pairs(v)) == set(equality_pairs(w))
             assert same_tight == same_pairs
 
+
+
+def test_a_cone_without_rays_searches_no_automorphism(single1, chain3, chain1200, monkeypatch):
+    # a chain's cone is {0}: double description returns no generator, so
+    # the automorphism search (backtracking once per player) never runs,
+    # and a 1,200-player chain under a raised cap gives [] at once
+    def refuse(poset):
+        raise AssertionError("automorphisms computed")
+
+    monkeypatch.setattr(cone, "_automorphisms", refuse)
+    for lat in (single1, chain3, chain1200):
+        assert sm.cone_dimension(lat) == 0
+        assert sm.extreme_rays(lat, max_elements=5000) == []
+    monkeypatch.undo()
+    assert len(sm.extreme_rays(sm.build_lattice(sm.poset_from_covers(2, [])))) == 1

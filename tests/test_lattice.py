@@ -398,3 +398,27 @@ def test_upper_and_lower_covers(hier4):
         [m([2, 3], n), m([2, 4], n), m([3, 4], n)]
     )
 
+
+
+def _sets_of(perm):
+    sets = [0]
+    for p in perm:
+        sets.append(sets[-1] | 1 << (p - 1))
+    return tuple(sets)
+
+
+def test_maximal_chains_of_deep_lattices(chain1200):
+    # the walk nests no call per player: a 1,200-player chain has its one
+    # chain, and a 1,000-player chain plus one free player has the 1,001
+    # chains that insert the free player at each place, in lexicographic
+    # order (the later the free player, the smaller the permutation)
+    perm = tuple(range(1, 1201))
+    assert chain1200.maximal_chains() == (sm.MaximalChain(_sets_of(perm), perm),)
+    lat = sm.build_lattice(sm.poset_from_covers(1001, [(i, i + 1) for i in range(1, 1000)]))
+    chain = list(range(1, 1001))
+    perms = [tuple(chain[:k] + [1001] + chain[k:]) for k in range(1000, -1, -1)]
+    assert perms == sorted(perms)
+    want = tuple(sm.MaximalChain(_sets_of(p), p) for p in perms)
+    assert lat.maximal_chains(max_chains=1001) == want
+    with pytest.raises(sm.SizeError, match="the lattice has 1001"):
+        lat.maximal_chains(max_chains=1000)

@@ -7,7 +7,7 @@ import pytest
 import supermod as sm
 from supermod.game import _scaled_values
 from supermod.lattice import _covering_steps
-from supermod.marginals import _vertex_walk
+from supermod.marginals import _chain_increments, _vertex_walk
 
 from conftest import (
     HIER4_GENERATORS,
@@ -72,13 +72,29 @@ def test_marginal_vector_of_zero_game(hier4):
 
 
 def test_marginals_recover_chain_values(hier4):
+    # integer games on hier4, then games with denominators 2, 3 and 4 on 30
+    # seeded random posets: marginal_vector and the integer chain kernel it
+    # reads are the Fraction differences of Game.value along every maximal
+    # chain, and recover the values of the chain
     rng = random.Random(4190)
+    games = [random_game(rng, hier4) for _ in range(30)]
     for _ in range(30):
-        v = random_game(rng, hier4)
-        for c in hier4.maximal_chains():
+        lat = sm.build_lattice(random_poset(rng, rng.randint(1, 5)))
+        games.append(sm.Game(lat, [0] + [random_fraction(rng, -2, 2) for _ in lat.elements[1:]]))
+    dens = set()
+    for v in games:
+        _, den = _scaled_values(v)
+        dens.add(den)
+        for c in v.lattice.maximal_chains():
+            want = [None] * v.lattice.poset.n
+            for below, a, player in zip(c.sets, c.sets[1:], c.perm):
+                want[player - 1] = v.value(a) - v.value(below)
             x = sm.marginal_vector(v, c)
+            assert x == tuple(want)
+            assert _chain_increments(v, c) == [t * den for t in want]
             for a in c.sets:
                 assert sm.payoff(x, a) == v.value(a)
+    assert len(dens) > 2
 
 
 def test_tight_sets_of_the_detailed_generator(hier4, v1):
@@ -128,12 +144,16 @@ def test_tight_family_matches_fraction_oracle_on_random_posets():
         arbitrary = sm.Game(lat, [0] + [random_fraction(rng, -2, 2) for _ in lat.elements[1:]])
         for v in (random_unanimity_sum(rng, lat), arbitrary):
             tight, zeros = oracle_tight_family(v)
+            _, den = _scaled_values(v)
             fam = tight_family(v)
             assert fam.tight == tight and fam.zeros == zeros
             assert fam.perms == tuple(c.perm for c in lat.maximal_chains())
             for c in lat.maximal_chains():
                 assert sm.tight_sets(v, c) == tight[c.perm]
                 assert sm.zero_coords(v, c) == zeros[c.perm]
+                x = _chain_increments(v, c)
+                met = {a for a in lat.elements if sm.payoff(x, a) == v.value(a) * den}
+                assert met == tight[c.perm]
                 off_chain += len(tight[c.perm] - set(c.sets))
     assert off_chain > 0
 
