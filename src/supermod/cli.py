@@ -71,7 +71,7 @@ def coalition_key(mask):
 
 def coalition_keys(lat):
     """The coalition_key of every element of lat, by position; a command
-    spells them once and passes the list to parse_values and game_payload.
+    spells them once and passes the list to read_game and game_payload.
 
     In (cardinality, mask) order, a less its highest player top comes
     before a; when that is an element, a's key is its key with ",top]" in
@@ -157,41 +157,31 @@ def parse_value(val):
     raise ValueError(f"game values must be integers or 'p/q' strings, got {val!r}")
 
 
-def parse_values(table, lat, keys):
-    """{mask: (numerator, denominator)} from a game file's "values" table
-    for the lattice lat, each value read by parse_value; ValueError when
-    two keys name one coalition, such as "12" and "[2,1]".  keys holds the
-    coalition_keys of lat: a key among them is looked up, any other goes
-    to parse_coalition."""
+def read_game(table, lat, keys):
+    """The game on lat of a game file's "values" table, each value read by
+    parse_value straight into integers over the lcm of the denominators.
+    keys holds the coalition_keys of lat: a key among them is looked up,
+    any other goes to parse_coalition.  ValueError at the first key that
+    names no element or names the coalition of an earlier key, such as
+    "12" after "[2,1]"."""
     if not isinstance(table, dict):
         raise ValueError(f'"values" must be a JSON object, got {table!r}')
     n = lat.poset.n
-    canonical = dict(zip(keys, lat.elements))
-    mapping = {}
-    seen = {}
+    canonical = dict(zip(keys, range(len(keys))))
+    given = {}  # position: (key, numerator, denominator)
     for key, val in table.items():
-        mask = canonical.get(key)
-        if mask is None:
-            mask = parse_coalition(key, n)
-        if mask in seen:
+        k = canonical.get(key)
+        if k is None:
+            k = lat.position(parse_coalition(key, n))
+        if k in given:
             raise ValueError(
-                f"coalition {coalition_key(mask)} is given twice, as {seen[mask]!r}"
-                f" and as {key!r}"
+                f"coalition {keys[k]} is given twice, as {given[k][0]!r} and as {key!r}"
             )
-        seen[mask] = key
-        mapping[mask] = parse_value(val)
-    return mapping
-
-
-def read_game(table, lat, keys):
-    """The game on lat of a game file's "values" table, read by parse_values
-    (keys are the coalition_keys of lat) straight into integers over the
-    lcm of the denominators."""
-    pairs = parse_values(table, lat, keys)
-    den = lcm(*(q for _, q in pairs.values()))
-    num = [0] * len(lat.elements)
-    for mask, (p, q) in pairs.items():
-        num[lat.position(mask)] = p * (den // q)
+        given[k] = key, *parse_value(val)
+    den = lcm(*(q for _, _, q in given.values()))
+    num = [0] * len(keys)
+    for k, (_, p, q) in given.items():
+        num[k] = p * (den // q)
     return Game._from_ints(lat, num, den)
 
 
@@ -583,9 +573,6 @@ def reproduce_paper(
 
     keys = coalition_keys(lat)
 
-    def load_ref_game(table):
-        return read_game(table, lat, keys)
-
     def by_permutation(groups, key):
         return {
             perm: grp[key]
@@ -594,7 +581,7 @@ def reproduce_paper(
         }
 
     def marginal_map():
-        ray = load_ref_game(ref["detailed_ray"]["values"])
+        ray = read_game(ref["detailed_ray"]["values"], lat, keys)
         return {
             format_perm(c.perm): vector_payload(marginal_vector(ray, c)) for c in chains
         }
@@ -606,7 +593,7 @@ def reproduce_paper(
     )
 
     def tight_map():
-        ray = load_ref_game(ref["detailed_ray"]["values"])
+        ray = read_game(ref["detailed_ray"]["values"], lat, keys)
         tight = {c.perm: tight_sets(ray, c) for c in chains}
         return {
             format_perm(p): [players_from_mask(a) for a in lat.elements if a in sets]
@@ -622,7 +609,7 @@ def reproduce_paper(
     # is_extreme decides by both criteria and raises CrossCheckError when
     # they disagree, so one verdict per ray answers the rows of both
     verdicts = functools.cache(
-        lambda: [is_extreme(load_ref_game(t)) for t in ref["extreme_rays"]]
+        lambda: [is_extreme(read_game(t, lat, keys)) for t in ref["extreme_rays"]]
     )
     for system in ("payoff system", "game-equality system"):
         check(

@@ -318,10 +318,11 @@ def double_description(rows, dim, max_rays=DEFAULT_MAX_DD_RAYS):
 
     Insertion algorithm over exact integers.  A basis of the ambient space
     acts as the initial lineality: a constraint that meets it pivots one
-    basis vector out and turns it into a ray; once orthogonal to the
-    remaining lineality, constraints split the rays by sign and adjacent
-    plus/minus pairs are combined.  Raises ValueError if a lineality
-    direction survives every constraint (non-pointed input).
+    basis vector out, oriented once so the constraint is positive on it,
+    and turns it into a ray; once orthogonal to the remaining lineality,
+    constraints split the rays by sign and adjacent plus/minus pairs are
+    combined.  Raises ValueError if a lineality direction survives every
+    constraint (non-pointed input).
 
     Adjacency is combinatorial (Fukuda and Prodon, 1996).  Each ray carries
     a bitmask of the rows inserted so far that are tight at it, one bit per
@@ -343,27 +344,17 @@ def double_description(rows, dim, max_rays=DEFAULT_MAX_DD_RAYS):
         bit = 1 << idx
         sdots = [_dot(a, b) for b in lin]
         pivot = next((t for t, s in enumerate(sdots) if s), None)
+        dots = [_dot(a, r) for r in rays]
         if pivot is not None:
             b0 = lin.pop(pivot)
             s0 = sdots.pop(pivot)
-            lin = [
-                list(_reduce([s0 * x - sb * y for x, y in zip(b, b0)]))
-                for b, sb in zip(lin, sdots)
-            ]
-            sign = 1 if s0 > 0 else -1
-            new_rays = []
-            for r in rays:
-                t = _dot(a, r)
-                new_rays.append(
-                    _reduce([abs(s0) * x - sign * t * y for x, y in zip(r, b0)])
-                )
-            if sign < 0:
-                b0 = [-x for x in b0]
-            new_rays.append(_reduce(b0))
-            rays = new_rays
+            if s0 < 0:
+                b0, s0 = tuple(-x for x in b0), -s0
+            lin = [_reduce([s0 * x - sb * y for x, y in zip(b, b0)]) for b, sb in zip(lin, sdots)]
+            rays = [_reduce([s0 * x - t * y for x, y in zip(r, b0)]) for r, t in zip(rays, dots)]
+            rays.append(tuple(b0))
             masks = [z | bit for z in masks] + [bit - 1]
         else:
-            dots = [_dot(a, r) for r in rays]
             masks = [z | bit if t == 0 else z for z, t in zip(masks, dots)]
             plus = [k for k, t in enumerate(dots) if t > 0]
             zero = [k for k, t in enumerate(dots) if t == 0]

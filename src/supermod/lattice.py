@@ -149,13 +149,15 @@ class DownSetLattice:
         )
 
     def _check_below(self, a, b):
-        """ValueError unless both are elements, NotComparableError unless a <= b."""
-        self.position(a)
+        """The position of a; ValueError unless both are elements,
+        NotComparableError unless a <= b."""
+        k = self.position(a)
         self.position(b)
         if a & ~b:
             raise NotComparableError(
                 f"{players_from_mask(a)} is not contained in {players_from_mask(b)}"
             )
+        return k
 
     def interval(self, a, b):
         """Elements c with a <= c <= b, canonically ordered."""
@@ -168,8 +170,7 @@ class DownSetLattice:
         That holds exactly when every player of b outside a can be added to
         a directly, so no interval is scanned.
         """
-        self._check_below(a, b)
-        return not (b & ~a) & ~self.addable_mask(a)
+        return not (b & ~a) & ~self._addable[self._check_below(a, b)]
 
     # -- Moebius function ----------------------------------------------------
 
@@ -179,13 +180,11 @@ class DownSetLattice:
         The closed form for distributive lattices: (-1)^|y\\x| when [x, y]
         is Boolean and 0 otherwise.
         """
-        self.position(x)
+        k = self.position(x)
         self.position(y)
-        if x & ~y:
+        if x & ~y or (y & ~x) & ~self._addable[k]:
             return 0
-        if self.is_boolean_interval(x, y):
-            return -1 if (y & ~x).bit_count() & 1 else 1
-        return 0
+        return -1 if (y & ~x).bit_count() & 1 else 1
 
     # -- chains ---------------------------------------------------------------
 

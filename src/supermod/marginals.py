@@ -199,9 +199,9 @@ def lower_envelope(v, mask):
     val, den = _scaled_values(v)
     pos = lat.index
     best = {0: 0}
-    for k, a in enumerate(lat.elements[:-1]):
+    for k, (a, out) in enumerate(zip(lat.elements[:-1], lat._addable)):
         here = best.pop(a)
-        for i in players_from_mask(lat.addable_mask(a)):
+        for i in players_from_mask(out):
             bit = 1 << (i - 1)
             b = a | bit
             t = here + val[pos[b]] - val[k] if mask & bit else here

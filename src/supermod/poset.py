@@ -144,28 +144,31 @@ def _automorphisms(poset):
     Backtracking assigns players 1..n in turn.  A candidate image must have
     a principal down-set of the same size and must keep the order, both
     ways, against every player already assigned; so a chain, whose
-    down-sets all differ in size, costs only the identity.
+    down-sets all differ in size, costs only the identity.  One loop over
+    an explicit stack of candidate images, so no call nests per player.
     """
+    n = poset.n
     down = poset._down
     size = [d.bit_count() for d in down]
     out = []
     perm = []  # perm[k]: the 0-based image of the 0-based player k
-
-    def extend(k):
-        if k == poset.n:
+    stack = []  # (k, c): image c for player k, to be tried; the lowest on top
+    while True:
+        k = len(perm)
+        if k == n:
             out.append(tuple(c + 1 for c in perm))
-            return
-        for c in range(poset.n):
-            if size[c] == size[k] and c not in perm and all(
-                down[k] >> j & 1 == down[c] >> pj & 1 and down[j] >> k & 1 == down[pj] >> c & 1
-                for j, pj in enumerate(perm)
-            ):
-                perm.append(c)
-                extend(k + 1)
-                perm.pop()
-
-    extend(0)
-    return out
+        else:
+            for c in reversed(range(n)):
+                if size[c] == size[k] and c not in perm and all(
+                    down[k] >> j & 1 == down[c] >> q & 1 and down[j] >> k & 1 == down[q] >> c & 1
+                    for j, q in enumerate(perm)
+                ):
+                    stack.append((k, c))
+        if not stack:
+            return out
+        k, c = stack.pop()
+        del perm[k:]
+        perm.append(c)
 
 
 def poset_from_covers(n, covers):

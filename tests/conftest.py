@@ -114,6 +114,15 @@ def oracle_parse_values(table, n):
     return mapping
 
 
+def oracle_game_values(table, n):
+    """The nonzero values of oracle_parse_values, or ValueError for a
+    nonzero value on the empty coalition, as a game refuses one."""
+    mapping = oracle_parse_values(table, n)
+    if mapping.get(0):
+        raise ValueError("a game must vanish on the empty coalition")
+    return {a: x for a, x in mapping.items() if x}
+
+
 def outcome(fn):
     """fn() as ("ok", result), or as (exception type, message)."""
     try:

@@ -24,8 +24,8 @@ from supermod.cone import DEFAULT_MAX_CONE_ELEMENTS
 from conftest import (
     HIER4_GENERATORS,
     game_from_table,
+    oracle_game_values,
     oracle_parse_value,
-    oracle_parse_values,
     outcome,
     random_poset,
 )
@@ -698,13 +698,12 @@ def test_outputs_spell_two_digit_players_and_large_values(tmp_path, capsys, n, c
 
 
 def read_fractions(table, lat):
-    """cli.parse_values of a table, each (numerator, denominator) pair read
-    back as a Fraction, as the oracle parser gives it."""
-    pairs = cli.parse_values(table, lat, cli.coalition_keys(lat))
-    return {mask: Fraction(*pair) for mask, pair in pairs.items()}
+    """The nonzero values of the game cli.read_game reads from a table, by
+    mask, as oracle_game_values gives them."""
+    return cli.read_game(table, lat, cli.coalition_keys(lat)).to_mapping()
 
 
-def test_parse_values_agrees_with_the_json_parser(monkeypatch):
+def test_read_game_agrees_with_the_json_parser(monkeypatch):
     # keys spelled by coalition_key are looked up and every other key goes
     # to parse_coalition: the masks, and the errors, are those of one
     # json.loads per key
@@ -729,18 +728,18 @@ def test_parse_values_agrees_with_the_json_parser(monkeypatch):
     for keys in spellings:
         table = {key: str(k) for k, key in enumerate(keys)}
         read.clear()
-        assert read_fractions(table, lat) == oracle_parse_values(table, 12)
+        assert read_fractions(table, lat) == oracle_game_values(table, 12)
         assert read == [key for key in keys if key not in set(canonical)]
     odd = ["12", "9", "123456789", "", "{}", "[]", "[1,1]", "[12,1]", "[01]", "[1.0]",
            "[true]", "[0]", "[13]", "[1,]", "[-1]", "[1]x", "\u0661"]
     for key in odd:
         got = outcome(lambda: read_fractions({key: 1}, lat))
-        assert got == outcome(lambda: oracle_parse_values({key: 1}, 12)), key
+        assert got == outcome(lambda: oracle_game_values({key: 1}, 12)), key
     # two keys for one coalition, in either order
     for table in ({"[1,2]": 1, "12": 2}, {"12": 1, "[1,2]": 2}, {"[2,1]": 1, " [1,2]": 2}):
         got = outcome(lambda: read_fractions(table, lat))
         assert got[0] is ValueError and "is given twice" in got[1]
-        assert got == outcome(lambda: oracle_parse_values(table, 12))
+        assert got == outcome(lambda: oracle_game_values(table, 12))
 
 
 def test_parse_value_reads_values_as_fraction_does(monkeypatch):
@@ -767,7 +766,7 @@ def test_parse_value_reads_values_as_fraction_does(monkeypatch):
             got = ("ok", Fraction(num, den))
         assert got == outcome(lambda: oracle_parse_value(val)), val
         assert outcome(lambda: read_fractions({"[1]": val}, flat3)) == outcome(
-            lambda: oracle_parse_values({"[1]": val}, 3)
+            lambda: oracle_game_values({"[1]": val}, 3)
         )
     # the ints of a "p/q" spelling are kept as written, not reduced
     assert cli.parse_value("007/014") == (7, 14) and cli.parse_value("-6/4") == (-6, 4)
@@ -884,6 +883,26 @@ def test_a_coalition_named_twice_is_refused(ws, capsys):
     code, out, err = run(capsys, "game", "check", path, "--class", "supermodular")
     assert (code, out) == (2, "")
     assert err == "error: coalition [1,2] is given twice, as '12' and as '[1,2]'\n"
+
+
+def test_a_game_file_reports_the_fault_of_its_first_bad_key(ws, capsys):
+    # keys are read in file order, each one looked up, checked for an
+    # earlier key of its coalition and its value parsed before the next:
+    # of two faults, the one at the earlier key is reported
+    path = os.path.join(ws["dir"], "two-faults.json")
+    not_down = "error: coalition [1, 2] is not a down-set of the poset\n"
+    zero_den = "error: game value '1/0' has a zero denominator\n"
+    twice = "error: coalition [2] is given twice, as '[2]' and as '2'\n"
+    cases = [
+        ({"[1,2]": 1, "[2]": "1/0"}, not_down),
+        ({"[2]": "1/0", "[1,2]": 1}, zero_den),
+        ({"[1,2]": 1, "12": 2}, not_down),
+        ({"[2]": 1, "2": 1, "[1,2]": 1}, twice),
+    ]
+    for values, err in cases:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"poset": "hier4.json", "values": values}, fh)
+        assert run(capsys, "game", "normalize", path) == (2, "", err), values
 
 
 def test_size_caps(ws, capsys, monkeypatch):
@@ -1237,6 +1256,26 @@ def _chain(k, free=0):
     return {"n": k + free, "covers": [[i, i + 1] for i in range(1, k)]}
 
 
+def _fork(k):
+    """Poset file form of players 1 < 2 < ... < k-2 with k-1 and k both
+    covering k-2: k+2 down-sets, and a cone of dimension one."""
+    return {"n": k, "covers": _chain(k - 2)["covers"] + [[k - 2, k - 1], [k - 2, k]]}
+
+
+def test_a_long_fork_prints_its_one_ray(tmp_path, capsys):
+    # 1,200 players: the one ray is worth 1 on the full set, and the
+    # automorphism search that certifies it (the identity and the swap of
+    # the two top players) nests no call per player
+    path = tmp_path / "fork1200.json"
+    path.write_text(json.dumps(_fork(1200)))
+    players = ",".join(map(str, range(1, 1201)))
+    argv = ("cone", "rays", str(path), "--max-cone", "5000")
+    assert run(capsys, *argv, "--format", "table") == (0, f"ray 1: {{{players}}}=1\n", "")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert payload_of(out) == {"count": 1, "rays": [{f"[{players}]": "1"}]}
+
+
 def test_a_long_chain_lists_its_chain_and_its_empty_cone(tmp_path, capsys):
     # 1,200 players: the one maximal chain in full, and no extreme ray
     # under a --max-cone that admits the 1,201 down-sets
@@ -1308,14 +1347,16 @@ def _frames():
 
 def test_every_subcommand_survives_the_edge_inputs(tmp_path, capsys):
     # every subcommand on a 250-player chain, that chain plus a free player,
-    # deeply nested JSON, a huge exponent and a raised --max-cone: main
-    # returns 0-3, with one error line for 2 and 3, and raises nothing.
+    # a 250-player fork, deeply nested JSON, a huge exponent and a raised
+    # --max-cone: main returns 0-3, with one error line for 2 and 3, and
+    # raises nothing.
     # The recursion limit is held 200 frames above this test, so a walk
     # nesting one call per player overflows here as it would on a
     # 1,000-player chain under the default limit.
     files = {
         "long.json": _chain(250),
         "wide.json": _chain(250, 1),
+        "fork.json": _fork(250),
         "glong.json": {"poset": "long.json", "values": {"[1]": 1, "[1,2]": "3/2"}},
         "gwide.json": {"poset": "wide.json", "values": {"[251]": 1, "[1]": "1e2", "[1,251]": 3}},
         "gkey.json": {"poset": {"n": 2}, "values": {"[" * 50_000 + "]" * 50_000: 1}},
@@ -1327,7 +1368,7 @@ def test_every_subcommand_survives_the_edge_inputs(tmp_path, capsys):
     gold = json.loads(resources.files("supermod").joinpath(cli.GOLDEN_RESOURCE).read_bytes())
     gold["hierarchy4"]["detailed_ray"]["values"]["[2,4]"] = "1e-10000000"
     (tmp_path / "golden-huge.json").write_text(json.dumps(gold))
-    p = {k: str(tmp_path / k) for k in ("long.json", "wide.json", "deep.json")}
+    p = {k: str(tmp_path / k) for k in ("long.json", "wide.json", "fork.json", "deep.json")}
     games = ("glong.json", "gwide.json", "gkey.json", "ghuge.json", "deep.json")
     g = {k: str(tmp_path / k) for k in games}
     long_perm = ",".join(map(str, range(1, 251)))
@@ -1376,6 +1417,7 @@ def test_every_subcommand_survives_the_edge_inputs(tmp_path, capsys):
         sys.setrecursionlimit(limit)
     assert codes[("lattice", "chains", p["long.json"])] == 0
     assert codes[("cone", "rays", p["long.json"], "--max-cone", "5000")] == 0
+    assert codes[("cone", "rays", p["fork.json"], "--max-cone", "5000")] == 0
     assert all(code == 2 for argv, code in codes.items() if p["deep.json"] in argv)
     refused = (g["gkey.json"], g["ghuge.json"])
     assert all(codes[argv] == 2 for argv in calls if any(path in argv for path in refused))

@@ -12,6 +12,7 @@ from supermod.cone import facet_witness
 from supermod.game import _scaled_values
 from supermod.lattice import _covering_steps, _square_corners
 from supermod.marginals import _split_plan, _tight, _vertex_walk
+from supermod.poset import _automorphisms
 
 from conftest import (
     HIER4_GENERATORS,
@@ -836,3 +837,17 @@ def test_a_cone_without_rays_searches_no_automorphism(single1, chain3, chain1200
         assert sm.extreme_rays(lat, max_elements=5000) == []
     monkeypatch.undo()
     assert len(sm.extreme_rays(sm.build_lattice(sm.poset_from_covers(2, [])))) == 1
+
+
+def test_a_long_fork_has_its_one_ray():
+    # 1 < 2 < ... < 1198 with 1199 and 1200 above 1198: 1,202 down-sets, a
+    # cone of dimension one whose ray is worth 1 on the full set, and two
+    # automorphisms, found without a call per player
+    n = 1200
+    covers = [(i, i + 1) for i in range(1, n - 2)] + [(n - 2, n - 1), (n - 2, n)]
+    p = sm.poset_from_covers(n, covers)
+    identity = tuple(range(1, n + 1))
+    assert _automorphisms(p) == [identity, identity[:-2] + (n, n - 1)]
+    lat = sm.build_lattice(p)
+    assert len(lat.elements) == n + 2 and sm.cone_dimension(lat) == 1
+    assert [g.to_mapping() for g in sm.extreme_rays(lat, max_elements=5000)] == [{lat.top: 1}]

@@ -92,3 +92,31 @@ def test_no_module_computes_in_floating_point():
     for path in paths:
         found = [node.lineno for node in inexact_nodes(ast.parse(path.read_text()))]
         assert not found, f"{path.name} computes in floating point at lines {found}"
+
+
+def self_calls(tree):
+    """(line, name) of each function that calls its own bare name, and of
+    each method that calls self.<its name>."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                f = getattr(call, "func", None)
+                if isinstance(f, ast.Name) and f.id == node.name or (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == node.name
+                    and getattr(f.value, "id", None) == "self"
+                ):
+                    yield node.lineno, node.name
+
+
+def test_no_function_calls_itself():
+    # a call nested per player, element or chain overflows the interpreter's
+    # stack on a long poset; every walk runs as a loop over its own stack
+    paths = sorted(pathlib.Path(sm.__file__).parent.glob("*.py"))
+    assert {p.stem for p in paths} >= {"__init__", "cli", "cone", "poset"}
+    for path in paths:
+        found = list(self_calls(ast.parse(path.read_text())))
+        assert not found, f"{path.name} has functions that call themselves: {found}"
+    # the check finds both forms
+    tree = ast.parse("def f(k):\n    return f(k - 1)\nclass C:\n    def g(self):\n        self.g()\n")
+    assert list(self_calls(tree)) == [(1, "f"), (4, "g")]
