@@ -83,7 +83,7 @@ class _Plan:
 def _payoff_rows(plan, val, max_chains=DEFAULT_MAX_CHAINS):
     """Linear system on per-vertex payoff vectors of a supermodular game v,
     given by its integer values val by element position; returns (rows,
-    ncols) with each row a {column: +-1} map of its nonzero entries.
+    ncols) with each row a signed (plus, minus) pair for qlin.rank.
 
     The paper's system gives every maximal chain a block of unknowns, one
     per player.  Chains with the same marginal vector have the same tight
@@ -97,9 +97,9 @@ def _payoff_rows(plan, val, max_chains=DEFAULT_MAX_CHAINS):
     consecutive vertices where it is tight.  The game spans an extreme ray
     of the supermodular cone exactly when the solution space of this system
     is one line.  max_chains caps the vertex walk (marginals._vertex_walk).
-    The rows are built from one bitmask of member columns per tight
-    element and vertex, and consecutive vertices tight at an element give
-    one row per distinct pair of masks.
+    Column k*n + i stands for player i+1 under vertex k, so a row is +1
+    on the element's unpinned members under one vertex and -1 under the
+    next, and the distinct nonzero pairs are the rows, in first-seen order.
 
     No 0-normalized game is built: the modular part of v, worth
     m_i = v(down(i)) - v(down(i) - i) on player i, moves every vertex by
@@ -112,39 +112,23 @@ def _payoff_rows(plan, val, max_chains=DEFAULT_MAX_CHAINS):
     shift = [val[d] - val[below] for d, below in plan.down]
     verts = sorted(_vertex_walk(lat, plan.steps, val, max_chains))
     els = lat.elements
-    # masks[p]: one bitmask of the columns of element p's members under each
-    # vertex tight at p, in vertex order; bit k*n + i stands for player i+1
-    # under vertex k, and col maps it to its column
-    masks = [[] for _ in lat.elements]
-    col = []
+    last = [None] * len(els)  # last[p]: element p's mask at the last vertex tight there
+    rows = {}
     ncols = 0
     for k, (x, tight) in enumerate(zip(verts, _tight(lat, plan.split, val, verts))):
         free = 0
         for i in range(n):
-            if x[i] == shift[i]:
-                col.append(None)
-            else:
+            if x[i] != shift[i]:
                 free |= 1 << i
-                col.append(ncols)
-                ncols += 1
+        ncols += free.bit_count()
+        free <<= k * n
         for p in tight:
-            masks[p].append((els[p] & free) << k * n)
-    rows = []
-    seen = set()
-    for held in masks[1:]:
-        # vertices own disjoint columns, so a row is fixed by its +1 and -1
-        # masks
-        for pair in zip(held, held[1:]):
-            if any(pair) and pair not in seen:
-                seen.add(pair)
-                row = {}
-                for m, sign in zip(pair, (1, -1)):
-                    while m:
-                        low = m & -m
-                        row[col[low.bit_length() - 1]] = sign
-                        m ^= low
-                rows.append(row)
-    return rows, ncols
+            m = els[p] << k * n & free
+            prev = last[p]
+            if prev is not None and (prev or m):
+                rows[prev, m] = None
+            last[p] = m
+    return list(rows), ncols
 
 
 def _payoff_extreme(plan, val, max_chains=DEFAULT_MAX_CHAINS):
@@ -186,8 +170,10 @@ def _facet_rows(lat):
     join-irreducible, in element order.  coord holds, at every element
     position, the index of the coordinate holding the element's value, or
     None for the elements worth 0 (join-irreducible values chain down to
-    their lower covers).  A row is a {coordinate: int} map of its nonzero
-    entries.
+    their lower covers).  A row is a signed (plus, minus) pair of
+    coordinate bitmasks, as qlin.rank reads them: base+i+j has its own
+    coordinate, and a side base+i its own or, when join-irreducible,
+    base's, where base's +1 cancels one such side and two leave -1.
     """
     ji = set(lat.join_irreducibles)
     pos = lat.index
@@ -199,15 +185,13 @@ def _facet_rows(lat):
         else:
             coord.append(d)
             d += 1
+    bit = [0 if c is None else 1 << c for c in coord]
     corners = tuple(_square_corners(lat))
     rows = []
-    for square in corners:
-        row = {}
-        for k, sign in zip(square, (1, 1, -1, -1)):
-            c = coord[k]
-            if c is not None:
-                row[c] = row.get(c, 0) + sign
-        rows.append({c: x for c, x in row.items() if x})
+    for both, base, wi, wj in corners:
+        plus = bit[both] | bit[base]
+        sides = bit[wi] | bit[wj]
+        rows.append((plus & ~sides, sides & ~plus | bit[wi] & bit[wj]))
     return corners, rows, d, coord
 
 
@@ -312,7 +296,8 @@ def double_description(rows, dim, max_rays=DEFAULT_MAX_DD_RAYS):
     """Extreme rays of the pointed cone {z in Q^dim : row . z >= 0}.
 
     Each row is a {coordinate: int} map of its nonzero entries, as
-    _facet_rows builds them; rays are dense integer tuples (none if dim is 0).
+    extreme_rays expands the _facet_rows pairs; rays are dense integer
+    tuples (none if dim is 0).
     SizeError once more than max_rays intermediate rays are held after a
     row is inserted.
 
@@ -419,7 +404,7 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, max_rays=DEFAUL
     plan = _Plan(lat)
     vals = sorted(
         tuple(0 if c is None else z[c] for c in plan.coord)
-        for z in double_description(plan.rows, plan.d, max_rays)
+        for z in double_description([qlin._signed(*row) for row in plan.rows], plan.d, max_rays)
     )
     # each automorphism as the position of the image of every element: the
     # image of a down-set is the set of its players' images, built along

@@ -1,17 +1,17 @@
-"""Exact rank over the rationals of sparse integer matrices.
+"""Exact rank over the rationals of sparse +-1 matrices.
 
-A matrix is an iterable of rows, and a row is a mapping {column: entry}
-of its nonzero int entries, with nonnegative int columns; a column it
-does not name holds zero, and an empty mapping is a zero row.  These are the
-equality systems of the extremality criteria (rows of a few +-1 entries
-each), eliminated without touching their zeros, floating point or the
-caller's rows.
+A matrix is an iterable of rows, and a row is a pair (plus, minus) of
+disjoint nonnegative int bitmasks: bit c of plus is a +1 in column c, bit
+c of minus a -1, and (0, 0) is a zero row.  These are the equality
+systems of the extremality criteria, ranked without touching their
+zeros, floating point or the caller's rows.
 
 The caller proves an upper bound on the rank, and rank first eliminates
-the rows modulo 2.  An integer matrix has no higher rank over GF(2) than
-over Q: a square minor that is odd is a nonzero integer.  So a GF(2) rank
-that reaches the proven bound is the rational rank, with no probability
-involved, and every other case takes the rational elimination.
+the rows modulo 2, where a row is the mask plus | minus.  An integer
+matrix has no higher rank over GF(2) than over Q: a square minor that is
+odd is a nonzero integer.  So a GF(2) rank that reaches the proven bound
+is the rational rank, with no probability involved, and every other case
+takes the rational elimination, _eliminate, of {column: int} rows.
 """
 
 from math import gcd
@@ -20,11 +20,12 @@ __all__ = ["rank"]
 
 
 def rank(rows, at_most):
-    """Rank over Q of the int rows, given an upper bound at_most on it that
-    the caller has proved; ValueError if the rows have more independent
-    rows modulo 2, which disproves it, and TypeError on an entry that is
-    not an int.  _rank_mod2 certifies a rank that reaches the bound, and
-    _eliminate ranks copies of the rows otherwise.
+    """Rank over Q of the signed (plus, minus) rows, given an upper bound
+    at_most on it that the caller has proved; ValueError if the rows have
+    more independent rows modulo 2, which disproves it, or if a mask is
+    negative or plus and minus share a column, and TypeError on a mask
+    that is not an int.  _rank_mod2 certifies a rank that reaches the
+    bound, and _eliminate ranks the rows expanded by _signed otherwise.
     """
     rows = list(rows)
     low = _rank_mod2(rows)
@@ -32,22 +33,22 @@ def rank(rows, at_most):
         return low
     if low > at_most:
         raise ValueError(f"the rows have rank at least {low}, above at_most={at_most}")
-    return _eliminate(map(dict, rows))
+    return _eliminate(_signed(plus, minus) for plus, minus in rows)
 
 
 def _rank_mod2(rows):
-    """Rank over GF(2) of the int rows, a lower bound on their rank over Q.
+    """Rank over GF(2) of the signed rows, a lower bound on their rank
+    over Q; checks every row as rank says.
 
-    Each row becomes the bitmask of its odd columns, and a mask is XORed
-    with the pivot keyed by its lowest set bit until it vanishes or its
-    lowest bit keys no pivot, where it becomes one.
+    A row reads as the mask plus | minus, which is XORed with the pivot
+    keyed by its lowest set bit until it vanishes or its lowest bit keys
+    no pivot, where it becomes one.
     """
     pivots = {}
-    for row in rows:
-        m = 0
-        for c, x in row.items():
-            if x & 1:
-                m |= 1 << c
+    for plus, minus in rows:
+        if plus & minus or plus < 0 or minus < 0:
+            raise ValueError(f"({plus}, {minus}) is not a pair of disjoint nonnegative masks")
+        m = plus | minus
         while m:
             low = m & -m
             piv = pivots.get(low)
@@ -56,6 +57,17 @@ def _rank_mod2(rows):
                 break
             m ^= piv
     return len(pivots)
+
+
+def _signed(plus, minus):
+    """The {column: +-1} map of the signed row (plus, minus)."""
+    row = {}
+    for m, sign in ((plus, 1), (minus, -1)):
+        while m:
+            low = m & -m
+            row[low.bit_length() - 1] = sign
+            m ^= low
+    return row
 
 
 def _eliminate(rows):

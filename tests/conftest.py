@@ -435,6 +435,37 @@ def dense_rows(rows, ncols):
     return out
 
 
+def signed_pairs(rows):
+    """Sparse rows of +-1 entries as the signed (plus, minus) column
+    bitmask pairs that qlin.rank reads; ValueError on any other entry."""
+    out = []
+    for row in rows:
+        plus = minus = 0
+        for j, x in row.items():
+            if x == 1:
+                plus |= 1 << j
+            elif x == -1:
+                minus |= 1 << j
+            else:
+                raise ValueError(f"entry {x} is not +-1")
+        out.append((plus, minus))
+    return out
+
+
+def signed_rows(pairs):
+    """Signed (plus, minus) bitmask pairs as the sparse {column: +-1} maps
+    of their nonzero entries, read off the binary digits of each mask."""
+    out = []
+    for plus, minus in pairs:
+        row = {}
+        for m, sign in ((plus, 1), (minus, -1)):
+            for j, digit in enumerate(reversed(bin(m)[2:])):
+                if digit == "1":
+                    row[j] = sign
+        out.append(row)
+    return out
+
+
 def nullspace(rows, cols=None):
     """Canonical integer basis of the right nullspace.
 
@@ -582,17 +613,64 @@ def core_structure(v):
 
 
 def payoff_equality_system(v):
-    """The payoff system that is_extreme ranks, for any supermodular game;
-    returns (rows, ncols) with sparse {column: entry} rows (dense_rows
-    turns them into the lists oracle_rank reads)."""
-    return cone._payoff_rows(cone._Plan(v.lattice), _scaled_values(v)[0])
+    """The payoff system that is_extreme ranks, for any supermodular game,
+    as sparse {column: +-1} rows; returns (rows, ncols) (dense_rows turns
+    the rows into the lists oracle_rank reads).
+
+    The criterion's column k*n + i (player i+1 under vertex k) is
+    renumbered to the count of smaller columns that some row holds.  That
+    is oracle_vertex_rows' numbering, vertex by vertex and player by
+    player, whenever every unpinned column occurs in a row, as it does
+    with two vertices or more: the rows of the grand coalition hold them
+    all.
+    """
+    pairs, ncols = cone._payoff_rows(cone._Plan(v.lattice), _scaled_values(v)[0])
+    rows = signed_rows(pairs)
+    col = {j: k for k, j in enumerate(sorted({j for row in rows for j in row}))}
+    return [{col[j]: x for j, x in row.items()} for row in rows], ncols
 
 
 def game_equality_system(v):
     """The tight facet rows that is_extreme_via_games ranks, for any
     supermodular game; returns (rows, d) with sparse rows, as above."""
     plan = cone._Plan(v.lattice)
-    return cone._game_rows(plan, _scaled_values(v)[0]), plan.d
+    return signed_rows(cone._game_rows(plan, _scaled_values(v)[0])), plan.d
+
+
+def oracle_facet_rows(lat):
+    """The inequality of every covering square over the free coordinates
+    of lat, in oracle_facet_triples order, as the {coordinate: entry} map
+    of its nonzero entries, with the number of join-irreducible sides of
+    the square; returns (rows, sides).
+
+    A join-irreducible element (oracle_join_irreducibles) is worth what
+    its one lower cover is worth, so a corner's value sits at the element
+    reached by stepping down to lower covers while the element is
+    join-irreducible: none for the empty set, and otherwise a free
+    coordinate, numbered in element order.  Each corner adds its sign, +1
+    at base+i+j and at base and -1 at base+i and at base+j, to the count
+    of its coordinate, and the nonzero counts are the row.
+    """
+    p = lat.poset
+    ji = set(oracle_join_irreducibles(p))
+    col = {a: k for k, a in enumerate(a for a in lat.elements if a and a not in ji)}
+
+    def coordinate(a):
+        while a in ji:
+            (a,) = lower_covers(lat, a)
+        return col.get(a)
+
+    rows, sides = [], []
+    for base, i, j in oracle_facet_triples(p):
+        wi, wj = base | 1 << (i - 1), base | 1 << (j - 1)
+        count = {}
+        for a, sign in ((wi | wj, 1), (base, 1), (wi, -1), (wj, -1)):
+            c = coordinate(a)
+            if c is not None:
+                count[c] = count.get(c, 0) + sign
+        rows.append({c: x for c, x in count.items() if x})
+        sides.append((wi in ji) + (wj in ji))
+    return rows, sides
 
 
 def oracle_payoff_rows(w):
@@ -739,9 +817,7 @@ def oracle_double_description(rows, dim):
                             for idx in range(len(processed))
                             if common >> idx & 1
                         ]
-                        # both rays and the lineality space solve the
-                        # rows tight at both, which proves rank <= target
-                        if qlin.rank(zrows, at_most=target) == target:
+                        if qlin._eliminate(map(dict, zrows)) == target:
                             combos.append(
                                 _reduce([tp * xm - tm * xp for xp, xm in zip(rp, rm)])
                             )
@@ -957,14 +1033,16 @@ def flat4_rays(flat4):
 def dd_random_lattices():
     """40 seeded random lattices on 4-6 players with at most 24 elements,
     each as (lattice, facet rows, dimension, the rows in a seeded shuffled
-    order), as the double-description tests compare them."""
+    order), the rows as the {coordinate: entry} maps that
+    double_description reads."""
     rng = random.Random(6607)
     out = []
     while len(out) < 40:
         lat = sm.build_lattice(random_poset(rng, rng.randint(4, 6)))
         if len(lat.elements) > 24:
             continue
-        _, rows, d, _ = cone._facet_rows(lat)
+        _, pairs, d, _ = cone._facet_rows(lat)
+        rows = signed_rows(pairs)
         out.append((lat, rows, d, rng.sample(rows, len(rows))))
     return out
 

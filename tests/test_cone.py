@@ -25,6 +25,7 @@ from conftest import (
     normalize_ray,
     oracle_face_compare,
     oracle_double_description,
+    oracle_facet_rows,
     oracle_facet_triples,
     oracle_incomparable_pairs,
     oracle_orbit,
@@ -41,6 +42,8 @@ from conftest import (
     random_poset,
     random_supermodular,
     random_unanimity_sum,
+    signed_pairs,
+    signed_rows,
     sparse_rows,
     tight_family,
 )
@@ -223,23 +226,32 @@ def test_sparse_payoff_rows_match_the_dense_builder(
 ):
     # one block per core vertex against the dense builder's block per
     # chain: the same solution dimension, with every row nonempty, in range
-    # and unrepeated, and the very rows, in order, of a column-list builder
-    # over Fraction payoffs (oracle_vertex_rows); on the ray ladder, on a seeded sample of one-rel5
-    # rays, and on rational unanimity sums over random posets (where chains
-    # tie on many elements and zero increments pin columns).  The rows of
-    # v, and of v plus a random modular game, are those of the
-    # 0-normalization w: a modular shift moves every vertex alike.
+    # and unrepeated, and the very rows, as a set, of a column-list builder
+    # over Fraction payoffs (oracle_vertex_rows); on the ray ladder, on a
+    # seeded sample of one-rel5 rays, and on rational unanimity sums over
+    # random posets (where chains tie on many elements and zero increments
+    # pin columns).  The criterion's own pairs are disjoint, nonempty and
+    # unrepeated.  The rows of v, and of v plus a random modular game, are
+    # those of the 0-normalization w: a modular shift moves every vertex
+    # alike.
     shift_rng = random.Random(3163)
 
     def same_system(v):
         w = sm.zero_normalize(v)[0]
+        pairs, _ = cone._payoff_rows(cone._Plan(w.lattice), _scaled_values(w)[0])
+        assert all(plus | minus and not plus & minus for plus, minus in pairs)
+        assert len(set(pairs)) == len(pairs)
         rows, ncols = payoff_equality_system(w)
-        assert (rows, ncols) == oracle_vertex_rows(w)
+        expected, expected_ncols = oracle_vertex_rows(w)
+        assert ncols == expected_ncols and len(rows) == len(expected)
+        assert {frozenset(row.items()) for row in rows} == {
+            frozenset(row.items()) for row in expected
+        }
         dense, dense_ncols = oracle_payoff_rows(w)
         # the payoff array of w solves the dense rows, and is nonzero on
         # every column, which bounds their rank for qlin.rank
         bound = max(dense_ncols - 1, 0)
-        dense_rank = qlin.rank(sparse_rows(dense), at_most=bound)
+        dense_rank = qlin.rank(signed_pairs(sparse_rows(dense)), at_most=bound)
         assert ncols - oracle_rank(dense_rows(rows, ncols)) == dense_ncols - dense_rank
         assert all(rows) and all(0 <= j < ncols for row in rows for j in row)
         assert len({frozenset(row.items()) for row in rows}) == len(rows)
@@ -638,7 +650,8 @@ def test_double_description_caps_its_intermediate_rays(hier4, flat4, monkeypatch
     # flat4 holds at most 37 rays after any row; a cap below that refuses
     # and names the cap, the count reached, the row and the flag.  A refused
     # run computes no automorphism: flat5 under a cap of 200 refuses before
-    _, rows, d, _ = cone._facet_rows(flat4)
+    _, pairs, d, _ = cone._facet_rows(flat4)
+    rows = signed_rows(pairs)
     assert len(sm.double_description(rows, d, max_rays=37)) == 37
     with pytest.raises(sm.SizeError) as exc:
         sm.double_description(rows, d, max_rays=20)
@@ -768,8 +781,38 @@ def test_double_description_matches_the_algebraic_oracle(dd_random_lattices):
     for _, rows, d, shuffled in dd_random_lattices:
         same_rays(rows, d)
         same_rays(shuffled, d)
-    _, rows, d, _ = cone._facet_rows(sm.build_lattice(sm.poset_from_covers(5, [(1, 2)])))
-    assert same_rays(rows, d) == 241
+    _, pairs, d, _ = cone._facet_rows(sm.build_lattice(sm.poset_from_covers(5, [(1, 2)])))
+    assert same_rays(signed_rows(pairs), d) == 241
+
+
+def test_facet_pairs_match_the_corner_count_oracle(dd_random_lattices, monkeypatch):
+    # every covering square's signed pair, expanded, is the row of
+    # oracle_facet_rows, which counts corner signs per coordinate; on the
+    # ladder, the 40 random lattices and 200 seeded random posets, with
+    # squares that have no, one and two join-irreducible sides.  The rows
+    # extreme_rays hands to double_description are those rows, in order.
+    handed = []
+    dd = cone.double_description
+    monkeypatch.setattr(
+        cone, "double_description", lambda rows, *a: handed.append(rows) or dd(rows, *a)
+    )
+    lattices = [sm.build_lattice(sm.poset_from_covers(*LADDER[name])) for name in LADDER]
+    lattices += [lat for lat, *_ in dd_random_lattices]
+    rng = random.Random(8363)
+    lattices += [sm.build_lattice(random_poset(rng, rng.randint(2, 6))) for _ in range(200)]
+    kinds = set()
+    for lat in lattices:
+        _, pairs, d, _ = cone._facet_rows(lat)
+        rows, sides = oracle_facet_rows(lat)
+        assert all(not plus & minus for plus, minus in pairs)
+        assert signed_rows(pairs) == rows
+        assert all(0 <= c < d for row in rows for c in row)
+        kinds.update(sides)
+        if len(lat.elements) <= 24:
+            handed.clear()
+            sm.extreme_rays(lat)
+            assert handed == [rows]
+    assert kinds == {0, 1, 2}
 
 
 def test_face_compare_examples(hier4, hier4_games, flat4):

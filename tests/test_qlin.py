@@ -18,57 +18,68 @@ from conftest import (
     oracle_payoff_system,
     oracle_rank,
     payoff_equality_system,
+    signed_pairs,
+    signed_rows,
     solve_unique,
     sparse_rows,
 )
 
 
 def test_rank_examples():
-    # rows are maps of their nonzero int entries: an empty map is a zero
-    # row, and a column a row does not name holds zero
-    assert qlin.rank([{0: 1}, {1: 1}], at_most=2) == 2
-    assert qlin.rank([{}, {}, {}], at_most=0) == 0
-    assert qlin.rank(sparse_rows([[1, 1, 0], [0, 1, 1], [1, 2, 1]]), at_most=2) == 2
+    # a row is a pair (plus, minus) of disjoint column bitmasks: (0, 0) is
+    # a zero row, and a column neither mask holds is zero
+    assert qlin.rank([(1, 0), (2, 0)], at_most=2) == 2
+    assert qlin.rank([(0, 0), (0, 0), (0, 0)], at_most=0) == 0
+    assert qlin.rank(signed_pairs(sparse_rows([[1, 1, 0], [0, 1, 1], [1, 0, -1]])), at_most=2) == 2
     assert qlin.rank([], at_most=0) == 0
-    assert qlin.rank([{7: 1}, {3: -2, 9: 1}, {3: 4, 9: -2}, {1000: -5}], at_most=3) == 3
-    assert qlin.rank([{5: 2, 2: 1}, {2: 1, 5: 2}], at_most=1) == 1  # key order is free
+    assert qlin.rank([(1 << 7, 0), (1 << 9, 1 << 3), (1 << 3, 1 << 9), (0, 1 << 1000)], at_most=3) == 3
+    # modulo 2 a row is plus | minus, over Q its signs count
+    assert qlin.rank([(0b11, 0), (0b01, 0b10)], at_most=2) == 2
 
 
 def test_rank_requires_a_bound():
     with pytest.raises(TypeError):
-        qlin.rank([{0: 1}, {1: 1}])
+        qlin.rank([(1, 0), (2, 0)])
 
 
 def test_rank_refuses_fraction_entries():
-    # a Fraction, even an integral one, a float or a str is refused rather
-    # than ranked, wherever it sits in its row: after rows that already
-    # reach the bound, and on rows that would take the rational elimination
-    for entry in (Fraction(1, 2), Fraction(2), 0.5, 1.0, "1"):
-        with pytest.raises(TypeError):
-            qlin.rank([{0: 1}, {1: entry}], at_most=2)
-        with pytest.raises(TypeError):
-            qlin.rank([{0: 1}, {0: entry}], at_most=1)
-        for bad in ({2: entry, 0: 1}, {0: 1, 2: entry}):
+    # a Fraction, even an integral one, a float, a str or None is refused
+    # rather than ranked, as plus, as minus or as both: after rows that
+    # already reach the bound, and among rows that would take the rational
+    # elimination
+    for mask in (Fraction(1, 2), Fraction(2), 0.5, 1.0, "1", None):
+        for bad in ((mask, 0), (0, mask), (mask, mask)):
             with pytest.raises(TypeError):
-                qlin.rank([{0: 1}, {1: 1}, bad], at_most=2)
+                qlin.rank([(1, 0), (2, 0), bad], at_most=2)
             with pytest.raises(TypeError):
-                qlin.rank([{0: 2, 1: 2}, {1: 2}, bad], at_most=3)
+                qlin.rank([(0b11, 0), bad, (0b01, 0b10)], at_most=2)
+
+
+def test_rank_refuses_overlapping_and_negative_masks(rational_path):
+    # a column that is both +1 and -1, or a negative mask, which has
+    # infinitely many set bits, is no signed row; it is refused wherever it
+    # sits, before any rank is returned
+    for bad in ((1, 1), (0b110, 0b011), (-1, 0), (0, -4), (-2, 1), (-1, -1)):
+        for rows in ([bad], [(1, 0), (2, 0), bad], [bad, (0b11, 0), (0b01, 0b10)]):
+            with pytest.raises(ValueError, match="not a pair of disjoint nonnegative masks"):
+                qlin.rank(rows, at_most=2)
+    assert rational_path == []
 
 
 def gf2_rank(rows):
-    """Rank over GF(2) from the size of the span of the odd-column masks."""
+    """Rank over GF(2) from the size of the span of the masks plus | minus."""
     span = {0}
-    for row in rows:
-        m = sum(1 << c for c, x in row.items() if x % 2)
+    for plus, minus in rows:
+        m = sum(1 << j for j in signed_rows([(plus, minus)])[0])
         span |= {s ^ m for s in span}
     return len(span).bit_length() - 1
 
 
-def test_odd_masks_of_signed_and_large_entries():
-    # entries 2, -2, -1, 3 and 2**70 + 1 in shuffled key order: the GF(2)
-    # pass reads -1, 3 and 2**70 + 1 as odd and +-2 as even, and rank
-    # agrees with the oracle whether the GF(2) rank reaches the bound or
-    # the rational elimination decides
+def test_large_entries_and_far_columns():
+    # entries 2, -2, -1, 3 and 2**70 + 1 in shuffled key order are ranked by
+    # the rational elimination as by the oracle; and the GF(2) pass of
+    # signed rows, some of them on columns past 2**70, agrees with a span
+    # oracle, both when it reaches the rational rank and when it does not
     rng = random.Random(7027)
     entries = (2, -2, -1, 3, 2**70 + 1)
     paths = set()
@@ -78,34 +89,38 @@ def test_odd_masks_of_signed_and_large_entries():
         for _ in range(rng.randint(1, 6)):
             cols = rng.sample(range(ncols), rng.randint(0, ncols))
             rows.append({c: rng.choice(entries) for c in cols})
-        low = qlin._rank_mod2(rows)
-        assert low == gf2_rank(rows)
         full = oracle_rank(dense_rows(rows, ncols))
-        paths.add(low == full)
-        assert qlin.rank(rows, at_most=full) == full
         shuffled = [dict(rng.sample(list(row.items()), len(row))) for row in rows]
-        assert qlin._rank_mod2(shuffled) == low
-        assert qlin.rank(shuffled, at_most=full) == full
+        assert qlin._eliminate(map(dict, rows)) == qlin._eliminate(shuffled) == full
+        cols = [rng.choice((c, 70 + c, 1000 + c)) for c in range(ncols)]
+        pairs = signed_pairs(
+            {cols[c]: rng.choice((1, -1)) for c in rng.sample(range(ncols), rng.randint(0, ncols))}
+            for _ in rows
+        )
+        low = qlin._rank_mod2(pairs)
+        assert low == gf2_rank(pairs)
+        paths.add(low == oracle_rank(dense_rows(signed_rows(pairs), 1001 + ncols)))
     assert paths == {True, False}
-    assert qlin._rank_mod2([{3: 2**70 + 1, 0: -2}, {0: -1, 3: 3}, {0: 2, 3: -2}]) == 2
+    assert qlin._eliminate([{3: 2**70 + 1, 0: -2}, {0: -1, 3: 3}, {0: 2, 3: -2}]) == 2
 
 
 def test_rank_leaves_its_rows_unchanged():
-    # elimination works on copies: the pivots and reduced rows never alias
-    # the caller's maps, whose entries and key order stay as they were; the
-    # GF(2) rank 3 certifies at_most=3, and at_most=4 takes the elimination
-    rows = [{0: 2, 1: 4}, {0: 3, 1: 1, 2: 1}, {2: 1, 0: 1}, {}, {1: 1, 2: -1}]
-    before = [list(row.items()) for row in rows]
+    # the caller's list is only read: the GF(2) rank 3 certifies
+    # at_most=3, and at_most=4 takes the elimination of expanded copies
+    rows = [(0b011, 0), (0b101, 0b010), (0b001, 0b100), (0, 0), (0b110, 0)]
+    before = list(rows)
     for bound in (3, 4, 3, 4):
         assert qlin.rank(rows, at_most=bound) == 3
-        assert [list(row.items()) for row in rows] == before
+        assert rows == before
 
 
-def test_rank_matches_bareiss_oracle_on_random_matrices():
-    # zero rows and repeated rows (scaled copies included) must not count;
-    # the row count bounds the rank, so both paths of rank are taken
+def test_rank_matches_bareiss_oracle_on_random_matrices(rational_path):
+    # zero rows and repeated rows (scaled or negated copies) must not
+    # count; the row count bounds the rank.  The +-1 systems are ranked by
+    # rank, by both of its paths, and every system by the elimination
     rng = random.Random(4431)
     ranks = set()
+    paths = set()
     for k in range(120):
         ncols = rng.randint(1, 9)
         rows = []
@@ -114,52 +129,58 @@ def test_rank_matches_bareiss_oracle_on_random_matrices():
             if pick < 0.15:
                 rows.append([0] * ncols)
             elif pick < 0.35 and rows:
-                rows.append([3 * x for x in rng.choice(rows)])
+                rows.append([(3 if k % 2 else -1) * x for x in rng.choice(rows)])
             elif k % 2:
                 rows.append([rng.randint(-24, 24) for _ in range(ncols)])
             else:
-                rows.append([rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(ncols)])
+                rows.append([rng.choice((0, 0, 1, -1)) for _ in range(ncols)])
         rng.shuffle(rows)
         expected = oracle_rank(rows)
-        assert qlin.rank(sparse_rows(rows), at_most=min(len(rows), ncols)) == expected
         assert qlin._eliminate(sparse_rows(rows)) == expected
+        if k % 2 == 0:
+            before = len(rational_path)
+            pairs = signed_pairs(sparse_rows(rows))
+            assert qlin.rank(pairs, at_most=min(len(rows), ncols)) == expected
+            paths.add(len(rational_path) == before)
         ranks.add(expected)
     assert len(ranks) > 5
+    assert paths == {True, False}
 
 
 def test_rank_matches_bareiss_oracle_on_random_sparse_systems():
-    # a few entries per row over many columns, like the equality systems:
-    # +-1 entries, larger ints, empty maps and rows that share their
-    # support; every system is ranked twice to catch aliasing
+    # a few +-1 entries per row over many columns, like the equality
+    # systems, with zero rows, repeated and negated rows, and sums of two
+    # rows on disjoint columns; every system is ranked twice, once from
+    # an iterator, and the caller's list is left as it was
     rng = random.Random(8821)
     ranks = set()
     for _ in range(150):
         ncols = rng.randint(1, 40)
         rows = []
         for _ in range(rng.randint(0, 30)):
-            if rng.random() < 0.1:
-                rows.append({})
-                continue
-            if rows and rng.random() < 0.2:
-                # a combination of two earlier rows on the same columns
-                a, b = rng.choice(rows), rng.choice(rows)
-                row = {j: 2 * a.get(j, 0) - b.get(j, 0) for j in set(a) | set(b)}
-                rows.append({j: x for j, x in row.items() if x})
-                continue
-            row = {}
-            for j in rng.sample(range(ncols), rng.randint(1, min(ncols, 5))):
-                pick = rng.random()
-                if pick < 0.6:
-                    row[j] = rng.choice((1, -1))
-                elif pick < 0.85:
-                    row[j] = rng.choice((-1, 1)) * rng.randint(2, 9)
-                else:
-                    row[j] = rng.choice((-1, 1)) * rng.randint(10, 60)
-            rows.append(row)
-        copies = [dict(row) for row in rows]
+            pick = rng.random()
+            if pick < 0.1:
+                rows.append((0, 0))
+            elif rows and pick < 0.2:
+                plus, minus = rng.choice(rows)
+                rows.append(rng.choice(((plus, minus), (minus, plus))))
+            elif rows and pick < 0.3:
+                (a, b), (c, e) = rng.choice(rows), rng.choice(rows)
+                if not (a | b) & (c | e):
+                    rows.append((a | c, b | e))
+            else:
+                plus = minus = 0
+                for j in rng.sample(range(ncols), rng.randint(1, min(ncols, 5))):
+                    if rng.random() < 0.5:
+                        plus |= 1 << j
+                    else:
+                        minus |= 1 << j
+                rows.append((plus, minus))
+        copies = list(rows)
         bound = min(len(rows), ncols)
         k = qlin.rank(rows, at_most=bound)
-        assert k == qlin.rank(rows, at_most=bound) == oracle_rank(dense_rows(rows, ncols))
+        assert k == qlin.rank(iter(rows), at_most=bound)
+        assert k == oracle_rank(dense_rows(signed_rows(rows), ncols))
         assert rows == copies
         ranks.add(k)
     assert len(ranks) > 10
@@ -170,8 +191,7 @@ def test_rank_with_growing_non_unit_pivots():
     # multiplies by gcds; it is nonsingular, and an integer combination of
     # its rows adds nothing
     scaled = [[720720 // (i + j + 1) for j in range(8)] for i in range(8)]
-    assert qlin.rank(sparse_rows(scaled), at_most=8) == oracle_rank(scaled) == 8
-    assert qlin._eliminate(sparse_rows(scaled)) == 8
+    assert qlin._eliminate(sparse_rows(scaled)) == oracle_rank(scaled) == 8
     combo = [sum((k + 1) * row[j] for k, row in enumerate(scaled[:5])) for j in range(8)]
     assert qlin._eliminate(sparse_rows(scaled[:5] + [combo])) == 5
     assert oracle_rank(scaled[:5] + [combo]) == 5
@@ -185,10 +205,11 @@ def test_rank_matches_bareiss_oracle_on_one_rel5_systems(one_rel5_rays):
     # so it sees a seeded sample of them
     for r in one_rel5_rays:
         rows, d = game_equality_system(r)
-        assert qlin.rank(rows, at_most=d - 1) == oracle_rank(dense_rows(rows, d)) == d - 1
+        assert qlin.rank(signed_pairs(rows), at_most=d - 1) == d - 1
+        assert oracle_rank(dense_rows(rows, d)) == d - 1
         assert qlin._eliminate(map(dict, rows)) == d - 1
         rows, ncols = payoff_equality_system(r)
-        assert qlin.rank(rows, at_most=ncols - 1) == ncols - 1
+        assert qlin.rank(signed_pairs(rows), at_most=ncols - 1) == ncols - 1
         assert qlin._eliminate(map(dict, rows)) == ncols - 1
     rng = random.Random(7301)
     for r in rng.sample(one_rel5_rays, 6):
@@ -198,7 +219,7 @@ def test_rank_matches_bareiss_oracle_on_one_rel5_systems(one_rel5_rays):
     for _ in range(8):
         a, b = rng.sample(one_rel5_rays, 2)
         for rows, ncols in (payoff_equality_system(a + b), game_equality_system(a + b)):
-            k = qlin.rank(rows, at_most=ncols - 1)
+            k = qlin.rank(signed_pairs(rows), at_most=ncols - 1)
             assert k == oracle_rank(dense_rows(rows, ncols))
             nullities.add(ncols - k)
     assert min(nullities) == 2 and max(nullities) > 2
@@ -206,55 +227,65 @@ def test_rank_matches_bareiss_oracle_on_one_rel5_systems(one_rel5_rays):
 
 @pytest.fixture
 def rational_path(monkeypatch):
-    """The rows of every call that reaches the rational elimination."""
+    """The rows of every call that reaches the rational elimination, as a
+    list of copies of the rows it was given."""
     calls = []
     eliminate = qlin._eliminate
-    monkeypatch.setattr(qlin, "_eliminate", lambda rows: calls.append(rows) or eliminate(rows))
+
+    def record(rows):
+        rows = list(rows)
+        calls.append([dict(row) for row in rows])
+        return eliminate(rows)
+
+    monkeypatch.setattr(qlin, "_eliminate", record)
     return calls
 
 
 def test_rank_certified_by_a_proven_bound(rational_path):
     # a GF(2) rank that reaches at_most is returned with no rational step
-    assert qlin.rank([{0: 1}, {1: 1}], at_most=2) == 2
-    assert qlin.rank([{0: 1, 1: 1}, {1: 1, 2: -1}, {0: 1, 2: 1}], at_most=2) == 2
-    assert qlin.rank([{0: 3, 1: 2}, {0: 6, 1: 4}], at_most=1) == 1
+    assert qlin.rank([(1, 0), (2, 0)], at_most=2) == 2
+    assert qlin.rank([(0b011, 0), (0b010, 0b100), (0b101, 0)], at_most=2) == 2
+    assert qlin.rank([(0b11, 0), (0, 0b11)], at_most=1) == 1
     assert qlin.rank([], at_most=0) == 0
-    assert qlin.rank([{}], at_most=0) == 0
+    assert qlin.rank([(0, 0)], at_most=0) == 0
     assert rational_path == []
     # GF(2) falls short and the rational elimination reaches the bound:
-    # (1, 1) and (1, -1) coincide mod 2, and all-even rows vanish there
-    assert qlin.rank([{0: 1, 1: 1}, {0: 1, 1: -1}], at_most=2) == 2
-    assert qlin.rank([{0: 2, 1: 4}, {1: 6}], at_most=2) == 2
-    assert qlin.rank([{0: 2}, {0: 1, 1: 1}], at_most=2) == 2
-    assert qlin.rank([{0: 1, 1: 3}, {0: 1, 1: 5}], at_most=2) == 2
-    assert qlin.rank([{0: 2, 1: 4}, {1: 3}], at_most=2) == 2
-    assert len(rational_path) == 5
+    # (1, 1) and (1, -1) coincide mod 2, and so do the rows of the odd
+    # cycle e0 + e1, e1 + e2, e0 + e2 modulo their sum
+    assert qlin.rank([(0b11, 0), (0b01, 0b10)], at_most=2) == 2
+    assert qlin.rank([(0b111, 0), (0b001, 0b110)], at_most=2) == 2
+    assert qlin.rank([(0b011, 0), (0b110, 0), (0b101, 0)], at_most=3) == 3
+    assert rational_path == [
+        [{0: 1, 1: 1}, {0: 1, 1: -1}],
+        [{0: 1, 1: 1, 2: 1}, {0: 1, 1: -1, 2: -1}],
+        [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}],
+    ]
     # a bound that holds but is not reached is no certificate either
-    assert qlin.rank([{0: 1, 1: 1}, {0: 2, 1: 2}], at_most=2) == 1
-    assert qlin.rank([{0: 2, 1: 2}], at_most=1) == 1
-    assert len(rational_path) == 7
+    assert qlin.rank([(0b11, 0), (0, 0b11)], at_most=2) == 1
+    assert qlin.rank([(0, 0), (0b01, 0b10), (0b10, 0b01)], at_most=2) == 1
+    assert len(rational_path) == 5
     # rows given once, as an iterator, are read by both passes
-    assert qlin.rank(iter([{0: 1, 1: 1}, {0: 1, 1: -1}]), at_most=2) == 2
-    assert qlin.rank(sparse_rows([[2, 0], [0, 2]]), at_most=2) == 2
+    assert qlin.rank(iter([(0b11, 0), (0b01, 0b10)]), at_most=2) == 2
 
 
 def test_rank_refuses_a_bound_below_the_gf2_rank(rational_path):
     # more independent rows mod 2 than at_most disproves the caller's bound
     with pytest.raises(ValueError, match="above at_most=1"):
-        qlin.rank([{0: 1}, {1: 1}], at_most=1)
+        qlin.rank([(1, 0), (2, 0)], at_most=1)
     with pytest.raises(ValueError, match="above at_most=-1"):
-        qlin.rank([{3: 1}], at_most=-1)
-    # a bound below the rational rank alone is not always caught: the rows
-    # are then ranked over Q, and the bound is ignored
-    assert qlin.rank([{0: 2}, {1: 2}], at_most=1) == 2
+        qlin.rank([(1 << 3, 0)], at_most=-1)
+    # a bound below the rational rank alone is not always caught: these
+    # rows are all 0b111 mod 2 and have rank 3 over Q, so they are ranked
+    # over Q, and the bound is ignored
+    assert qlin.rank([(0b111, 0), (0b001, 0b110), (0b010, 0b101)], at_most=2) == 3
     assert len(rational_path) == 1
 
 
 def test_certified_rank_matches_the_oracle_on_planted_kernels(rational_path):
-    # seeded matrices with a planted nonzero kernel vector z, so rank <=
-    # ncols - 1 is proven: each row is random off column t, and its entry at
-    # t (where z is 1) cancels the rest.  Small entries and even and odd
-    # scalings give both GF(2) certificates and rational fallbacks.
+    # seeded +-1 matrices with a planted nonzero kernel vector z, so rank
+    # <= ncols - 1 is proven: each row is random off column t, where z is
+    # 1, and is kept when its entry at t can cancel the rest with 0 or +-1.
+    # Both GF(2) certificates and rational fallbacks occur.
     rng = random.Random(9377)
     certified = fallbacks = 0
     for k in range(200):
@@ -263,20 +294,17 @@ def test_certified_rank_matches_the_oracle_on_planted_kernels(rational_path):
         z = [rng.choice((0, 1, -1, 2, 3)) for _ in range(ncols)]
         z[t] = 1
         rows = []
-        for _ in range(rng.randint(0, ncols + 3)):
-            row = [rng.choice((0, 0, 1, -1, 2, rng.randint(-6, 6))) for _ in range(ncols)]
+        count = rng.randint(0, ncols + 3)
+        while len(rows) < count:
+            row = [rng.choice((0, 0, 1, -1)) for _ in range(ncols)]
             row[t] = 0
             row[t] = -sum(x * y for x, y in zip(row, z))
-            if rng.random() < 0.2:
-                row = [2 * x for x in row]
-            elif k % 3 == 0:
-                w = rng.randint(3, 7)
-                row = [w * x for x in row]
-            rows.append(row)
+            if row[t] in (0, 1, -1):
+                rows.append(row)
         assert all(sum(x * y for x, y in zip(row, z)) == 0 for row in rows)
         expected = oracle_rank(rows) if rows else 0
         before = len(rational_path)
-        assert qlin.rank(sparse_rows(rows), at_most=ncols - 1) == expected
+        assert qlin.rank(signed_pairs(sparse_rows(rows)), at_most=ncols - 1) == expected
         if len(rational_path) == before:
             certified += 1
         else:
@@ -323,7 +351,7 @@ def test_nullspace_vectors_satisfy_system_exactly():
     for _ in range(50):
         rows = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(rng.randint(1, 5))]
         basis = nullspace(rows)
-        assert qlin.rank(sparse_rows(rows), at_most=len(rows)) + len(basis) == 6
+        assert qlin._eliminate(sparse_rows(rows)) + len(basis) == 6
         for b in basis:
             for row in rows:
                 assert sum(x * y for x, y in zip(row, b)) == 0
