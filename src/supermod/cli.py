@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import re
 import sys
 from fractions import Fraction
-from importlib import resources
 from itertools import islice
 from math import gcd, lcm
 
@@ -504,10 +502,6 @@ def cmd_cone_face_compare(args):
 # -- reference reproduction -------------------------------------------------------
 
 
-def _digest(data):
-    return hashlib.sha256(data).hexdigest()
-
-
 def reproduce_paper(
     golden_path=None, max_lattice=DEFAULT_MAX_ELEMENTS, max_rays=DEFAULT_MAX_DD_RAYS
 ):
@@ -518,6 +512,10 @@ def reproduce_paper(
     a corrupt field fails its check; ValueError if the file or one of its two
     sections is not a JSON object.  max_rays caps each ray enumeration.
     """
+    # imported here, not at the top: no other command hashes or reads package data
+    import hashlib
+    from importlib import resources
+
     if golden_path is None:
         blob = resources.files("supermod").joinpath(GOLDEN_RESOURCE).read_bytes()
     else:
@@ -528,7 +526,7 @@ def reproduce_paper(
         isinstance(golden.get(key), dict) for key in ("hierarchy4", "flat4")
     ):
         raise ValueError("a golden file is an object holding the objects hierarchy4 and flat4")
-    inputs = {"golden_sha256": _digest(blob)}
+    inputs = {"golden_sha256": hashlib.sha256(blob).hexdigest()}
     checks = []
 
     def check(claim, expected, got):
@@ -546,9 +544,9 @@ def reproduce_paper(
     def section(name):
         ref = golden[name]
         poset = poset_from_dict(ref["poset"])
-        inputs[f"{name}_poset_sha256"] = _digest(
+        inputs[f"{name}_poset_sha256"] = hashlib.sha256(
             json.dumps(poset_to_dict(poset), sort_keys=True).encode()
-        )
+        ).hexdigest()
         lat = build_lattice(poset, max_elements=max_lattice)
         check(f"{name}: down-set count", lambda: ref["lattice_size"], lambda: len(lat.elements))
         return ref, poset, lat

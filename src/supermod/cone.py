@@ -8,9 +8,9 @@ join-irreducible, and their count is the dimension of the cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import qlin
 from .errors import CrossCheckError, NotSupermodularError, SizeError
@@ -35,9 +35,11 @@ DEFAULT_MAX_CONE_ELEMENTS = 64
 DEFAULT_MAX_DD_RAYS = 2000
 
 
-@dataclass(frozen=True)
-class FacetTriple:
-    """A down-set with two addable players; carries one facet inequality."""
+class FacetTriple(NamedTuple):
+    """A down-set with two addable players; carries one facet inequality.
+
+    Like MaximalChain it is a NamedTuple, so it unpacks, orders and
+    compares as the tuple (base, i, j)."""
 
     base: int
     i: int

@@ -1168,12 +1168,15 @@ def test_reproduce_paper_is_deterministic(ws, capsys):
     assert outputs[0] == outputs[1]
 
 
+# the directory holding the package this suite imported, also when it was
+# found through pytest's pythonpath setting rather than PYTHONPATH
+SRC = os.path.dirname(os.path.dirname(sm.__file__))
+
+
 def run_child(*argv):
-    """A fresh interpreter run with the given arguments.  The child must
-    import the package this suite imported, also when it was found through
-    pytest's pythonpath setting rather than PYTHONPATH."""
-    src = os.path.dirname(os.path.dirname(sm.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    """A fresh interpreter run with the given arguments, importing the
+    package from SRC."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
@@ -1194,6 +1197,32 @@ def test_the_parser_is_built_once_on_first_use():
     )
     assert (proc.returncode, proc.stdout) == (0, "0\n")
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_importing_the_cli_loads_no_module_only_reproduce_paper_needs():
+    # -I ignores PYTHONPATH and -S skips site, which would preload
+    # importlib.resources; the child imports nothing but the package
+    heavy = ("dataclasses", "inspect", "hashlib", "_hashlib", "importlib.resources")
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import supermod.cli, supermod; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_reproduce_paper_runs_in_a_fresh_interpreter(tmp_path):
+    # the suite itself has imported hashlib and importlib.resources, so only
+    # a child process runs the imports reproduce_paper makes on demand
+    blob = resources.files("supermod").joinpath(cli.GOLDEN_RESOURCE).read_bytes()
+    copy = tmp_path / "golden.json"
+    copy.write_bytes(blob)
+    for extra in ((), ("--golden", str(copy))):
+        proc = run_child("-m", "supermod", "reproduce-paper", *extra)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        data = payload_of(proc.stdout)
+        assert data["results"]["checks_passed"] == data["results"]["checks_total"] == 14
+        assert data["inputs"]["golden_sha256"] == hashlib.sha256(blob).hexdigest()
 
 
 def _subcommand_paths():

@@ -446,6 +446,63 @@ def test_facet_witness_refuses_a_nonpositive_scale_or_a_non_square(flat3, hier4)
             facet_witness(lat, triple)
 
 
+# every facet triple of hier4 and flat3 with its repr, masks, render and its
+# value at the game v(A) = A^2 / (|A| + 1) on the mask A, pinned so that a
+# change of FacetTriple's underlying type cannot alter any of them
+FACET_TRIPLE_FORMS = {
+    "hier4": [
+        ("FacetTriple(base=0, i=2, j=3)", (6, 0, 2, 4), "v(23) >= v(2) + v(3)", Fraction(2)),
+        ("FacetTriple(base=0, i=2, j=4)", (10, 0, 2, 8), "v(24) >= v(2) + v(4)", Fraction(-2, 3)),
+        ("FacetTriple(base=0, i=3, j=4)", (12, 0, 4, 8), "v(34) >= v(3) + v(4)", Fraction(8)),
+        ("FacetTriple(base=2, i=3, j=4)", (14, 2, 6, 10), "v(234) + v(2) >= v(23) + v(24)",
+         Fraction(17, 3)),
+        ("FacetTriple(base=4, i=2, j=4)", (14, 4, 6, 12), "v(234) + v(3) >= v(23) + v(34)",
+         Fraction(-3)),
+        ("FacetTriple(base=8, i=2, j=3)", (14, 8, 10, 12), "v(234) + v(4) >= v(24) + v(34)",
+         Fraction(-1, 3)),
+        ("FacetTriple(base=6, i=1, j=4)", (15, 6, 7, 14), "v(1234) + v(23) >= v(123) + v(234)",
+         Fraction(-17, 4)),
+    ],
+    "flat3": [
+        ("FacetTriple(base=0, i=1, j=2)", (3, 0, 1, 2), "v(12) >= v(1) + v(2)", Fraction(1, 2)),
+        ("FacetTriple(base=0, i=1, j=3)", (5, 0, 1, 4), "v(13) >= v(1) + v(3)", Fraction(-1, 6)),
+        ("FacetTriple(base=0, i=2, j=3)", (6, 0, 2, 4), "v(23) >= v(2) + v(3)", Fraction(2)),
+        ("FacetTriple(base=1, i=2, j=3)", (7, 1, 3, 5), "v(123) + v(1) >= v(12) + v(13)",
+         Fraction(17, 12)),
+        ("FacetTriple(base=2, i=1, j=3)", (7, 2, 3, 6), "v(123) + v(2) >= v(12) + v(23)",
+         Fraction(-3, 4)),
+        ("FacetTriple(base=4, i=1, j=2)", (7, 4, 5, 6), "v(123) + v(3) >= v(13) + v(23)",
+         Fraction(-1, 12)),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACET_TRIPLE_FORMS))
+def test_facet_triple_forms_are_pinned(name, hier4, flat3):
+    lat = {"hier4": hier4, "flat3": flat3}[name]
+    g = sm.Game(lat, [Fraction(a * a, a.bit_count() + 1) for a in lat.elements])
+    got = [(repr(t), t.masks(), t.render(), t.value(g)) for t in sm.facet_triples(lat)]
+    assert got == FACET_TRIPLE_FORMS[name]
+
+
+def test_facet_triple_is_an_immutable_value(flat3):
+    t = sm.FacetTriple(0b1, 2, 3)
+    assert repr(t) == str(t) == "FacetTriple(base=1, i=2, j=3)"
+    for field in ("base", "i", "j"):
+        with pytest.raises(AttributeError):
+            setattr(t, field, 0)
+    same = sm.FacetTriple(base=1, i=2, j=3)
+    assert same == t and hash(same) == hash(t) and same is not t
+    assert sm.FacetTriple(0, 2, 3) != t
+    # like MaximalChain: unpacks, orders and compares as the tuple (base, i, j)
+    base, i, j = t
+    assert (base, i, j) == t == (1, 2, 3)
+    assert sorted([t, sm.FacetTriple(0, 2, 3)]) == [(0, 2, 3), (1, 2, 3)]
+    with pytest.raises(ValueError) as err:
+        facet_witness(flat3, sm.FacetTriple(0, 1, 1))
+    assert str(err.value) == "FacetTriple(base=0, i=1, j=1) is not a covering square of the lattice"
+
+
 def test_ray_enumeration_matches_the_generator_tables(hier4, hier4_rays):
     expected = sorted(
         (game_from_table(hier4, t) for t in HIER4_GENERATORS),
