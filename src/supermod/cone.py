@@ -22,7 +22,6 @@ from .poset import _automorphisms, format_coalition
 __all__ = [
     "FacetTriple",
     "is_extreme",
-    "is_extreme_via_games",
     "facet_triples",
     "facet_witness",
     "extreme_rays",
@@ -134,7 +133,7 @@ def _payoff_rows(plan, val, max_chains=DEFAULT_MAX_CHAINS):
 
 
 def _payoff_extreme(plan, val, max_chains=DEFAULT_MAX_CHAINS):
-    """is_extreme on the integer values val by element position.
+    """The payoff criterion of is_extreme on integer values val by position.
 
     The system has rank at most ncols - 1, which qlin.rank is given to
     certify: the vertices of v less the modular shift m solve it (each row
@@ -217,7 +216,10 @@ def _game_rows(plan, val):
 
 
 def _games_extreme(plan, val):
-    """is_extreme_via_games on the integer values val by element position.
+    """The games criterion of is_extreme on the integer values val of v by
+    element position: v spans an extreme ray exactly when the 0-normalized
+    games modular on its tight covering squares (the rows of _game_rows)
+    form a line.
 
     A game with every square tight is modular, and not extreme.  Otherwise
     the tight rows have rank at most d - 1, which qlin.rank is given to
@@ -226,15 +228,6 @@ def _games_extreme(plan, val):
     """
     rows = _game_rows(plan, val)
     return len(rows) < len(plan.rows) and plan.d - qlin.rank(rows, at_most=plan.d - 1) == 1
-
-
-def is_extreme_via_games(v):
-    """Extremality via the space of games modular on the equality pairs of v.
-
-    A modular game is not extreme: every facet row is tight at it, and they
-    have rank d because the cone is pointed; it is refused before ranking.
-    """
-    return _games_extreme(_Plan(v.lattice), _scaled_values(v)[0])
 
 
 def facet_triples(lat):

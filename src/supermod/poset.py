@@ -174,8 +174,10 @@ def _automorphisms(poset):
 def poset_from_covers(n, covers):
     """Poset from cover pairs (i, j) read as "i below j".
 
-    Closes the order in one Warshall pass, then rejects any antisymmetry
-    violation with CycleError.  Out-of-range players raise IndexError.
+    Closes the order in one Warshall pass, which skips each player with
+    nothing below it, then rejects any antisymmetry violation with
+    CycleError, reading only the pairs the closure relates.  Out-of-range
+    players raise IndexError.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -188,13 +190,15 @@ def poset_from_covers(n, covers):
             raise CycleError(f"cover ({i}, {j}) relates a player to itself")
         down[j - 1] |= 1 << (i - 1)
     for k in range(n):
-        for j in range(n):
-            if down[j] >> k & 1:
-                down[j] |= down[k]
+        if down[k] != 1 << k:
+            for j in range(n):
+                if down[j] >> k & 1:
+                    down[j] |= down[k]
     for j in range(n):
-        for i in range(j + 1, n):
-            if down[j] >> i & 1 and down[i] >> j & 1:
-                raise CycleError(f"players {i + 1} and {j + 1} lie below each other")
+        # i runs over the offsets from j of the higher-numbered players below j + 1
+        for i in players_from_mask(down[j] >> j + 1):
+            if down[j + i] >> j & 1:
+                raise CycleError(f"players {j + i + 1} and {j + 1} lie below each other")
     return Poset(n, down)
 
 

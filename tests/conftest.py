@@ -631,10 +631,17 @@ def payoff_equality_system(v):
 
 
 def game_equality_system(v):
-    """The tight facet rows that is_extreme_via_games ranks, for any
-    supermodular game; returns (rows, d) with sparse rows, as above."""
+    """The tight facet rows that the games criterion of is_extreme
+    (cone._games_extreme) ranks, for any supermodular game; returns
+    (rows, d) with sparse rows, as above."""
     plan = cone._Plan(v.lattice)
     return signed_rows(cone._game_rows(plan, _scaled_values(v)[0])), plan.d
+
+
+def games_extreme(v):
+    """The games criterion of is_extreme alone, on a fresh plan of its own,
+    so a test can hold it against is_extreme, which runs both criteria."""
+    return cone._games_extreme(cone._Plan(v.lattice), _scaled_values(v)[0])
 
 
 def oracle_facet_rows(lat):

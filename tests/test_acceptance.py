@@ -20,6 +20,7 @@ from conftest import (
     core_structure,
     equality_pairs,
     game_from_table,
+    games_extreme,
     marginal_set,
     oracle_core_vertices,
     oracle_mobius,
@@ -100,15 +101,15 @@ def test_criterion_04_extremality_of_generators_sums_and_combinations():
     lat = sm.build_lattice(hierarchy4())
     gens = [game_from_table(lat, t) for t in HIER4_GENERATORS]
     for g in gens:
-        assert sm.is_extreme(g) and sm.is_extreme_via_games(g)
+        assert sm.is_extreme(g) and games_extreme(g)
     for i in range(6):
         for j in range(i + 1, 6):
             s = gens[i] + gens[j]
-            assert not sm.is_extreme(s) and not sm.is_extreme_via_games(s)
+            assert not sm.is_extreme(s) and not games_extreme(s)
     rng = random.Random(20260819)
     for _ in range(100):
         v = random_conic(rng, gens, min_nonzero=2)
-        assert not sm.is_extreme(v) and not sm.is_extreme_via_games(v)
+        assert not sm.is_extreme(v) and not games_extreme(v)
     done("criterion 04 (extremality)", t0, cap=5.0)
 
 

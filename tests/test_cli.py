@@ -95,6 +95,7 @@ def ws(tmp_path):
     put("badcovers.json", {"n": 3, "covers": [1]})
     put("bare.json", 5)
     put("inlinebad.json", {"poset": {"n": [3]}, "values": {}})
+    put("numberposet.json", {"poset": 3, "values": {}})
     files["dir"] = str(tmp_path)
     return files
 
@@ -246,6 +247,9 @@ def test_core_tight(ws, capsys):
     # 1 cannot come before its subordinates 2 and 3
     code, _, err = run(capsys, "core", "tight", ws["v1.json"], "--perm", "1234")
     assert code == 2
+    # a permutation is digits or comma-separated players
+    code, out, err = run(capsys, "core", "tight", ws["v1.json"], "--perm", "abc")
+    assert (code, out, err) == (2, "", "error: cannot parse permutation 'abc'\n")
 
 
 def test_core_envelope(ws, capsys):
@@ -862,6 +866,7 @@ def test_error_exit_codes(ws, capsys):
         ("game", "check", ws["listvalues.json"], "--class", "supermodular"),
         ("game", "check", ws["zerodenom.json"], "--class", "supermodular"),
         ("game", "check", ws["inlinebad.json"], "--class", "supermodular"),
+        ("game", "check", ws["numberposet.json"], "--class", "supermodular"),
         ("poset", "show", ws["listn.json"]),
         ("poset", "show", ws["floatn.json"]),
         ("poset", "show", ws["booln.json"]),

@@ -22,6 +22,7 @@ from conftest import (
     equality_pairs,
     game_equality_system,
     game_from_table,
+    games_extreme,
     normalize_ray,
     oracle_face_compare,
     oracle_double_description,
@@ -155,7 +156,7 @@ def test_tight_squares_span_the_equality_pair_rows_on_random_posets():
 def test_generators_are_extreme_by_both_criteria(hier4_games):
     for g in hier4_games:
         assert sm.is_extreme(g)
-        assert sm.is_extreme_via_games(g)
+        assert games_extreme(g)
 
 
 def test_pairwise_sums_are_not_extreme(hier4_games):
@@ -163,12 +164,12 @@ def test_pairwise_sums_are_not_extreme(hier4_games):
         for j in range(i + 1, len(hier4_games)):
             s = hier4_games[i] + hier4_games[j]
             assert not sm.is_extreme(s)
-            assert not sm.is_extreme_via_games(s)
+            assert not games_extreme(s)
 
 
 def test_modular_and_zero_games_are_not_extreme(hier4):
     assert not sm.is_extreme(sm.zero_game(hier4))
-    assert not sm.is_extreme_via_games(sm.zero_game(hier4))
+    assert not games_extreme(sm.zero_game(hier4))
     card = sm.Game(hier4, [a.bit_count() for a in hier4.elements])
     assert not sm.is_extreme(card)
     for a in hier4.join_irreducibles:
@@ -180,7 +181,7 @@ def test_extremality_is_invariant_under_modular_shifts_and_scaling(hier4, hier4_
     for g in hier4_games[:3]:
         shifted = 3 * g + random_modular(rng, hier4)
         assert sm.is_extreme(shifted)
-        assert sm.is_extreme_via_games(shifted)
+        assert games_extreme(shifted)
 
 
 def test_extremality_requires_supermodularity(hier4):
@@ -188,25 +189,25 @@ def test_extremality_requires_supermodularity(hier4):
     with pytest.raises(sm.NotSupermodularError):
         sm.is_extreme(bad)
     with pytest.raises(sm.NotSupermodularError):
-        sm.is_extreme_via_games(bad)
+        games_extreme(bad)
 
 
 def test_both_criteria_agree_everywhere(hier4, flat3, chain4, hier4_rays, flat3_rays):
     rng = random.Random(3014)
     for lat, rays in ((hier4, hier4_rays), (flat3, flat3_rays)):
         for r in rays:
-            assert sm.is_extreme(r) and sm.is_extreme_via_games(r)
+            assert sm.is_extreme(r) and games_extreme(r)
         for i in range(len(rays)):
             for j in range(i + 1, len(rays)):
                 s = rays[i] + rays[j]
-                assert sm.is_extreme(s) == sm.is_extreme_via_games(s) == False
+                assert sm.is_extreme(s) == games_extreme(s) == False
         for _ in range(15):
             v = random_supermodular(rng, lat, rays)
-            assert sm.is_extreme(v) == sm.is_extreme_via_games(v)
+            assert sm.is_extreme(v) == games_extreme(v)
     # every 0-normalized game on a chain lattice is zero, so nothing is extreme
     for _ in range(5):
         v = random_modular(rng, chain4)
-        assert sm.is_extreme(v) == sm.is_extreme_via_games(v) == False
+        assert sm.is_extreme(v) == games_extreme(v) == False
 
 
 def test_unreduced_payoff_system_has_the_same_solution_dimension(hier4, hier4_games):
@@ -287,7 +288,7 @@ def test_is_extreme_builds_no_maximal_chain(monkeypatch):
     u235 = sm.unanimity(lat, sm.mask_from_players([2, 3, 5], 8))
     for v, extreme in ((u1234, True), (u1234 + u235, False)):
         assert sm.is_extreme(v) is extreme
-        assert sm.is_extreme_via_games(v) is extreme
+        assert games_extreme(v) is extreme
 
 
 def test_vertices_carry_every_tight_structure_of_the_chains():
@@ -771,11 +772,11 @@ def test_cone_dimension(hier4, flat3, flat4, chain3, single1, mixed5, wedge_chai
 
 def test_extremality_criteria_agree_on_random_posets(hier4, flat4, one_rel5_rays):
     # each plan-based half of the cross-check of extreme_rays, on one plan per
-    # lattice, agrees with the public is_extreme and is_extreme_via_games: on
-    # every enumerated ray (extreme), on every sum of two rays and on the
-    # zero game (not extreme); on the ray ladder and on 40 seeded random
-    # posets, whose rays also span the dimension.  one-rel5 has 28,920 sums
-    # of two rays, of which a seeded sample of 300 is checked
+    # lattice, agrees with the public is_extreme and with the games half on a
+    # fresh plan of its own: on every enumerated ray (extreme), on every sum
+    # of two rays and on the zero game (not extreme); on the ray ladder and on
+    # 40 seeded random posets, whose rays also span the dimension.  one-rel5
+    # has 28,920 sums of two rays, of which a seeded sample of 300 is checked
     def agree(lat, rays, sums):
         plan = cone._Plan(lat)
         probes = [(g, True) for g in rays] + [(sm.zero_game(lat), False)]
@@ -783,7 +784,7 @@ def test_extremality_criteria_agree_on_random_posets(hier4, flat4, one_rel5_rays
         for g, expected in probes:
             val = _scaled_values(g)[0]
             assert cone._payoff_extreme(plan, val) == sm.is_extreme(g) == expected
-            assert cone._games_extreme(plan, val) == sm.is_extreme_via_games(g) == expected
+            assert cone._games_extreme(plan, val) == games_extreme(g) == expected
 
     hier5 = sm.build_lattice(sm.poset_from_covers(5, [(2, 1), (3, 1)]))
     for lat in (hier4, flat4, hier5):

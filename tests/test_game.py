@@ -38,6 +38,8 @@ def test_game_construction(hier4):
         sm.Game(hier4, [1] * len(hier4.elements))  # nonzero at the bottom
     with pytest.raises(ValueError):
         sm.Game(hier4, [0, 1])  # wrong length
+    with pytest.raises(TypeError, match="^lattice required$"):
+        sm.Game(hier4.poset, [0] * len(hier4.elements))  # a poset, not its lattice
     with pytest.raises(ValueError):
         sm.Game.from_values(hier4, {sm.mask_from_players([1, 2], 4): 1})
     # values are stored as integers over one denominator and read back as
@@ -69,6 +71,10 @@ def test_game_algebra(hier4, flat4):
     assert (3 * a).value(hier4.top) == 6
     assert (a * Fraction(1, 2)).value(hier4.top) == 1
     assert a != b and a == sm.Game.from_values(hier4, {hier4.top: 2})
+    assert a.__eq__(2) is NotImplemented and a != 2
+    assert repr(b) == "Game({[2]: 1, [1, 2, 3, 4]: 1})"
+    assert repr(a * Fraction(3, 4)) == "Game({[1, 2, 3, 4]: 3/2})"
+    assert repr(sm.zero_game(hier4)) == "Game({})"
     other = sm.Game.from_values(flat4, {flat4.top: 2})
     with pytest.raises(sm.LatticeMismatchError):
         a + other

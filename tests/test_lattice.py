@@ -334,6 +334,14 @@ def test_the_cap_refuses_exactly_the_lattices_above_it(name):
             assert len(sm.build_lattice(p, max_elements=cap)) == size
 
 
+def test_lattice_type_equality_and_repr(hier4):
+    with pytest.raises(TypeError, match="^poset required$"):
+        sm.DownSetLattice(4)
+    assert hier4 == sm.build_lattice(sm.poset_from_covers(4, [(2, 1), (3, 1)]))
+    assert hier4.__eq__(hier4.poset) is NotImplemented and hier4 != hier4.poset
+    assert repr(hier4) == "DownSetLattice(n=4, size=10)"
+
+
 def test_position_and_membership(hier4):
     n = 4
     m = sm.mask_from_players

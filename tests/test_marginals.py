@@ -360,6 +360,11 @@ def test_configuration_errors(hier4, v1):
     # wrong domain
     with pytest.raises(ValueError):
         sm.game_from_configuration(hier4, {(2, 3, 1, 4): (0, 0, 0, 0)})
+    # a vector of the wrong length
+    short = dict(cfg)
+    short[first] = cfg[first][:3]
+    with pytest.raises(ValueError, match=f"^vector for {''.join(map(str, first))} must have 4 entries$"):
+        sm.game_from_configuration(hier4, short)
 
 
 def test_payoff_array_injectivity(hier4):
