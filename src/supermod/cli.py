@@ -38,7 +38,7 @@ from .game import (
     mobius_transform,
     zero_normalize,
 )
-from .lattice import DEFAULT_MAX_CHAINS, DEFAULT_MAX_ELEMENTS, _canonical_key, build_lattice
+from .lattice import DEFAULT_MAX_CHAINS, DEFAULT_MAX_ELEMENTS, build_lattice
 from .marginals import (
     core_vertices,
     lower_envelope,
@@ -397,7 +397,7 @@ def cmd_core_tight(args):
     g, _ = load_game(args.game, args)
     chain = g.lattice.chain_from_perm(parse_perm(args.perm))
     x = marginal_vector(g, chain)
-    tight = sorted(tight_sets(g, chain), key=_canonical_key)
+    tight = list(filter(tight_sets(g, chain).__contains__, g.lattice.elements))
     zero_players = sorted(zero_coords(g, chain))
     emit(args, lambda: [
         f"marginal: (" + ", ".join(str(t) for t in x) + ")",

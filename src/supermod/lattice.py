@@ -2,10 +2,10 @@
 
 Meet and join of down-sets are plain intersection and union of masks, so the
 lattice stores only the element list (canonically ordered), the players
-addable to each element (recorded by the build that finds the elements by
-doubling them player by player over a linear extension) and the
-join-irreducible elements with their unique lower covers.  Everything is
-exact integer work.
+addable to each element and the join-irreducible elements with their
+unique lower covers.  One rule builds the first two: a + i is a down-set
+exactly when a holds the strict down-set of i.  Everything is exact
+integer work.
 """
 
 from __future__ import annotations
@@ -55,33 +55,32 @@ class DownSetLattice:
         n = poset.n
         strict = [poset.strict_down_set(i + 1) for i in range(n)]
         # doubling over a linear extension (the players by the size of their
-        # down-sets): the down-sets within the players seen so far, each with
-        # its addable players, gain a + i for every a that i is addable to
+        # down-sets): player i adds a + i for every down-set a found so far
+        # that holds the strict down-set of i
         elements = [0]
-        addable = [sum(1 << i for i in range(n) if not strict[i])]
-        seen = 0
         for i in sorted(range(n), key=[s.bit_count() for s in strict].__getitem__):
+            s = strict[i]
             bit = 1 << i
-            seen |= bit
-            # a + i newly admits only players whose strict down-sets end at i
-            fresh = [(1 << j, s) for j, s in enumerate(strict) if s & bit and not s & ~seen]
-            ups = [a | bit for a, out in zip(elements, addable) if out & bit]
-            outs = [out ^ bit for out in addable if out & bit]
-            for j, s in fresh:
-                outs = [out | j if not s & ~b else out for b, out in zip(ups, outs)]
+            ups = [a | bit for a in elements if a & s == s]
             if len(elements) + len(ups) > max_elements:
                 raise SizeError(
                     f"lattice exceeds the cap of {max_elements} elements;"
                     " raise it with --max-lattice or max_elements"
                 )
             elements += ups
-            addable += outs
-        table = dict(zip(elements, addable))
         elements.sort()
         elements.sort(key=int.bit_count)
         self.elements = tuple(elements)
         self.index = {a: k for k, a in enumerate(self.elements)}
-        self._addable = tuple(map(table.__getitem__, self.elements))
+        # i is addable to an element a without i exactly when a holds s; an
+        # element holding i holds s, so each bit cleared here is set
+        full = (1 << n) - 1
+        addable = [full ^ a for a in elements]
+        for i, s in enumerate(strict):
+            if s:
+                bit = 1 << i
+                addable = [out ^ bit if a & s != s else out for a, out in zip(elements, addable)]
+        self._addable = tuple(addable)
         self.top = self.elements[-1]
         self.bottom = 0
         # join-irreducible elements are exactly the principal down-sets;
@@ -237,7 +236,7 @@ class DownSetLattice:
         """The maximal chain of a compatible permutation; ValueError otherwise."""
         perm = tuple(perm)
         n = self.poset.n
-        if sorted(perm) != list(range(1, n + 1)):
+        if any(type(p) is not int for p in perm) or sorted(perm) != list(range(1, n + 1)):
             raise ValueError(f"{perm} is not a permutation of 1..{n}")
         sets = [0]
         for p in perm:
@@ -265,8 +264,8 @@ def _all_down_sets(poset, masks):
         return False
     for i in range(n):
         bit = 1 << i
-        s = poset.principal_down_set(i + 1) & ~bit
-        if s and any(a & bit and s & ~a for a in masks):
+        s = poset.principal_down_set(i + 1) ^ bit
+        if s and any(a & bit and a & s != s for a in masks):
             return False
     return True
 

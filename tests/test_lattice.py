@@ -72,6 +72,11 @@ def test_join_irreducibles(hier4):
     assert pred == {(2,): [], (3,): [], (4,): [], (1, 2, 3): [2, 3]}
     with pytest.raises(ValueError):
         hier4.join_irreducible_predecessor(sm.mask_from_players([2, 3], 4))
+    # a hand-built table whose principal down-sets coincide (a 2-cycle, or
+    # a player missing from its own down-set) is refused by the build
+    for down in [(3, 3), (1, 1)]:
+        with pytest.raises(RuntimeError, match="^principal down-sets are not pairwise distinct$"):
+            sm.DownSetLattice(sm.Poset(2, down))
 
 
 def test_principal_down_set_map_is_an_order_isomorphism(hier4, chain4, mixed5, wedge_chain5):
@@ -219,7 +224,7 @@ def test_chain_structure(hier4):
         assert sorted(c.perm) == [1, 2, 3, 4]
 
 
-def test_chain_from_perm(hier4):
+def test_chain_from_perm(hier4, flat3):
     chains = hier4.maximal_chains()
     for c in chains:
         assert hier4.chain_from_perm(c.perm) == c
@@ -229,6 +234,10 @@ def test_chain_from_perm(hier4):
         hier4.chain_from_perm((2, 3, 1))
     with pytest.raises(ValueError):
         hier4.chain_from_perm((2, 2, 3, 4))
+    # every entry must be a plain int: a bool or a float is no player
+    for perm in [(True, 2, 3), (1.0, 2, 3)]:
+        with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.3"):
+            flat3.chain_from_perm(perm)
 
 
 def test_single_player_chain(single1):
