@@ -161,24 +161,33 @@ def read_game(table, lat, keys):
     keys holds the coalition_keys of lat: a key among them is looked up,
     any other goes to parse_coalition.  ValueError at the first key that
     names no element or names the coalition of an earlier key, such as
-    "12" after "[2,1]"."""
+    "12" after "[2,1]"; only after a key outside keys can that happen, so
+    only from there on are the keys read so far kept by position."""
     if not isinstance(table, dict):
         raise ValueError(f'"values" must be a JSON object, got {table!r}')
     n = lat.poset.n
     canonical = dict(zip(keys, range(len(keys))))
-    given = {}  # position: (key, numerator, denominator)
+    pos, nums, dens = [], [], []
+    seen = None
     for key, val in table.items():
         k = canonical.get(key)
         if k is None:
             k = lat.position(parse_coalition(key, n))
-        if k in given:
-            raise ValueError(
-                f"coalition {keys[k]} is given twice, as {given[k][0]!r} and as {key!r}"
-            )
-        given[k] = key, *parse_value(val)
-    den = lcm(*(q for _, _, q in given.values()))
+            if seen is None:
+                seen = dict(zip(pos, table))
+        if seen is not None:
+            if k in seen:
+                raise ValueError(
+                    f"coalition {keys[k]} is given twice, as {seen[k]!r} and as {key!r}"
+                )
+            seen[k] = key
+        p, q = parse_value(val)
+        pos.append(k)
+        nums.append(p)
+        dens.append(q)
+    den = lcm(*dens)
     num = [0] * len(keys)
-    for k, (_, p, q) in given.items():
+    for k, p, q in zip(pos, nums, dens):
         num[k] = p * (den // q)
     return Game._from_ints(lat, num, den)
 

@@ -64,7 +64,8 @@ class DownSetLattice:
             ups = [a | bit for a in elements if a & s == s]
             if len(elements) + len(ups) > max_elements:
                 raise SizeError(
-                    f"lattice exceeds the cap of {max_elements} elements;"
+                    f"lattice holds at least {len(elements) + len(ups)} elements,"
+                    f" over the cap of {max_elements} elements;"
                     " raise it with --max-lattice or max_elements"
                 )
             elements += ups
@@ -274,10 +275,15 @@ def _covering_steps(lat):
     """By element position, the pairs (i - 1, position of a+i) of the players
     i addable to the element a, ascending."""
     idx = lat.index
-    return [
-        [(i - 1, idx[a | 1 << (i - 1)]) for i in players_from_mask(out)]
-        for a, out in zip(lat.elements, lat._addable)
-    ]
+    steps = []
+    for a, out in zip(lat.elements, lat._addable):
+        moves = []
+        while out:
+            low = out & -out
+            out ^= low
+            moves.append((low.bit_length() - 1, idx[a | low]))
+        steps.append(moves)
+    return steps
 
 
 def _square_corners(lat):
@@ -287,7 +293,11 @@ def _square_corners(lat):
     it."""
     idx = lat.index
     for k, (a, out) in enumerate(zip(lat.elements, lat._addable)):
-        ups = [(1 << (i - 1), idx[a | 1 << (i - 1)]) for i in players_from_mask(out)]
-        for x, (bi, wi) in enumerate(ups):
-            for bj, wj in ups[x + 1 :]:
-                yield idx[a | bi | bj], k, wi, wj
+        ups = []
+        while out:
+            low = out & -out
+            out ^= low
+            ups.append((a | low, idx[a | low]))
+        for x, (ai, wi) in enumerate(ups):
+            for aj, wj in ups[x + 1 :]:
+                yield idx[ai | aj], k, wi, wj

@@ -197,17 +197,14 @@ def lower_envelope(v, mask):
     lat = v.lattice
     lat.position(mask)
     val, den = _scaled_values(v)
-    pos = lat.index
-    best = {0: 0}
-    for k, (a, out) in enumerate(zip(lat.elements[:-1], lat._addable)):
-        here = best.pop(a)
-        for i in players_from_mask(out):
-            bit = 1 << (i - 1)
-            b = a | bit
-            t = here + val[pos[b]] - val[k] if mask & bit else here
-            if b not in best or t < best[b]:
+    best = [0] + [None] * (len(val) - 1)
+    for k, moves in enumerate(_covering_steps(lat)):
+        here = best[k]
+        for i, b in moves:
+            t = here + val[b] - val[k] if mask >> i & 1 else here
+            if best[b] is None or t < best[b]:
                 best[b] = t
-    return Fraction(best[lat.top], den)
+    return Fraction(best[-1], den)
 
 
 def game_from_configuration(lattice, config):

@@ -168,6 +168,22 @@ def oracle_addable(p, a):
     return out
 
 
+def oracle_covering_steps(p):
+    """By element a, in brute_downsets order, the pairs (k, position of
+    a + player k+1) over every k in 0..n-1 for which player k+1 is outside
+    a and a + player k+1 is a down-set, k ascending."""
+    downs = brute_downsets(p)
+    pos = {a: k for k, a in enumerate(downs)}
+    return [
+        [
+            (i, pos[a | 1 << i])
+            for i in range(p.n)
+            if not a >> i & 1 and p.is_down_set(a | 1 << i)
+        ]
+        for a in downs
+    ]
+
+
 def oracle_join_irreducibles(p):
     """The down-sets with exactly one lower cover among all down-sets, by a
     subset scan, in (size, mask) order."""

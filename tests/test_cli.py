@@ -746,6 +746,33 @@ def test_read_game_agrees_with_the_json_parser(monkeypatch):
         assert got == outcome(lambda: oracle_game_values(table, 12))
 
 
+def test_read_game_reports_the_first_fault_in_table_order():
+    # keys of flat3 are read in table order, each key before its value, as
+    # the oracle reads them; a repeated coalition can only follow a key
+    # outside the canonical spellings, whichever of the two comes first
+    flat3 = sm.build_lattice(sm.poset_from_covers(3, []))
+    tables = [
+        # a bad value before a repeated coalition, on it, and after it
+        {"[1,2]": 1, "[3]": "x", "12": 2},
+        {"[1,2]": 1, "12": "x"},
+        {"[1,2]": 1, "12": 2, "[3]": "x"},
+        {"12": 1, "[3]": 1.5, "[2,1]": 2},
+        # a canonical key repeating an earlier "12", and the reverse order
+        {"12": 1, "[1,2]": 2},
+        {"[1,2]": 1, "12": 2},
+        {"12": 1, "[3]": 1, "[1,2]": 2},
+        # the only non-canonical key comes last: it repeats, or it does not
+        {"[1]": 1, "[2]": 2, "[1,2]": 3, "21": 4},
+        {"[1]": 1, "[2]": 2, "[1,2]": 3, " [3] ": 4},
+        {"[1]": 1, "[2]": 2, "[1,2]": 3, "[3,1]": "1/0"},
+    ]
+    for table in tables:
+        got = outcome(lambda: read_fractions(table, flat3))
+        assert got == outcome(lambda: oracle_game_values(table, 3)), table
+    kinds = [outcome(lambda: read_fractions(t, flat3))[0] for t in tables]
+    assert kinds == [ValueError] * 8 + ["ok", ValueError]
+
+
 def test_parse_value_reads_values_as_fraction_does(monkeypatch):
     # the spellings of str(Fraction) are read as ints; any other string is
     # read by the running interpreter's Fraction, whose grammar is the oracle

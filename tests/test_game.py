@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 import supermod as sm
-from supermod import cli
+from supermod import cli, game
 from supermod.game import _scaled_values
 
 from conftest import (
@@ -314,6 +314,28 @@ def test_local_predicates_match_all_pairs_oracles_on_random_posets():
                 assert verdict == oracle(v)
                 verdicts[check].add(verdict)
     assert all(seen == {True, False} for seen in verdicts.values())
+
+
+def test_the_predicates_stop_at_the_first_deciding_square(monkeypatch):
+    # the bottom square {1,2}, {1}, {2}, {} of flat12 comes first; a game
+    # with v({1,2}) = -1 and 0 elsewhere is neither modular nor
+    # supermodular there, so each predicate pulls that one of the 67,584
+    # squares from the walk, which stays a lazy generator
+    lat = sm.build_lattice(sm.poset_from_covers(12, []))
+    v = sm.Game.from_values(lat, {0b11: Fraction(-1)})
+    walk = game._square_corners
+    pulled = []
+
+    def counted(lat):
+        for corner in walk(lat):
+            pulled.append(corner)
+            yield corner
+
+    monkeypatch.setattr(game, "_square_corners", counted)
+    for predicate in (sm.is_modular, sm.is_supermodular):
+        pulled.clear()
+        assert not predicate(v)
+        assert pulled == [(lat.index[0b11], 0, lat.index[0b1], lat.index[0b10])]
 
 
 def test_monotone_and_nonnegative():

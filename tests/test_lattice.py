@@ -1,4 +1,5 @@
 import random
+import re
 import signal
 
 import pytest
@@ -10,11 +11,12 @@ from conftest import (
     brute_linear_extensions,
     lower_covers,
     oracle_addable,
+    oracle_covering_steps,
     oracle_join_irreducibles,
     oracle_mobius,
     random_poset,
 )
-from supermod.lattice import _all_down_sets
+from supermod.lattice import _all_down_sets, _covering_steps
 
 
 def players(mask):
@@ -335,8 +337,12 @@ def test_the_cap_refuses_exactly_the_lattices_above_it(name):
         if cap < size:
             with pytest.raises(sm.SizeError) as info:
                 sm.build_lattice(p, max_elements=cap)
+            # the error names the count the build reached, past the cap
+            # and at most L
+            count = int(re.match(r"lattice holds at least (\d+) elements,", str(info.value))[1])
+            assert cap < count <= size
             assert str(info.value) == (
-                f"lattice exceeds the cap of {cap} elements;"
+                f"lattice holds at least {count} elements, over the cap of {cap} elements;"
                 " raise it with --max-lattice or max_elements"
             )
         else:
@@ -401,6 +407,15 @@ def test_addable_masks_match_brute_force_on_random_posets():
                 with pytest.raises(ValueError):
                     lat.addable_mask(mask)
     assert refused
+
+
+def test_covering_steps_match_the_oracle():
+    # the ladder, then 40 random posets
+    rng = random.Random(3407)
+    posets = [sm.poset_from_covers(n, covers) for n, covers in LADDER.values()]
+    posets += [random_poset(rng, rng.randint(1, 7)) for _ in range(40)]
+    for p in posets:
+        assert _covering_steps(sm.build_lattice(p)) == oracle_covering_steps(p)
 
 
 def test_upper_and_lower_covers(hier4):
