@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from . import qlin
@@ -275,9 +276,24 @@ def _squares(lat):
     return [a.bit_count() ** 2 for a in lat.elements]
 
 
-def _dot(row, z):
-    """Value of a sparse row at a dense vector z."""
-    return sum(x * z[j] for j, x in row.items())
+def _products(row, vecs):
+    """Values of a sparse row at each dense vector of vecs, as a list.
+
+    The row's columns are grouped by coefficient, and each group is read
+    from every vector by one itemgetter, so the per-entry work runs in C.
+    A one-column getter returns the bare entry, not a 1-tuple, so only
+    groups of two or more are summed."""
+    groups = {}
+    for j, x in row.items():
+        groups.setdefault(x, []).append(j)
+    total = None
+    for x, cols in groups.items():
+        get = itemgetter(*cols)
+        part = map(get, vecs) if len(cols) == 1 else map(sum, map(get, vecs))
+        if x != 1:
+            part = map(x.__mul__, part)
+        total = list(part) if total is None else list(map(add, total, part))
+    return [0] * len(vecs) if total is None else total
 
 
 def _reduce(vec):
@@ -304,6 +320,12 @@ def double_description(rows, dim, max_rays=DEFAULT_MAX_DD_RAYS):
     combined.  Raises ValueError if a lineality direction survives every
     constraint (non-pointed input).
 
+    A row's values at all lineality vectors, and at all rays, are gathered
+    in one _products call each, one itemgetter per coefficient of the row.
+    The pivot step leaves alone every lineality vector and ray the row is
+    zero on: each stored vector has gcd 1 and the pivot's value s0 is
+    positive after the orientation, so its update _reduce(s0 * b) is b.
+
     Adjacency is combinatorial (Fukuda and Prodon, 1996).  Each ray carries
     a bitmask of the rows inserted so far that are tight at it, one bit per
     row: a pivot row is tight at every existing ray, which is moved into
@@ -322,16 +344,22 @@ def double_description(rows, dim, max_rays=DEFAULT_MAX_DD_RAYS):
     masks = []  # masks[k]: the inserted rows tight at rays[k]
     for idx, a in enumerate(rows):
         bit = 1 << idx
-        sdots = [_dot(a, b) for b in lin]
+        sdots = _products(a, lin)
         pivot = next((t for t, s in enumerate(sdots) if s), None)
-        dots = [_dot(a, r) for r in rays]
+        dots = _products(a, rays)
         if pivot is not None:
             b0 = lin.pop(pivot)
             s0 = sdots.pop(pivot)
             if s0 < 0:
                 b0, s0 = tuple(-x for x in b0), -s0
-            lin = [_reduce([s0 * x - sb * y for x, y in zip(b, b0)]) for b, sb in zip(lin, sdots)]
-            rays = [_reduce([s0 * x - t * y for x, y in zip(r, b0)]) for r, t in zip(rays, dots)]
+            lin = [
+                _reduce([s0 * x - sb * y for x, y in zip(b, b0)]) if sb else b
+                for b, sb in zip(lin, sdots)
+            ]
+            rays = [
+                _reduce([s0 * x - t * y for x, y in zip(r, b0)]) if t else r
+                for r, t in zip(rays, dots)
+            ]
             rays.append(tuple(b0))
             masks = [z | bit for z in masks] + [bit - 1]
         else:
@@ -397,11 +425,16 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, max_rays=DEFAUL
             f" has {len(lat.elements)}; raise it with --max-cone or max_elements"
         )
     plan = _Plan(lat)
+    # the elements worth 0 read the 0 appended after the d coordinates; a
+    # ray needs a free coordinate, so there are then at least three
+    # elements, and every getter below returns a tuple, not the bare value
+    # of a one-index itemgetter
+    read = itemgetter(*(plan.d if c is None else c for c in plan.coord))
     vals = sorted(
-        tuple(0 if c is None else z[c] for c in plan.coord)
+        read(z + (0,))
         for z in double_description([qlin._signed(*row) for row in plan.rows], plan.d, max_rays)
     )
-    # each automorphism as the position of the image of every element: the
+    # each automorphism as a getter of the image of every element: the
     # image of a down-set is the set of its players' images, built along
     # the split plan as the image of the lower cover plus the moved player;
     # a cone without rays, such as a chain's, searches for none
@@ -410,7 +443,7 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, max_rays=DEFAUL
         image = [0]
         for k, i in plan.split:
             image.append(image[k] | 1 << perm[i] - 1)
-        maps.append(list(map(lat.index.__getitem__, image)))
+        maps.append(itemgetter(*map(lat.index.__getitem__, image)))
     enumerated = set(vals)
     certified = set()
     for val in vals:
@@ -421,7 +454,7 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, max_rays=DEFAUL
                 "an enumerated generator failed the extremality cross-check"
             )
         for m in maps:
-            image = tuple(map(val.__getitem__, m))
+            image = m(val)
             if image not in enumerated:
                 raise CrossCheckError(
                     "the enumerated generators are not closed under the poset's automorphisms"

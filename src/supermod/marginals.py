@@ -117,26 +117,32 @@ def _vertex_walk(lat, steps, val, max_chains):
     One pass over the lattice in element order carries, for every down-set
     a, the distinct partial marginal vectors of the chains from the bottom
     to a, and extends each by the increment val[a+i] - val[a] of every
-    addable player i.  Only the sets of the rank being read and the next
-    one are alive, and no maximal chain is built.  The chains through one
-    rank are split by the element they pass there, so the partial vectors
-    of a rank are never more than the maximal chains; SizeError refuses a
-    rank holding more than max_chains of them.  Cost: O(n) for each
-    partial vector and covering edge leaving its down-set, at most e*n!
-    pairs (reached on a flat poset whose marginal vectors are all
-    distinct) and far fewer when marginal vectors coincide.
+    addable player i.  The sets sit in a list by element position; each is
+    made when its first lower cover is read and dropped once read itself,
+    so only the sets of the rank being read and the next one are alive,
+    and no maximal chain is built.  The chains through one rank are split
+    by the element they pass there, so the partial vectors of a rank are
+    never more than the maximal chains; SizeError refuses a rank holding
+    more than max_chains of them.  Cost: O(n) for each partial vector and
+    covering edge leaving its down-set, at most e*n! pairs (reached on a
+    flat poset whose marginal vectors are all distinct) and far fewer when
+    marginal vectors coincide.
     """
-    reach = {0: {(0,) * lat.poset.n}}
+    reach = [None] * len(steps)
+    reach[0] = {(0,) * lat.poset.n}
     rank = 0
     held = 0  # the partial vectors built so far at rank + 1
     for k, a in enumerate(lat.elements[:-1]):
         if a.bit_count() != rank:
             rank += 1
             held = 0
-        vecs = reach.pop(k)
+        vecs = reach[k]
+        reach[k] = None
         for i, b in steps[k]:
             d = val[b] - val[k]
-            out = reach.setdefault(b, set())
+            out = reach[b]
+            if out is None:
+                out = reach[b] = set()
             size = len(out)
             for x in vecs:
                 y = list(x)
@@ -149,7 +155,7 @@ def _vertex_walk(lat, steps, val, max_chains):
                     f" {rank + 1}, over the cap of {max_chains}; raise it with"
                     " --max-chains or max_chains"
                 )
-    return reach.pop(len(steps) - 1)
+    return reach[-1]
 
 
 def point_configuration(v):

@@ -23,6 +23,7 @@ from supermod.cone import DEFAULT_MAX_CONE_ELEMENTS
 
 from conftest import (
     HIER4_GENERATORS,
+    LADDER,
     game_from_table,
     oracle_game_values,
     oracle_parse_value,
@@ -820,16 +821,23 @@ def test_parse_value_reads_values_as_fraction_does(monkeypatch):
             cli.parse_value(val)
 
 
-def test_cone_rays_of_one_rel5_keep_their_bytes(tmp_path, capsys):
-    # five players with the one relation 1 < 2: the largest ladder poset,
-    # 241 rays, pinned byte for byte
-    path = tmp_path / "one-rel5.json"
-    path.write_text(json.dumps({"n": 5, "covers": [[1, 2]]}))
-    code, out, err = run(capsys, "cone", "rays", str(path))
-    assert code == 0 and err == ""
-    assert payload_of(out)["count"] == 241
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "848f56fe4ab702d5ddb713517fc4365260dd3931a852d16d6a2c3a363fff9230"
+def test_cone_rays_of_the_ladder_keep_their_bytes(tmp_path, capsys):
+    # the `cone rays` JSON of every ladder poset, pinned byte for byte;
+    # one-rel5, five players with the one relation 1 < 2, is the largest
+    pinned = {
+        "hier4": (6, "d5c104b648eb5cfaae6d573c4db585becdd52ba36f570052a3765657f8281059"),
+        "flat4": (37, "fea3e7743460c1e4f7af0383b9a7f414ca9b1c07778b0a35005841e2132f1420"),
+        "mixed5": (52, "5142fc67b1455b85febd07fdf665bc8b221e5ae17955e71c863e7c7761b1fada"),
+        "one-rel5": (241, "848f56fe4ab702d5ddb713517fc4365260dd3931a852d16d6a2c3a363fff9230"),
+    }
+    for name, (count, digest) in pinned.items():
+        n, covers = LADDER[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": n, "covers": covers}))
+        code, out, err = run(capsys, "cone", "rays", str(path))
+        assert code == 0 and err == ""
+        assert payload_of(out)["count"] == count
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
 def test_cone_facets(ws, capsys):
@@ -1101,6 +1109,9 @@ def test_reproduce_paper_passes(ws, capsys):
     lines = out.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1] == "14/14 checks passed"
+    # the table is pinned byte for byte
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "4fe62e452f237c8c8ddfff47d3b79494bb88869e22f590ea68b18a847e5fbc36"
 
 
 def test_reproduce_paper_flags_corrupted_references(ws, tmp_path, capsys):

@@ -830,17 +830,69 @@ def test_double_description_prunes_non_extreme_directions():
 def test_double_description_matches_the_algebraic_oracle(dd_random_lattices):
     # combinatorial adjacency against the rank test it replaced: on random
     # posets in the facet order and in a shuffled row order, then on one-rel5
-    # in the facet order
+    # in the facet order.  Each row scaled by a seeded factor in 2..5 cuts the
+    # same cone, and reaches the multiply path of the per-coefficient gather
+    # that +-1 rows miss.
     def same_rays(rows, d):
         rays = sorted(sm.double_description(rows, d))
         assert rays == sorted(oracle_double_description(rows, d))
-        return len(rays)
+        return rays
 
+    rng = random.Random(2741)
     for _, rows, d, shuffled in dd_random_lattices:
-        same_rays(rows, d)
-        same_rays(shuffled, d)
+        for order in (rows, shuffled):
+            factors = [rng.randint(2, 5) for _ in order]
+            scaled = [{j: x * k for j, x in row.items()} for row, k in zip(order, factors)]
+            assert same_rays(scaled, d) == same_rays(order, d)
     _, pairs, d, _ = cone._facet_rows(sm.build_lattice(sm.poset_from_covers(5, [(1, 2)])))
-    assert same_rays(signed_rows(pairs), d) == 241
+    assert len(same_rays(signed_rows(pairs), d)) == 241
+
+
+def test_double_description_with_mixed_coefficients():
+    # 2x - 3y + z >= 0, y >= 0 and z >= 0 cut a simplicial cone on (1, 0, 0),
+    # (3, 2, 0) and (-1, 0, 2); -x + 2y + 3z >= 0 cuts off (1, 0, 0) and puts
+    # its combinations with the other two in its place
+    rows = [{0: 2, 1: -3, 2: 1}, {1: 1}, {2: 1}, {0: -1, 1: 2, 2: 3}]
+    expected = [(-1, 0, 2), (2, 1, 0), (3, 0, 1), (3, 2, 0)]
+    assert sorted(sm.double_description(rows, 3)) == expected
+    assert sorted(oracle_double_description(rows, 3)) == expected
+
+
+def test_double_description_keeps_the_vectors_a_pivot_row_is_zero_on(monkeypatch):
+    # a work count, not a timer: every _reduce call is logged between the
+    # row products (lineality first, then rays) of the steps.  A pivot step
+    # rebuilds a lineality vector or ray only where the row is nonzero on
+    # it; in facet order no lineality vector but the pivot is met, so all
+    # lineality updates are kept, and so are the rays at which the row is
+    # zero: (lineality updates, zero, all ray updates) below
+    log = []
+    products, reduce = cone._products, cone._reduce
+
+    def logged_products(row, vecs):
+        log.append(products(row, vecs))
+        return list(log[-1])  # the pivot step pops from its copy
+
+    def logged_reduce(vec):
+        log.append(None)
+        return reduce(vec)
+
+    monkeypatch.setattr(cone, "_products", logged_products)
+    monkeypatch.setattr(cone, "_reduce", logged_reduce)
+    for name, kept in (("flat4", (55, 40, 68)), ("mixed5", (91, 59, 152))):
+        _, pairs, d, _ = cone._facet_rows(sm.build_lattice(sm.poset_from_covers(*LADDER[name])))
+        log.clear()
+        cone.double_description(signed_rows(pairs), d)
+        starts = [k for k, entry in enumerate(log) if entry is not None][::2] + [len(log)]
+        lin_updates = zero = ray_updates = 0
+        for start, end in zip(starts, starts[1:]):
+            sdots, dots = log[start], log[start + 1]
+            if any(sdots):
+                assert sum(map(bool, sdots)) == 1, name  # only the pivot is met
+                assert end - start - 2 == sum(map(bool, dots)), name
+                lin_updates += len(sdots) - 1
+                zero += dots.count(0)
+                ray_updates += len(dots)
+        assert (lin_updates, zero, ray_updates) == kept, name
 
 
 def test_facet_pairs_match_the_corner_count_oracle(dd_random_lattices, monkeypatch):
