@@ -682,116 +682,109 @@ def cmd_reproduce_paper(args):
 # -- parser ------------------------------------------------------------------------
 
 
+def _cap(flag, default, text):
+    """A cap flag: one count N, read by cap_value."""
+    return flag, dict(type=cap_value, default=default, metavar="N", help=text)
+
+
+# A shared parser by name, as (flag, add_argument keywords) pairs; every
+# command takes "common", and the two caps go to the commands named below.
+_PARENTS = {
+    "common": (
+        ("--format", dict(choices=("json", "table"), default="json", help="output format")),
+        _cap("--max-lattice", None, "cap on lattice size (or env SUPERMOD_MAX_LATTICE)"),
+    ),
+    # for the commands that enumerate the extreme rays of a cone
+    "dd_rays": (_cap(
+        "--max-dd-rays", DEFAULT_MAX_DD_RAYS,
+        "cap on the intermediate rays of double description (default %(default)s)",
+    ),),
+    # for the commands that list maximal chains or walk their marginal vectors
+    "chains": (_cap(
+        "--max-chains", DEFAULT_MAX_CHAINS,
+        "cap on the maximal chains, or on the partial marginal vectors one rank holds",
+    ),),
+}
+
+_GROUP_HELP = {
+    "poset": "poset inspection",
+    "lattice": "down-set lattice",
+    "game": "game predicates and transforms",
+    "core": "cores and marginal vectors",
+    "cone": "the supermodular cone",
+}
+
+# (group, command, help, cap parents, arguments), in help order; an argument
+# is a positional name or a (flag, add_argument keywords) pair, and a group
+# with no command is a command itself
+_COMMANDS = (
+    ("poset", "show", "closure and principal down-sets", (), ("poset",)),
+    ("lattice", "downsets", "list all down-sets", (), ("poset",)),
+    ("lattice", "chains", "maximal chains and permutations", ("chains",), ("poset",)),
+    ("lattice", "moebius", "Moebius value of a pair", (), (
+        "poset",
+        ("--from", dict(dest="from_set", required=True, metavar="COALITION")),
+        ("--to", dict(dest="to_set", required=True, metavar="COALITION")),
+    )),
+    ("game", "check", "test a game class", (), (
+        "game", ("--class", dict(dest="cls", required=True, choices=sorted(_CLASS_CHECKS))),
+    )),
+    ("game", "moebius", "Moebius transform of a game", (), ("game",)),
+    ("game", "normalize", "0-normalized + modular split", (), ("game",)),
+    ("core", "vertices", "core vertices (supermodular)", ("chains",), ("game",)),
+    ("core", "tight", "tight sets along one chain", (), (
+        "game", ("--perm", dict(required=True, help='permutation, e.g. "2314"')),
+    )),
+    ("core", "envelope", "minimum marginal total", (), (
+        "game", ("--coalition", dict(required=True, help='coalition, e.g. "[3,4]" or "34"')),
+    )),
+    ("core", "witness", "core recession direction", (), ("poset",)),
+    ("cone", "is-extreme", "extremality of a game", ("chains",), ("game",)),
+    ("cone", "rays", "extreme rays of the cone", ("dd_rays",), (
+        "poset",
+        _cap("--max-cone", DEFAULT_MAX_CONE_ELEMENTS,
+             "element cap for enumeration (default %(default)s)"),
+    )),
+    ("cone", "facets", "facet inequalities", (), ("poset",)),
+    ("cone", "dim", "dimension of the cone", (), ("poset",)),
+    ("cone", "face-compare", "compare two face positions", (), ("game1", "game2")),
+    ("reproduce-paper", None, "recompute the bundled reference results and verify them",
+     ("dd_rays",), (("--golden", dict(help="alternative golden results file")),)),
+)
+
+
+def _with_arguments(parser, arguments):
+    for arg in arguments:
+        name, kwargs = (arg, {}) if isinstance(arg, str) else arg
+        parser.add_argument(name, **kwargs)
+    return parser
+
+
 @functools.cache
 def build_parser():
-    """The argparse tree, built on the first call and shared by every later
-    one.  main finds the handler cmd_<group>_<cmd> by the parsed subcommand
-    path at call time, so a handler replaced after the tree is built runs."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "table"), default="json", help="output format"
-    )
-    common.add_argument(
-        "--max-lattice",
-        type=cap_value,
-        metavar="N",
-        help="cap on lattice size (or env SUPERMOD_MAX_LATTICE)",
-    )
-    # for the commands that enumerate the extreme rays of a cone
-    dd_rays = argparse.ArgumentParser(add_help=False)
-    dd_rays.add_argument(
-        "--max-dd-rays", type=cap_value, default=DEFAULT_MAX_DD_RAYS, metavar="N",
-        help="cap on the intermediate rays of double description (default %(default)s)",
-    )
-    # for the commands that list maximal chains or walk their marginal vectors
-    chains = argparse.ArgumentParser(add_help=False)
-    chains.add_argument(
-        "--max-chains",
-        type=cap_value,
-        default=DEFAULT_MAX_CHAINS,
-        metavar="N",
-        help="cap on the maximal chains, or on the partial marginal vectors one rank holds",
-    )
-
+    """The argparse tree, built from _COMMANDS on the first call and shared
+    by every later one.  main finds the handler cmd_<group>_<cmd> by the
+    parsed subcommand path at call time, so a handler replaced after the
+    tree is built runs."""
+    parents = {
+        name: _with_arguments(argparse.ArgumentParser(add_help=False), flags)
+        for name, flags in _PARENTS.items()
+    }
     parser = argparse.ArgumentParser(
         prog="supermod",
         description="Exact analysis of supermodular games on lattices of down-sets",
     )
     sub = parser.add_subparsers(dest="group", required=True)
-
-    p_poset = sub.add_parser("poset", help="poset inspection").add_subparsers(
-        dest="cmd", required=True
-    )
-    q = p_poset.add_parser("show", parents=[common], help="closure and principal down-sets")
-    q.add_argument("poset")
-
-    p_lat = sub.add_parser("lattice", help="down-set lattice").add_subparsers(
-        dest="cmd", required=True
-    )
-    q = p_lat.add_parser("downsets", parents=[common], help="list all down-sets")
-    q.add_argument("poset")
-    q = p_lat.add_parser(
-        "chains", parents=[common, chains], help="maximal chains and permutations"
-    )
-    q.add_argument("poset")
-    q = p_lat.add_parser("moebius", parents=[common], help="Moebius value of a pair")
-    q.add_argument("poset")
-    q.add_argument("--from", dest="from_set", required=True, metavar="COALITION")
-    q.add_argument("--to", dest="to_set", required=True, metavar="COALITION")
-
-    p_game = sub.add_parser("game", help="game predicates and transforms").add_subparsers(
-        dest="cmd", required=True
-    )
-    q = p_game.add_parser("check", parents=[common], help="test a game class")
-    q.add_argument("game")
-    q.add_argument("--class", dest="cls", required=True, choices=sorted(_CLASS_CHECKS))
-    q = p_game.add_parser("moebius", parents=[common], help="Moebius transform of a game")
-    q.add_argument("game")
-    q = p_game.add_parser("normalize", parents=[common], help="0-normalized + modular split")
-    q.add_argument("game")
-
-    p_core = sub.add_parser("core", help="cores and marginal vectors").add_subparsers(
-        dest="cmd", required=True
-    )
-    q = p_core.add_parser(
-        "vertices", parents=[common, chains], help="core vertices (supermodular)"
-    )
-    q.add_argument("game")
-    q = p_core.add_parser("tight", parents=[common], help="tight sets along one chain")
-    q.add_argument("game")
-    q.add_argument("--perm", required=True, help='permutation, e.g. "2314"')
-    q = p_core.add_parser("envelope", parents=[common], help="minimum marginal total")
-    q.add_argument("game")
-    q.add_argument("--coalition", required=True, help='coalition, e.g. "[3,4]" or "34"')
-    q = p_core.add_parser("witness", parents=[common], help="core recession direction")
-    q.add_argument("poset")
-
-    p_cone = sub.add_parser("cone", help="the supermodular cone").add_subparsers(
-        dest="cmd", required=True
-    )
-    q = p_cone.add_parser("is-extreme", parents=[common, chains], help="extremality of a game")
-    q.add_argument("game")
-    q = p_cone.add_parser("rays", parents=[common, dd_rays], help="extreme rays of the cone")
-    q.add_argument("poset")
-    q.add_argument(
-        "--max-cone", type=cap_value, default=DEFAULT_MAX_CONE_ELEMENTS, metavar="N",
-        help="element cap for enumeration (default %(default)s)",
-    )
-    q = p_cone.add_parser("facets", parents=[common], help="facet inequalities")
-    q.add_argument("poset")
-    q = p_cone.add_parser("dim", parents=[common], help="dimension of the cone")
-    q.add_argument("poset")
-    q = p_cone.add_parser("face-compare", parents=[common], help="compare two face positions")
-    q.add_argument("game1")
-    q.add_argument("game2")
-
-    q = sub.add_parser(
-        "reproduce-paper",
-        parents=[common, dd_rays],
-        help="recompute the bundled reference results and verify them",
-    )
-    q.add_argument("--golden", help="alternative golden results file")
-
+    groups = {}
+    for group, cmd, text, caps, arguments in _COMMANDS:
+        if cmd and group not in groups:
+            groups[group] = sub.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
+                dest="cmd", required=True
+            )
+        q = (groups[group] if cmd else sub).add_parser(
+            cmd or group, parents=[parents[name] for name in ("common", *caps)], help=text
+        )
+        _with_arguments(q, arguments)
     return parser
 
 

@@ -4,7 +4,6 @@ __all__ = [
     "SupermodError",
     "CycleError",
     "SizeError",
-    "NotComparableError",
     "EmptyCoalitionError",
     "NotSupermodularError",
     "LatticeMismatchError",
@@ -23,10 +22,6 @@ class CycleError(SupermodError, ValueError):
 
 class SizeError(SupermodError):
     """An enumeration exceeded its configured cap."""
-
-
-class NotComparableError(SupermodError, ValueError):
-    """Interval endpoints are not ordered by inclusion."""
 
 
 class EmptyCoalitionError(SupermodError, ValueError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import NotComparableError, SizeError
+from .errors import SizeError
 from .poset import Poset, players_from_mask
 
 __all__ = [
@@ -136,41 +136,6 @@ class DownSetLattice:
     def addable_mask(self, a):
         """Mask of players that can be added to the down-set a."""
         return self._addable[self.position(a)]
-
-    def upper_covers(self, a):
-        return [a | 1 << (i - 1) for i in players_from_mask(self.addable_mask(a))]
-
-    def birkhoff_map(self, a):
-        """The join-irreducible elements below a, canonically ordered."""
-        self.position(a)
-        p = self.poset
-        return tuple(
-            sorted((p.principal_down_set(i) for i in players_from_mask(a)), key=_canonical_key)
-        )
-
-    def _check_below(self, a, b):
-        """The position of a; ValueError unless both are elements,
-        NotComparableError unless a <= b."""
-        k = self.position(a)
-        self.position(b)
-        if a & ~b:
-            raise NotComparableError(
-                f"{players_from_mask(a)} is not contained in {players_from_mask(b)}"
-            )
-        return k
-
-    def interval(self, a, b):
-        """Elements c with a <= c <= b, canonically ordered."""
-        self._check_below(a, b)
-        return [c for c in self.elements if not (a & ~c or c & ~b)]
-
-    def is_boolean_interval(self, a, b):
-        """True iff [a, b] has the full 2^|b\\a| elements.
-
-        That holds exactly when every player of b outside a can be added to
-        a directly, so no interval is scanned.
-        """
-        return not (b & ~a) & ~self._addable[self._check_below(a, b)]
 
     # -- Moebius function ----------------------------------------------------
 

@@ -29,18 +29,18 @@ __all__ = [
     "lower_envelope",
     "game_from_configuration",
     "unboundedness_witness",
-    "core_h_representation",
 ]
 
 
 def payoff(x, mask):
     """Total payoff x(A) of the coalition mask under the vector x.
 
-    ValueError if the mask holds a player past the end of x; TypeError on a
-    float.  A vector longer than the players cannot be told apart without n,
-    so callers that know n (such as core_contains) check that themselves.
+    ValueError if the mask holds a player past the end of x or is negative
+    (players_from_mask refuses that); TypeError on a float.  A vector longer
+    than the players cannot be told apart without n, so callers that know n
+    (such as core_contains) check that themselves.
     """
-    if mask >> len(x):
+    if mask >> len(x) > 0:
         raise ValueError(
             f"coalition holds player {mask.bit_length()}, the vector has {len(x)} entries"
         )
@@ -276,24 +276,3 @@ def unboundedness_witness(lattice):
                 return tuple(x)
     return None
 
-
-def core_h_representation(v):
-    """The core as one efficiency equality plus one inequality per element.
-
-    Rows are 0/1 player-coefficient lists; values stay exact Fractions.
-    """
-    n = v.lattice.poset.n
-    top = v.lattice.top
-
-    def row(mask):
-        return [1 if mask >> k & 1 else 0 for k in range(n)]
-
-    inequalities = [
-        {"coalition": players_from_mask(a), "coeffs": row(a), "rhs": v.value(a)}
-        for a in v.lattice.elements
-        if a not in (0, top)
-    ]
-    return {
-        "equality": {"coalition": players_from_mask(top), "coeffs": row(top), "rhs": v.value(top)},
-        "inequalities": inequalities,
-    }

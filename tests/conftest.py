@@ -558,6 +558,17 @@ def normalize_ray(vec):
     return tuple(ints)
 
 
+def upper_covers(lat, a):
+    """The elements of lat that cover the down-set a: a plus one player."""
+    lat.position(a)
+    return [c for c in lat.elements if c & a == a and (c ^ a).bit_count() == 1]
+
+
+def interval(lat, a, b):
+    """The elements c of lat with a <= c <= b, canonically ordered."""
+    return [c for c in lat.elements if not (a & ~c or c & ~b)]
+
+
 def lower_covers(lat, a):
     """The elements of lat covered by the down-set a: a less one player
     that has no player above it in a."""

@@ -1232,6 +1232,9 @@ def test_module_entry_point(ws):
     proc = run_child("-m", "supermod", "cone", "dim", ws["hier4.json"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dimension"] == 5
+    # the cli module runs as a script too, with the same bytes and code
+    script = run_child("-m", "supermod.cli", "cone", "dim", ws["hier4.json"])
+    assert (script.returncode, script.stdout, script.stderr) == (0, proc.stdout, "")
 
 
 def test_the_parser_is_built_once_on_first_use():
@@ -1280,6 +1283,34 @@ def _subcommand_paths():
                 yield from leaves(child, (*path, name))
 
     return list(leaves(cli.build_parser(), ()))
+
+
+def _parser_paths():
+    """Every parser of the tree with its path: the root, the groups, the
+    commands."""
+    out = []
+
+    def walk(parser, path):
+        out.append((path, parser))
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    walk(child, (*path, name))
+
+    walk(cli.build_parser(), ())
+    return out
+
+
+# the SHA-256 of every --help text at 80 columns, path by path, NUL-separated
+HELP_SHA256 = "08d8c5f8dab7920fa9149ff63f666c27f5824252a675f3636d96ca834e77a6a2"
+
+
+def test_every_help_text_keeps_its_bytes(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    paths = _parser_paths()
+    assert len(paths) == 23  # the root, 5 groups and 17 commands
+    blob = "\0".join(f"{' '.join(path)}\0{parser.format_help()}" for path, parser in paths)
+    assert hashlib.sha256(blob.encode()).hexdigest() == HELP_SHA256
 
 
 def test_every_subcommand_path_names_one_handler():

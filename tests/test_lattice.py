@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 import signal
@@ -9,12 +10,14 @@ from conftest import (
     LADDER,
     brute_downsets,
     brute_linear_extensions,
+    interval,
     lower_covers,
     oracle_addable,
     oracle_covering_steps,
     oracle_join_irreducibles,
     oracle_mobius,
     random_poset,
+    upper_covers,
 )
 from supermod.lattice import _all_down_sets, _covering_steps
 
@@ -91,19 +94,26 @@ def test_principal_down_set_map_is_an_order_isomorphism(hier4, chain4, mixed5, w
                 assert p.leq(i, j) == (di & ~dj == 0)
 
 
+def birkhoff_map(lat, a):
+    """The join-irreducible elements below a, canonically ordered."""
+    return tuple(j for j in lat.join_irreducibles if not j & ~a)
+
+
 def test_birkhoff_map(hier4):
     n = hier4.poset.n
     m = sm.mask_from_players
-    assert hier4.birkhoff_map(m([2, 3, 4], n)) == (m([2], n), m([3], n), m([4], n))
-    assert hier4.birkhoff_map(hier4.top) == hier4.join_irreducibles
-    assert hier4.birkhoff_map(m([1, 2, 3], n)) == (m([2], n), m([3], n), m([1, 2, 3], n))
+    assert birkhoff_map(hier4, m([2, 3, 4], n)) == (m([2], n), m([3], n), m([4], n))
+    assert birkhoff_map(hier4, hier4.top) == hier4.join_irreducibles
+    assert birkhoff_map(hier4, m([1, 2, 3], n)) == (m([2], n), m([3], n), m([1, 2, 3], n))
 
 
 def test_birkhoff_map_is_injective_and_preserves_meets_joins(hier4, flat3):
-    for lat in (hier4, flat3):
-        images = {a: set(lat.birkhoff_map(a)) for a in lat.elements}
+    for lat in (hier4, flat3, *random_lattices(3559)):
+        images = {a: set(birkhoff_map(lat, a)) for a in lat.elements}
         seen = set()
         for a, img in images.items():
+            # every element is the union of the join-irreducibles below it
+            assert functools.reduce(int.__or__, img, 0) == a
             key = frozenset(img)
             assert key not in seen
             seen.add(key)
@@ -122,20 +132,17 @@ def test_union_intersection_stay_in_lattice(hier4, mixed5, wedge_chain5):
 
 
 def test_interval_and_boolean_intervals(hier4):
+    # mobius is nonzero exactly on the Boolean intervals
     n = 4
     m = sm.mask_from_players
     empty = 0
-    assert hier4.is_boolean_interval(empty, m([2, 3], n))
-    assert not hier4.is_boolean_interval(empty, m([1, 2, 3], n))
-    assert len(hier4.interval(empty, m([1, 2, 3], n))) == 5
-    for a in hier4.elements:
-        assert hier4.is_boolean_interval(a, a)
-    with pytest.raises(sm.NotComparableError):
-        hier4.interval(m([2], n), m([3, 4], n))
-    with pytest.raises(sm.NotComparableError):
-        hier4.is_boolean_interval(m([2], n), m([3, 4], n))
-    with pytest.raises(ValueError):
-        hier4.is_boolean_interval(empty, m([1], n))  # {1} is not a down-set
+    assert hier4.mobius(empty, m([2, 3], n)) == 1
+    assert hier4.mobius(empty, m([1, 2, 3], n)) == 0
+    assert len(interval(hier4, empty, m([1, 2, 3], n))) == 5  # not 2^3
+    with pytest.raises(ValueError, match="not a down-set"):
+        hier4.mobius(empty, m([1], n))  # {1} is not a down-set
+    with pytest.raises(ValueError, match="not a down-set"):
+        hier4.mobius(m([1], n), hier4.top)
 
 
 def test_boolean_interval_matches_incomparability_of_added_players(hier4, chain3):
@@ -153,7 +160,7 @@ def test_boolean_interval_matches_incomparability_of_added_players(hier4, chain3
                     for k, i in enumerate(added)
                     for j in added[k + 1 :]
                 )
-                assert lat.is_boolean_interval(a, b) == expected
+                assert (lat.mobius(a, b) != 0) == expected
 
 
 def test_mobius_examples(hier4):
@@ -183,7 +190,7 @@ def test_mobius_row_sums_vanish(hier4, flat3, chain4):
             for y in lat.elements:
                 if x == y or x & ~y:
                     continue
-                total = sum(lat.mobius(x, b) for b in lat.interval(x, y))
+                total = sum(lat.mobius(x, b) for b in interval(lat, x, y))
                 assert total == 0
 
 
@@ -421,8 +428,8 @@ def test_covering_steps_match_the_oracle():
 def test_upper_and_lower_covers(hier4):
     n = 4
     m = sm.mask_from_players
-    assert sorted(hier4.upper_covers(0)) == sorted([m([2], n), m([3], n), m([4], n)])
-    assert sorted(hier4.upper_covers(m([2, 3], n))) == sorted(
+    assert sorted(upper_covers(hier4, 0)) == sorted([m([2], n), m([3], n), m([4], n)])
+    assert sorted(upper_covers(hier4, m([2, 3], n))) == sorted(
         [m([1, 2, 3], n), m([2, 3, 4], n)]
     )
     assert sorted(lower_covers(hier4, m([1, 2, 3], n))) == [m([2, 3], n)]

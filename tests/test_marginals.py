@@ -44,6 +44,8 @@ def test_payoff_refuses_a_player_past_the_vector(flat3):
         sm.payoff((1,), flat3.top)
     with pytest.raises(ValueError, match="player 3, the vector has 2 entries"):
         sm.payoff((1, 2), 0b100)
+    with pytest.raises(ValueError, match="^coalition mask -1 is negative$"):
+        sm.payoff((1, 2, 3, 4), -1)
 
 
 def test_marginal_vectors_of_the_detailed_generator(hier4, v1):
@@ -398,18 +400,3 @@ def test_witness_is_a_recession_direction(hier4, v1):
     for t in (1, 5, 1000):
         moved = tuple(a + t * b for a, b in zip(x, d))
         assert sm.core_contains(v1, moved)
-
-
-def test_core_h_representation(hier4, v1):
-    h = sm.core_h_representation(v1)
-    assert h["equality"]["coalition"] == [1, 2, 3, 4]
-    assert len(h["inequalities"]) == len(hier4.elements) - 2
-    x = sm.core_vertices(v1)[0]
-    assert sum(c * t for c, t in zip(h["equality"]["coeffs"], x)) == h["equality"]["rhs"]
-    for row in h["inequalities"]:
-        assert sum(c * t for c, t in zip(row["coeffs"], x)) >= row["rhs"]
-    outside = (1, 0, 0, 0)
-    assert any(
-        sum(c * t for c, t in zip(row["coeffs"], outside)) < row["rhs"]
-        for row in h["inequalities"]
-    )
