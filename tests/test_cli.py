@@ -772,6 +772,56 @@ def test_read_game_reports_the_first_fault_in_table_order():
         assert got == outcome(lambda: oracle_game_values(table, 3)), table
     kinds = [outcome(lambda: read_fractions(t, flat3))[0] for t in tables]
     assert kinds == [ValueError] * 8 + ["ok", ValueError]
+    # two faulty values at seeded random places in a canonical table of 127
+    # entries, read in whole-table passes: the earlier fault is reported.
+    # A key in another spelling after them, repeating a coalition, sends the
+    # table through the entry-by-entry read, which reports the same fault;
+    # before them, the repeat is the first fault
+    flat7 = sm.build_lattice(sm.poset_from_covers(7, []))
+    keys = cli.coalition_keys(flat7)[1:]
+    faults = ["1/0", "3/", "--1", "1/-2", "1/2/3", "x", 1.5, True, None]
+    rng = random.Random(37)
+    for _ in range(40):
+        items = [(key, random_plain_value(rng)) for key in keys]
+        i, j = sorted(rng.sample(range(len(items)), 2))
+        for k, val in zip((i, j), rng.sample(faults, 2)):
+            items[k] = (items[k][0], val)
+        digits = "".join(map(str, json.loads(items[i][0])))
+        for extra in ({}, {digits: "1"}):
+            table = dict(items + list(extra.items()))
+            got = outcome(lambda: read_fractions(table, flat7))
+            assert got == outcome(lambda: oracle_game_values(table, 7)), table
+            assert got[0] is ValueError and got == outcome(lambda: cli.parse_value(items[i][1]))
+        table = dict(items[:i] + [(digits, "1")] + items[i:])
+        got = outcome(lambda: read_fractions(table, flat7))
+        assert got[0] is ValueError and "is given twice" in got[1]
+        assert got == outcome(lambda: oracle_game_values(table, 7))
+
+
+def random_plain_value(rng):
+    """A value in the spelling of str(Fraction) with leading zeros allowed,
+    such as "-3", "007/014" or "0/5"."""
+    num = f"{rng.choice(['', '-'])}{'0' * rng.randint(0, 2)}{rng.randint(0, 99)}"
+    if rng.random() < 0.3:
+        return num
+    return f"{num}/{'0' * rng.randint(0, 2)}{rng.choice([1, 2, 3, 4, 6, 12, 14, 35])}"
+
+
+def test_read_game_reads_random_canonical_tables_as_the_oracle_does():
+    # seeded random tables in the spelling game_payload writes, with signs,
+    # leading zeros and several denominators, over a random subset of the
+    # keys in a random order; the empty coalition is given 0 or left out
+    rng = random.Random(3701)
+    for n in (1, 4, 7):
+        lat = sm.build_lattice(random_poset(rng, n))
+        keys = cli.coalition_keys(lat)
+        for _ in range(15):
+            chosen = rng.sample(keys[1:], rng.randint(0, len(keys) - 1))
+            table = {key: random_plain_value(rng) for key in chosen}
+            if rng.random() < 0.5:
+                table["[]"] = rng.choice(["0", "-0", "00/7"])
+            got = read_fractions(table, lat)
+            assert got == oracle_game_values(table, n), table
 
 
 def test_parse_value_reads_values_as_fraction_does(monkeypatch):
@@ -790,6 +840,15 @@ def test_parse_value_reads_values_as_fraction_does(monkeypatch):
     # runs, with the message Fraction would give
     long_exp = "1e" + "9" * (limit + 1)
     values += huge + [f"1e {limit + 1}", f"1e{limit + 1}x", long_exp]
+    # spellings of only "-", "/" and digits that are not plain
+    values += ["1/00", "1/-2", "--1", "1-2", "1/2/3", "0/0"]
+    # spellings int reads on each side of the "/" but Fraction refuses
+    values += ["1 / 2", "1/ 2", "1/+2"]
+    # each value is also read alone and at a seeded random place among the
+    # plain values of a canonical table of 127 entries
+    flat7 = sm.build_lattice(sm.poset_from_covers(7, []))
+    keys = cli.coalition_keys(flat7)[1:]
+    rng = random.Random(777)
     for val in values:
         got = outcome(lambda: cli.parse_value(val))
         if got[0] == "ok":
@@ -800,6 +859,11 @@ def test_parse_value_reads_values_as_fraction_does(monkeypatch):
         assert outcome(lambda: read_fractions({"[1]": val}, flat3)) == outcome(
             lambda: oracle_game_values({"[1]": val}, 3)
         )
+        table = {key: random_plain_value(rng) for key in keys}
+        table[rng.choice(keys)] = val
+        assert outcome(lambda: read_fractions(table, flat7)) == outcome(
+            lambda: oracle_game_values(table, 7)
+        ), val
     # the ints of a "p/q" spelling are kept as written, not reduced
     assert cli.parse_value("007/014") == (7, 14) and cli.parse_value("-6/4") == (-6, 4)
     read = []
@@ -819,6 +883,42 @@ def test_parse_value_reads_values_as_fraction_does(monkeypatch):
     for val in huge:
         with pytest.raises(ValueError, match=f"exponent beyond the limit of {limit}"):
             cli.parse_value(val)
+
+
+def test_read_game_reads_a_canonical_table_in_whole_table_passes(monkeypatch):
+    # a count of calls, not a timer: a table in the spelling game_payload
+    # writes makes no parse_value call; one JSON int among its values makes
+    # one call per value, in table order, and no parse_coalition call; a key
+    # in another spelling sends the table through the entry-by-entry read,
+    # which parses that key between the values before and after it
+    flat7 = sm.build_lattice(sm.poset_from_covers(7, []))
+    keys = cli.coalition_keys(flat7)
+    items = [(key, f"{k}/{k % 5 + 1}") for k, key in enumerate(keys) if k]
+    parse_value, parse_coalition = cli.parse_value, cli.parse_coalition
+    log = []
+
+    def logged_value(val):
+        log.append(val)
+        return parse_value(val)
+
+    def logged_coalition(text, n):
+        log.append(text)
+        return parse_coalition(text, n)
+
+    monkeypatch.setattr(cli, "parse_value", logged_value)
+    monkeypatch.setattr(cli, "parse_coalition", logged_coalition)
+    values = [val for _, val in items]
+    key = items[60][0]
+    digits = "".join(map(str, json.loads(key)))  # "[1,2]" as "12"
+    for table, want in [
+        (dict(items), []),
+        ({**dict(items), key: 60}, values[:60] + [60] + values[61:]),
+        (dict(items[:60] + [(digits, values[60])] + items[61:]),
+         values[:60] + [digits] + values[60:]),
+    ]:
+        log.clear()
+        assert read_fractions(table, flat7) == oracle_game_values(table, 7)
+        assert log == want
 
 
 def test_cone_rays_of_the_ladder_keep_their_bytes(tmp_path, capsys):
@@ -943,6 +1043,27 @@ def test_a_game_file_reports_the_fault_of_its_first_bad_key(ws, capsys):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"poset": "hier4.json", "values": values}, fh)
         assert run(capsys, "game", "normalize", path) == (2, "", err), values
+
+
+def test_a_long_game_file_reports_a_late_fault_as_a_short_one_does(tmp_path, capsys):
+    # a fault after 200 entries in the spelling game_payload writes: the
+    # whole-table read refuses the table and the error is the one the
+    # entry-by-entry read gives, byte for byte
+    keys = cli.coalition_keys(sm.build_lattice(sm.poset_from_covers(8, [])))
+    head = [(key, f"{k}/3") for k, key in enumerate(keys[1:201], 1)]
+    cases = [
+        ([(keys[201], "1/0")], "error: game value '1/0' has a zero denominator\n"),
+        ([(keys[201], "3/")], "error: Invalid literal for Fraction: '3/'\n"),
+        ([(keys[201], "--1")], "error: Invalid literal for Fraction: '--1'\n"),
+        ([("12", "1")], "error: coalition [1,2] is given twice, as '[1,2]' and as '12'\n"),
+    ]
+    path = tmp_path / "late-fault.json"
+    for tail, err in cases:
+        values = dict(head + tail)
+        assert len(values) == 201 and "[1,2]" in values
+        path.write_text(json.dumps({"poset": {"n": 8, "covers": []}, "values": values}))
+        code, out, got = run(capsys, "game", "check", str(path), "--class", "supermodular")
+        assert (code, out, got) == (2, "", err), tail
 
 
 def test_size_caps(ws, capsys, monkeypatch):
