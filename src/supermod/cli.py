@@ -123,8 +123,8 @@ def parse_coalition(text, n):
 # ASCII digits naming a positive int.  A string is plain when all its
 # characters are among _PLAIN, int reads each side of its first "/", and
 # _plain_denominator takes the side after it.  parse_value tests one value
-# by strip (not val.strip(_PLAIN)), which is faster on a short string, and
-# _plain_values the joined values by translate (_NOT_PLAIN), which is
+# by val.strip(_PLAIN) (not translate), which is faster on a short string,
+# and _plain_values the joined values by translate (_NOT_PLAIN), which is
 # faster on a long one; both ask the same of every character.
 _PLAIN = "-/0123456789"
 _NOT_PLAIN = str.maketrans("", "", _PLAIN)
@@ -218,33 +218,36 @@ def read_game(table, lat, keys):
     _PLAIN), _plain_values reads them all: one check of their joined text,
     one partition pass, map(int) on the numerators, each distinct
     denominator spelling parsed once and every value scaled over the lcm.
-    Else parse_value reads each value in table order.  A canonical key
-    names an element and no other canonical key names it, so the first
-    fault of such a table is its first faulty value.
+    Else parse_value reads each value in table order and _over_lcm scales
+    them.  A canonical key names an element and no other canonical key
+    names it, so the first fault of such a table is its first faulty value.
 
     A table with any other key, such as "12" or "[2,1]", is read by
     _read_entries, entry by entry in table order, each key before its
     value: a key among keys is looked up, any other goes to
-    parse_coalition.  ValueError at the first key that names no element or
-    names the coalition of an earlier key, such as "12" after "[2,1]"; only
-    after a key outside keys can that happen, so only from there on are
-    the keys read so far kept by position.
+    parse_coalition; _over_lcm scales the values.  ValueError at the first
+    key that names no element or names the coalition of an earlier key,
+    such as "12" after "[2,1]"; only after a key outside keys can that
+    happen, so only from there on are the keys read so far kept by
+    position.
 
     On a 2-core x86-64 machine under CPython 3.11.7, one call on a table of
     every nonzero value of a classify game, in the canonical spelling, went
     from the entry-by-entry read to the passes: flat8 0.22 -> 0.16 ms,
     forest10 0.24 -> 0.18 ms, flat9 0.41 -> 0.30 ms.  The flat9 table with
-    digit-spelled keys ("12") took 1.40 -> 1.34 ms, and with one JSON int
-    among its values 0.40 -> 0.41 ms, within the noise (median of three
-    alternating processes, best of 7 x 300 in each)."""
+    digit-spelled keys ("12") took 1.37 -> 1.33 ms, and with one JSON int
+    among its values 0.406 -> 0.408 ms, within the noise (medians of 3 to
+    12 alternating processes, best of 7 x 300 or 15 x 200 in each)."""
     if not isinstance(table, dict):
         raise ValueError(f'"values" must be a JSON object, got {table!r}')
     canonical = dict(zip(keys, range(len(keys))))
     pos = list(map(canonical.get, table))
     if None in pos:
-        return _read_entries(table, lat, keys, canonical)
-    values = list(table.values())
-    nums, den = _plain_values(values) or _over_lcm(list(map(parse_value, values)))
+        pos, pairs = _read_entries(table, lat, keys, canonical)
+        nums, den = _over_lcm(pairs)
+    else:
+        values = list(table.values())
+        nums, den = _plain_values(values) or _over_lcm(list(map(parse_value, values)))
     num = [0] * len(keys)
     for k, x in zip(pos, nums):
         num[k] = x
@@ -252,10 +255,11 @@ def read_game(table, lat, keys):
 
 
 def _read_entries(table, lat, keys, canonical):
-    """The game of a table read entry by entry in table order, as read_game
-    says, each value by parse_value; canonical maps keys to positions."""
+    """The positions of a table's keys and the parse_value pairs of its
+    values, read entry by entry in table order as read_game says; canonical
+    maps keys to positions."""
     n = lat.poset.n
-    pos, nums, dens = [], [], []
+    pos, pairs = [], []
     seen = None
     for key, val in table.items():
         k = canonical.get(key)
@@ -269,15 +273,9 @@ def _read_entries(table, lat, keys, canonical):
                     f"coalition {keys[k]} is given twice, as {seen[k]!r} and as {key!r}"
                 )
             seen[k] = key
-        p, q = parse_value(val)
+        pairs.append(parse_value(val))
         pos.append(k)
-        nums.append(p)
-        dens.append(q)
-    den = lcm(*dens)
-    num = [0] * len(keys)
-    for k, p, q in zip(pos, nums, dens):
-        num[k] = p * (den // q)
-    return Game._from_ints(lat, num, den)
+    return pos, pairs
 
 
 def _ratio_text(x, den):
