@@ -178,16 +178,24 @@ def parse_value(val):
 
 def _plain_values(values):
     """A list of plain strings (see _PLAIN) read in whole-list passes, as
-    (nums, den): den the lcm of their denominators, each distinct spelling
-    of one read once, and nums[i] the int values[i] * den.  None when some
-    value is not a plain string."""
+    (nums, den): den the lcm of their denominators and nums[i] the int
+    values[i] * den.  None when some value is not a plain string.
+
+    The passes run over the distinct spellings only, and one dict lookup
+    per value maps them back; when every value is distinct they run over
+    values itself, in table order, and nothing is mapped back.  The set is
+    built only after the join has refused every non-string, since a set
+    takes true and 1.0 for 1.  The order of the distinct spellings does not
+    matter: any ValueError sends the whole table back to parse_value."""
     try:
         text = "".join(values)
     except TypeError:  # a JSON number, true, null, a list or an object
         return None
     if text.translate(_NOT_PLAIN):
         return None
-    parts = list(map(str.partition, values, repeat("/")))
+    seen = set(values)
+    distinct = list(seen) if len(seen) < len(values) else values
+    parts = list(map(str.partition, distinct, repeat("/")))
     tails = list(map(itemgetter(1, 2), parts))
     try:
         nums = list(map(int, map(itemgetter(0), parts)))
@@ -195,10 +203,12 @@ def _plain_values(values):
     except ValueError:
         return None
     den = lcm(*dens.values())
-    if den == 1:
-        return nums, 1
-    scale = {t: den // q for t, q in dens.items()}
-    return list(map(mul, nums, map(scale.__getitem__, tails))), den
+    if den != 1:
+        scale = {t: den // q for t, q in dens.items()}
+        nums = list(map(mul, nums, map(scale.__getitem__, tails)))
+    if distinct is not values:
+        nums = list(map(dict(zip(distinct, nums)).__getitem__, values))
+    return nums, den
 
 
 def _over_lcm(pairs):
@@ -216,11 +226,13 @@ def read_game(table, lat, keys):
     A table whose keys are all among keys, as game_payload writes them, is
     read in whole-table passes.  When every value is a plain string (see
     _PLAIN), _plain_values reads them all: one check of their joined text,
-    one partition pass, map(int) on the numerators, each distinct
-    denominator spelling parsed once and every value scaled over the lcm.
-    Else parse_value reads each value in table order and _over_lcm scales
-    them.  A canonical key names an element and no other canonical key
-    names it, so the first fault of such a table is its first faulty value.
+    then, over the distinct spellings only, one partition pass, map(int) on
+    the numerators, each distinct denominator spelling parsed once and each
+    spelling scaled over the lcm, and, unless every value is distinct, one
+    dict lookup per value to map them back.  Else parse_value reads each
+    value in table order and _over_lcm scales them.  A canonical key names
+    an element and no other canonical key names it, so the first fault of
+    such a table is its first faulty value.
 
     A table with any other key, such as "12" or "[2,1]", is read by
     _read_entries, entry by entry in table order, each key before its
@@ -232,12 +244,14 @@ def read_game(table, lat, keys):
     position.
 
     On a 2-core x86-64 machine under CPython 3.11.7, one call on a table of
-    every nonzero value of a classify game, in the canonical spelling, went
-    from the entry-by-entry read to the passes: flat8 0.22 -> 0.16 ms,
-    forest10 0.24 -> 0.18 ms, flat9 0.41 -> 0.30 ms.  The flat9 table with
-    digit-spelled keys ("12") took 1.37 -> 1.33 ms, and with one JSON int
-    among its values 0.406 -> 0.408 ms, within the noise (medians of 3 to
-    12 alternating processes, best of 7 x 300 or 15 x 200 in each)."""
+    every nonzero value of a classify game at seed 1 (225-486 values in
+    14-57 distinct spellings), fresh from json.loads, went from one pass
+    over every value to one over each distinct spelling: flat8 0.145 ->
+    0.078 ms, forest10 0.158 -> 0.089 ms, flat9 0.269 -> 0.139 ms.  A
+    flat9 table of 511 values, all distinct, took 312 -> 329 us in "p/q"
+    spellings and 241 -> 261 us as ints, the cost of the set that finds
+    them distinct (medians of 8 alternating processes, best of 7 x 200 in
+    each)."""
     if not isinstance(table, dict):
         raise ValueError(f'"values" must be a JSON object, got {table!r}')
     canonical = dict(zip(keys, range(len(keys))))
@@ -286,9 +300,11 @@ def _ratio_text(x, den):
 
 def _nonzero_values(game):
     """(position, text) of each nonzero value of game, by position, the
-    text written from the stored integers: both output formats use it."""
+    text written from the stored integers: both output formats use it.
+    Each distinct nonzero integer is spelled once, by one gcd."""
     num, den = _scaled_values(game)
-    return ((k, _ratio_text(x, den)) for k, x in enumerate(num) if x)
+    text = {x: _ratio_text(x, den) for x in set(num) if x}
+    return ((k, text[x]) for k, x in enumerate(num) if x)
 
 
 def game_payload(game, keys):

@@ -184,12 +184,12 @@ def _zeta(lat, val, inverse=False):
     reverse order.
     """
     p = lat.poset
-    n = p.n
+    down = [p.principal_down_set(j) for j in range(1, p.n + 1)]
     idx = lat.index
-    order = sorted(range(1, n + 1), key=lambda i: -p.principal_down_set(i).bit_count())
+    order = sorted(range(1, p.n + 1), key=lambda i: -down[i - 1].bit_count())
     for i in reversed(order) if inverse else order:
         bit = 1 << (i - 1)
-        up = sum(1 << (j - 1) for j in range(1, n + 1) if p.leq(i, j))
+        up = sum(1 << j for j, d in enumerate(down) if d & bit)
         for k, b in enumerate(lat.elements):
             if b & bit:
                 x = val[idx[b & ~up]]

@@ -20,6 +20,7 @@ import pytest
 import supermod as sm
 from supermod import cli
 from supermod.cone import DEFAULT_MAX_CONE_ELEMENTS
+from supermod.game import _scaled_values
 
 from conftest import (
     HIER4_GENERATORS,
@@ -919,6 +920,101 @@ def test_read_game_reads_a_canonical_table_in_whole_table_passes(monkeypatch):
         log.clear()
         assert read_fractions(table, flat7) == oracle_game_values(table, 7)
         assert log == want
+
+
+def test_read_game_merges_only_equal_strings():
+    # a canonical table is read once per distinct spelling, and only once
+    # every value is known to be a string: a set would take true and 1.0
+    # for 1, and false and 0.0 for 0.  So at seeded random places in a
+    # table of 127 entries, such a value beside its equal int or string, or
+    # null beside 0, is refused as parse_value refuses it, whichever comes
+    # first; a list or an object, which no dict can hold as a key, is
+    # refused the same way; equal values in other spellings read as the
+    # oracle reads them
+    flat7 = sm.build_lattice(sm.poset_from_covers(7, []))
+    keys = cli.coalition_keys(flat7)[1:]
+    rng = random.Random(38)
+    pairs = [(True, 1), (1.0, 1), (False, 0), (0.0, 0), (None, 0), ([1], 1), ({"1": 1}, 1),
+             (True, "1"), (1.0, "1"), (False, "0"), ([1], "1")]
+    for bad, good in pairs * 4:
+        items = [(key, random_plain_value(rng)) for key in keys]
+        i, j = rng.sample(range(len(items)), 2)
+        items[i] = (items[i][0], good)
+        items[j] = (items[j][0], bad)
+        table = dict(items)
+        got = outcome(lambda: read_fractions(table, flat7))
+        assert got == outcome(lambda: oracle_game_values(table, 7)), (bad, good)
+        assert got == outcome(lambda: cli.parse_value(bad)), (bad, good)
+    spellings = ["1/2", "2/4", "01/2", "-0", "0", "00", "0/3", "-1/2", "-2/4", "1", "2/2"]
+    for _ in range(40):
+        table = {key: rng.choice(spellings) for key in keys}
+        assert read_fractions(table, flat7) == oracle_game_values(table, 7)
+        items = list(table.items())
+        rng.shuffle(items)
+        table = dict(items)
+        assert read_fractions(table, flat7) == oracle_game_values(table, 7)
+
+
+def test_read_game_parses_each_distinct_spelling_once(monkeypatch):
+    # a count of calls, not a timer: a canonical flat9 table of 511 values
+    # in D distinct spellings makes at most D numerator parses and one parse
+    # per distinct denominator spelling, counted through the int that cli
+    # looks up; a table of all-distinct values makes one parse per value
+    flat9 = sm.build_lattice(sm.poset_from_covers(9, []))
+    keys = cli.coalition_keys(flat9)[1:]
+    rng = random.Random(9)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return int(*args)
+
+    monkeypatch.setattr(cli, "int", counted, raising=False)
+    spellings = [random_plain_value(rng) for _ in range(30)]
+    distinct_values = [f"{k}/{k % 7 + 1}" for k in range(len(keys))]
+    for values in ([rng.choice(spellings) for _ in keys], distinct_values):
+        table = dict(zip(keys, values))
+        calls.clear()
+        assert read_fractions(table, flat9) == oracle_game_values(table, 9)
+        distinct = set(values)
+        dens = {v.partition("/")[2] for v in distinct if "/" in v}
+        assert len(calls) <= len(distinct) + len(dens)
+        assert sorted(calls) == sorted(
+            [(v.partition("/")[0],) for v in distinct] + [(d,) for d in dens]
+        )
+    assert len(set(table.values())) == len(keys)
+
+
+def test_outputs_spell_each_distinct_value_once(ws, capsys, monkeypatch):
+    # a count of calls, not a timer: game moebius, game normalize and cone
+    # rays run _ratio_text once per distinct nonzero integer of each game
+    # they write, in both formats
+    ratio_text = cli._ratio_text
+    calls = []
+
+    def counted(x, den):
+        calls.append(x)
+        return ratio_text(x, den)
+
+    monkeypatch.setattr(cli, "_ratio_text", counted)
+    lat = sm.build_lattice(sm.poset_from_covers(4, [(2, 1), (3, 1)]))
+    keys = cli.coalition_keys(lat)
+    with open(ws["shifted.json"], encoding="utf-8") as fh:
+        g = cli.read_game(json.load(fh)["values"], lat, keys)
+    cases = {
+        ("game", "moebius", ws["shifted.json"]): [sm.mobius_transform(g)],
+        ("game", "normalize", ws["shifted.json"]): list(sm.zero_normalize(g)),
+        ("cone", "rays", ws["hier4.json"]): sm.extreme_rays(lat),
+    }
+    for argv, games in cases.items():
+        nums = [_scaled_values(h)[0] for h in games]
+        want = sorted(x for num in nums for x in set(num) if x)
+        assert len(want) < sum(x != 0 for num in nums for x in num), argv
+        for fmt in ("json", "table"):
+            calls.clear()
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert code == 0 and out and err == "", argv
+            assert sorted(calls) == want, (argv, fmt)
 
 
 def test_cone_rays_of_the_ladder_keep_their_bytes(tmp_path, capsys):
