@@ -68,6 +68,15 @@ def coalition_key(mask):
     return f"[{','.join(map(str, players_from_mask(mask)))}]"
 
 
+def _table_coalition(key):
+    """format_coalition of the mask whose coalition_key is key, written from
+    the key: its players run together when the last, highest one has one
+    digit, and stand in braces otherwise; "{}" for the key "[]"."""
+    if len(key) > 2 and key[-3] in "[,":
+        return key[1:-1].replace(",", "")
+    return "{" + key[1:-1] + "}"
+
+
 def coalition_keys(lat):
     """The coalition_key of every element of lat, by position; a command
     spells them once and passes the list to read_game and game_payload.
@@ -317,11 +326,12 @@ def vector_payload(x):
     return [str(t) for t in x]
 
 
-def value_lines(game, indent, empty):
-    """Table lines of the game's nonzero values, or [empty] for none."""
-    elements = game.lattice.elements
+def value_lines(game, keys, indent, empty):
+    """Table lines of the game's nonzero values, or [empty] for none; keys
+    are the coalition_keys of the game's lattice, each coalition written
+    from its key."""
     return [
-        f"{indent}{format_coalition(elements[k])}: {v}" for k, v in _nonzero_values(game)
+        f"{indent}{_table_coalition(keys[k])}: {v}" for k, v in _nonzero_values(game)
     ] or [empty]
 
 
@@ -481,7 +491,7 @@ def cmd_game_check(args):
 def cmd_game_moebius(args):
     g, keys = load_game(args.game, args)
     t = mobius_transform(g)
-    emit(args, lambda: value_lines(t, "", "(zero transform)"),
+    emit(args, lambda: value_lines(t, keys, "", "(zero transform)"),
          lambda: {"values": game_payload(t, keys)})
     return 0
 
@@ -490,8 +500,8 @@ def cmd_game_normalize(args):
     g, keys = load_game(args.game, args)
     w, m = zero_normalize(g)
     emit(args, lambda: [
-        "zero-normalized part:", *value_lines(w, "  ", "  0"),
-        "modular part:", *value_lines(m, "  ", "  0"),
+        "zero-normalized part:", *value_lines(w, keys, "  ", "  0"),
+        "modular part:", *value_lines(m, keys, "  ", "  0"),
     ], lambda: {"zero_normalized": game_payload(w, keys), "modular": game_payload(m, keys)})
     return 0
 
@@ -561,17 +571,15 @@ def cmd_cone_is_extreme(args):
 def cmd_cone_rays(args):
     lat = load_lattice(args.poset, args)
     rays = extreme_rays(lat, max_elements=args.max_cone, max_rays=args.max_dd_rays)
-
-    def payload():
-        keys = coalition_keys(lat)
-        return {"count": len(rays), "rays": [game_payload(g, keys) for g in rays]}
-
+    keys = coalition_keys(lat)
     emit(args, lambda: [
         f"ray {r}: " + ", ".join(
-            f"{format_coalition(lat.elements[k])}={v}" for k, v in _nonzero_values(g)
+            f"{_table_coalition(keys[k])}={v}" for k, v in _nonzero_values(g)
         )
         for r, g in enumerate(rays, start=1)
-    ] or ["(no rays: the cone is trivial)"], payload)
+    ] or ["(no rays: the cone is trivial)"], lambda: {
+        "count": len(rays), "rays": [game_payload(g, keys) for g in rays],
+    })
     return 0
 
 

@@ -15,9 +15,9 @@ from typing import NamedTuple
 
 from . import qlin
 from .errors import CrossCheckError, NotSupermodularError, SizeError
-from .game import Game, _scaled_values, _square_slacks
-from .lattice import DEFAULT_MAX_CHAINS, _covering_steps, _square_corners
-from .marginals import _split_plan, _tight, _vertex_walk
+from .game import Game, _scaled_values, _square_slacks, _weights
+from .lattice import DEFAULT_MAX_CHAINS, _covering_steps, _split, _square_corners
+from .marginals import _tight, _vertex_walk
 from .poset import _automorphisms, format_coalition
 
 __all__ = [
@@ -67,18 +67,15 @@ class FacetTriple(NamedTuple):
 class _Plan:
     """The lattice-only work of both extremality criteria, built once for
     every game checked on one lattice; nothing is kept on the lattice.  For
-    _payoff_rows: the lattice's _covering_steps and _split_plan (which
-    extreme_rays also reads to map its automorphisms), and the positions
-    of each principal down-set and of that set less its top player.  For
-    _game_rows: the corners, rows, dimension and coordinates of
-    _facet_rows."""
+    _payoff_rows: the lattice's _covering_steps and _split, which
+    _tight sums along and extreme_rays also reads to map its
+    automorphisms.  For _game_rows: the corners, rows, dimension and
+    coordinates of _facet_rows."""
 
     def __init__(self, lat):
         self.lat = lat
         self.steps = _covering_steps(lat)
-        self.split = _split_plan(self.steps)
-        down = [lat.poset.principal_down_set(i + 1) for i in range(lat.poset.n)]
-        self.down = [(lat.index[d], lat.index[d ^ 1 << i]) for i, d in enumerate(down)]
+        self.split = _split(lat)
         self.corners, self.rows, self.d, self.coord = _facet_rows(lat)
 
 
@@ -102,16 +99,18 @@ def _payoff_rows(plan, val, max_chains=DEFAULT_MAX_CHAINS):
     Column k*n + i stands for player i+1 under vertex k, so a row is +1
     on the element's unpinned members under one vertex and -1 under the
     next, and the distinct nonzero pairs are the rows, in first-seen order.
+    Each vertex's tight elements come from its coalition totals, one
+    addition per element along the lattice's _split (marginals._tight).
 
     No 0-normalized game is built: the modular part of v, worth
-    m_i = v(down(i)) - v(down(i) - i) on player i, moves every vertex by
-    the same vector m, which keeps the tight elements and the vertex
-    order, so the pinned coordinates are those where a vertex of v
-    equals m.
+    m_i = v(down(i)) - v(down(i) - i) on player i (game._weights), moves
+    every vertex by the same vector m, which keeps the tight elements and
+    the vertex order, so the pinned coordinates are those where a vertex
+    of v equals m.
     """
     lat = plan.lat
     n = lat.poset.n
-    shift = [val[d] - val[below] for d, below in plan.down]
+    shift = _weights(lat, val)
     verts = sorted(_vertex_walk(lat, plan.steps, val, max_chains))
     els = lat.elements
     last = [None] * len(els)  # last[p]: element p's mask at the last vertex tight there
@@ -436,8 +435,8 @@ def extreme_rays(lat, *, max_elements=DEFAULT_MAX_CONE_ELEMENTS, max_rays=DEFAUL
     )
     # each automorphism as a getter of the image of every element: the
     # image of a down-set is the set of its players' images, built along
-    # the split plan as the image of the lower cover plus the moved player;
-    # a cone without rays, such as a chain's, searches for none
+    # the lattice's _split as the image of a lower cover plus the player
+    # it lacks; a cone without rays, such as a chain's, searches for none
     maps = []
     for perm in _automorphisms(lat.poset) if vals else ():
         image = [0]

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import EmptyCoalitionError, LatticeMismatchError
-from .lattice import DownSetLattice, _covering_steps, _square_corners
+from .lattice import DownSetLattice, _covering_steps, _split, _square_corners
 from .poset import players_from_mask
 
 __all__ = [
@@ -173,7 +173,9 @@ def _zeta(lat, val, inverse=False):
     """Zeta transform, in place, of the integers val (one per element): the
     value at b becomes the sum over the down-sets c <= b; inverse=True gives
     the Moebius transform.  O(L*n) lookups.  Values over one common
-    denominator (_scaled_values) transform as their numerators.
+    denominator (_scaled_values) transform as their numerators.  Only
+    mobius_transform and mobius_inverse read it: a modular game, whose
+    transform lives on the principal down-sets, is summed by _totals.
 
     One pass per player i, each player before every player below it: each
     down-set b holding i adds the value at b & ~up(i), up(i) being the
@@ -197,6 +199,30 @@ def _zeta(lat, val, inverse=False):
                     val[k] = val[k] - x if inverse else val[k] + x
 
 
+def _totals(split, x):
+    """The coalition totals of the integers x, one per player index: a list
+    by element position of the sum of x over each element, built along the
+    lattice's _split as x(a) = x(a - h) + x[h], one addition per element.
+    The totals of the player weights are the one modular game with those
+    weights."""
+    tot = [0]
+    append = tot.append
+    for k, h in split:
+        append(tot[k] + x[h])
+    return tot
+
+
+def _weights(lat, val):
+    """The player weights v(down(i)) - v(down(i) - i) of integer values val
+    by element position, by player index: the Moebius coefficients of v at
+    the principal down-sets."""
+    idx = lat.index
+    return [
+        val[idx[d]] - val[idx[d ^ 1 << i]]
+        for i, d in enumerate(map(lat.poset.principal_down_set, range(1, lat.poset.n + 1)))
+    ]
+
+
 def modular_from_irreducibles(lattice, targets):
     """The unique modular game matching targets on the principal down-sets.
 
@@ -204,8 +230,8 @@ def modular_from_irreducibles(lattice, targets):
     an int or Fraction; a float is refused with TypeError, as in Game.
     A modular game's Moebius transform lives on the principal down-sets,
     where it is the weight of the top player; the weights are recovered
-    bottom-up, as integers over the targets' common denominator, and summed
-    by the zeta pass.
+    bottom-up, as integers over the targets' common denominator, and the
+    game is their coalition totals (_totals).
     """
     p = lattice.poset
     n = p.n
@@ -214,15 +240,12 @@ def modular_from_irreducibles(lattice, targets):
     _exact(targets.values(), "targets")
     exact = {i: Fraction(x) for i, x in targets.items()}
     den = lcm(*(x.denominator for x in exact.values()))
-    weight = {}
-    val = [0] * len(lattice.elements)
+    weight = [0] * n
     for i in sorted(range(1, n + 1), key=lambda i: p.principal_down_set(i).bit_count()):
         below = players_from_mask(p.strict_down_set(i))
         x = exact[i]
-        weight[i] = x.numerator * (den // x.denominator) - sum(weight[j] for j in below)
-        val[lattice.index[p.principal_down_set(i)]] = weight[i]
-    _zeta(lattice, val)
-    return Game._from_ints(lattice, val, den)
+        weight[i - 1] = x.numerator * (den // x.denominator) - sum(weight[j - 1] for j in below)
+    return Game._from_ints(lattice, _totals(_split(lattice), weight), den)
 
 
 def mobius_transform(v):
@@ -257,20 +280,21 @@ def _square_slacks(val, corners):
         yield val[both] + val[base] - val[wi] - val[wj]
 
 
-def _game_slacks(v):
-    """_square_slacks of a game, square by square."""
-    return _square_slacks(_scaled_values(v)[0], _square_corners(v.lattice))
-
-
 def is_supermodular(v):
     """v(A|B) + v(A&B) >= v(A) + v(B) on every pair: no covering square has
     negative slack."""
-    return all(s >= 0 for s in _game_slacks(v))
+    slacks = _square_slacks(_scaled_values(v)[0], _square_corners(v.lattice))
+    return all(s >= 0 for s in slacks)
 
 
 def is_modular(v):
-    """Equality on every pair: every covering square has zero slack."""
-    return not any(_game_slacks(v))
+    """Equality on every pair.  On the distributive lattice of down-sets a
+    modular game vanishing at the bottom is the valuation of its player
+    weights (_weights), so v is modular exactly when its values equal the
+    coalition totals of those weights: one O(L) pass, no covering square."""
+    lat = v.lattice
+    val, _ = _scaled_values(v)
+    return _totals(_split(lat), _weights(lat, val)) == list(val)
 
 
 def is_monotone(v):
@@ -289,17 +313,13 @@ def zero_normalize(v):
     """Split v = w + m with w 0-normalized and m modular; returns (w, m).
 
     At a join-irreducible element the Moebius transform collapses to the
-    difference with its unique lower cover; the modular part is the zeta
-    pass over those differences, the unanimity combination with them as
-    coefficients.  Both parts are formed as integers over the common
-    denominator of v.
+    difference with its unique lower cover, the weight of its top player;
+    the modular part is the unanimity combination with these weights as
+    coefficients, that is the coalition totals of the weights (_totals).
+    Both parts are formed as integers over the common denominator of v.
     """
     lat = v.lattice
-    idx = lat.index
     val, den = _scaled_values(v)
-    mod = [0] * len(val)
-    for a in lat.join_irreducibles:
-        mod[idx[a]] = val[idx[a]] - val[idx[lat.join_irreducible_predecessor(a)]]
-    _zeta(lat, mod)
+    mod = _totals(_split(lat), _weights(lat, val))
     w = [x - y for x, y in zip(val, mod)]
     return Game._from_ints(lat, w, den), Game._from_ints(lat, mod, den)

@@ -251,6 +251,31 @@ def _covering_steps(lat):
     return steps
 
 
+def _split(lat):
+    """Every nonempty element a, by position, as (position of a - h, h):
+    h is the index of a player of a whose removal leaves an element, that
+    is a maximal player of a.  The highest player is tried first, then the
+    lowest, then the rest from the top, one index lookup per try, so an
+    element of a naturally labelled poset costs one lookup and one of its
+    reverse two."""
+    get = lat.index.get
+    split = []
+    for a in lat.elements[1:]:
+        h = a.bit_length() - 1
+        k = get(a ^ 1 << h)
+        if k is None:
+            low = a & -a
+            rest = a ^ low ^ 1 << h
+            h = low.bit_length() - 1
+            k = get(a ^ low)
+            while k is None:
+                h = rest.bit_length() - 1
+                rest ^= 1 << h
+                k = get(a ^ 1 << h)
+        split.append((k, h))
+    return split
+
+
 def _square_corners(lat):
     """Positions (a+i+j, a, a+i, a+j) of the corners of every covering
     square: a in element order, then (i, j) ascending, i < j.  A generator,

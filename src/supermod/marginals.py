@@ -14,8 +14,8 @@ from itertools import compress
 from operator import eq
 
 from .errors import ConsistencyError, NotSupermodularError, SizeError
-from .game import Game, _exact, _scaled_values, is_supermodular
-from .lattice import DEFAULT_MAX_CHAINS, _covering_steps
+from .game import Game, _exact, _scaled_values, _totals, is_supermodular
+from .lattice import DEFAULT_MAX_CHAINS, _covering_steps, _split
 from .poset import format_perm, players_from_mask
 
 __all__ = [
@@ -60,8 +60,7 @@ def marginal_vector(v, chain):
 def tight_sets(v, chain):
     """Elements where v meets the marginal vector of the chain."""
     lat = v.lattice
-    split = _split_plan(_covering_steps(lat))
-    (tight,) = _tight(lat, split, _scaled_values(v)[0], [_chain_increments(v, chain)])
+    (tight,) = _tight(lat, _split(lat), _scaled_values(v)[0], [_chain_increments(v, chain)])
     return frozenset(map(lat.elements.__getitem__, tight))
 
 
@@ -83,30 +82,19 @@ def _chain_increments(v, chain):
     return x
 
 
-def _split_plan(steps):
-    """Every nonempty element, by position, as one lower cover plus one
-    player, from the lattice's _covering_steps: the pairs (position of the
-    cover, player index) along which _tight sums."""
-    into = {b: (k, i) for k, moves in enumerate(steps) for i, b in moves}
-    return [into[b] for b in range(1, len(steps))]
-
-
 def _tight(lat, split, val, vectors):
     """The tight positions of each integer marginal vector x: a list, in
     ascending order, of the positions of the elements a where x(a) equals
     their value.
 
     val holds an integer at every element position, the values of a game
-    scaled over one common denominator (game._scaled_values).  split is the
-    lattice's _split_plan, so the coalition totals x(a) = x(parent) +
-    x[player] take one addition per element: O(L) per vector.
+    scaled over one common denominator (game._scaled_values).  split is
+    lattice._split of lat, so the coalition totals of game._totals take
+    one addition per element: O(L) per vector.
     """
     places = range(len(lat.elements))
     for x in vectors:
-        tot = [0]
-        for k, i in split:
-            tot.append(tot[k] + x[i])
-        yield list(compress(places, map(eq, tot, val)))
+        yield list(compress(places, map(eq, _totals(split, x), val)))
 
 
 def _vertex_walk(lat, steps, val, max_chains):

@@ -20,8 +20,8 @@ import supermod as sm
 from supermod import cone, qlin
 from supermod.cone import _reduce
 from supermod.game import _scaled_values
-from supermod.lattice import _covering_steps
-from supermod.marginals import _chain_increments, _split_plan, _tight
+from supermod.lattice import _split
+from supermod.marginals import _chain_increments, _tight
 
 # The six minimal integer generators of the supermodular cone on the
 # 4-player hierarchy lattice (players 2 and 3 below player 1, player 4
@@ -626,7 +626,7 @@ def tight_family(v):
     chains = lat.maximal_chains()
     vectors = [_chain_increments(v, c) for c in chains]
     perms = tuple(c.perm for c in chains)
-    split = _split_plan(_covering_steps(lat))
+    split = _split(lat)
     tight = [frozenset(map(lat.elements.__getitem__, t)) for t in _tight(lat, split, val, vectors)]
     zeros = [frozenset(i for i, t in enumerate(x, start=1) if not t) for x in vectors]
     return TightFamily(perms, dict(zip(perms, tight)), dict(zip(perms, zeros)))

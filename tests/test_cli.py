@@ -21,6 +21,7 @@ import supermod as sm
 from supermod import cli
 from supermod.cone import DEFAULT_MAX_CONE_ELEMENTS
 from supermod.game import _scaled_values
+from supermod.poset import format_coalition
 
 from conftest import (
     HIER4_GENERATORS,
@@ -484,7 +485,10 @@ def test_no_command_builds_the_output_of_the_other_format(ws, capsys, monkeypatc
             emit(args, refuse, payload)
 
     monkeypatch.setattr(cli, "emit", spy)
-    refused = {"json": ["format_coalition"], "table": ["game_payload", "vector_payload"]}
+    refused = {
+        "json": ["format_coalition", "_table_coalition"],
+        "table": ["game_payload", "vector_payload"],
+    }
     for (name, fmt), want in expected.items():
         with monkeypatch.context() as patch:
             for helper in refused[fmt] if name != "cmd_reproduce_paper" else ():
@@ -645,6 +649,48 @@ def test_coalition_keys_spell_only_the_keys_they_cannot_extend(monkeypatch):
     lat = sm.build_lattice(sm.poset_from_covers(*reversed_chain(12)))
     assert cli.coalition_keys(lat)[:3] == ["[]", "[12]", "[11,12]"]
     assert calls == list(lat.elements[2:])
+
+
+def test_table_coalitions_are_spelled_from_the_keys():
+    # the table text of a coalition, read off its coalition_key, is
+    # format_coalition of its mask on every element: digits run together
+    # below player 10, braces from player 10 on, "{}" for the empty set
+    for n, covers in (
+        (9, []),
+        FOREST10,
+        (12, [(i, i + 1) for i in range(1, 6)] + [(8, 7), (9, 7)]),
+    ):
+        lat = sm.build_lattice(sm.poset_from_covers(n, covers))
+        keys = cli.coalition_keys(lat)
+        assert list(map(cli._table_coalition, keys)) == list(map(format_coalition, lat.elements))
+    assert cli._table_coalition("[]") == "{}"
+
+
+def test_tables_spell_two_digit_players_byte_for_byte(tmp_path, capsys):
+    # --format table of game moebius, game normalize and cone rays on a
+    # 10-chain beside a free player 11, pinned: coalitions holding 10 or
+    # 11 in braces and comma-separated, the others run together
+    (tmp_path / "p.json").write_text(json.dumps({"n": 11, "covers": [[i, i + 1] for i in range(1, 10)]}))
+    values = {
+        "[1]": "1/2", "[11]": "-3", "[1,11]": "2", "[1,2,11]": "5/3",
+        "[1,2,3,4,5,6,7,8,9,10]": "-7/4", "[1,2,3,4,5,6,7,8,9,10,11]": "4",
+    }
+    (tmp_path / "g.json").write_text(json.dumps({"poset": "p.json", "values": values}))
+    game, poset = str(tmp_path / "g.json"), str(tmp_path / "p.json")
+    assert run(capsys, "game", "moebius", game, "--format", "table") == (0, (
+        "1: 1/2\n{11}: -3\n12: -1/2\n{1,11}: 9/2\n{1,2,11}: 1/6\n{1,2,3,11}: -5/3\n"
+        "{1,2,3,4,5,6,7,8,9,10}: -7/4\n{1,2,3,4,5,6,7,8,9,10,11}: 23/4\n"
+    ), "")
+    digests = {
+        ("game", "normalize", game):
+            "2a661d108518570b5865f4a020b1dd878ff4afac89d48fc66bdb7ce85158f656",
+        ("cone", "rays", poset):
+            "8fb37ecd7a1025e71d87ba9123cee65e68b0f35c99bd90ef072d3e1e96752b07",
+    }
+    for argv, digest in digests.items():
+        code, out, err = run(capsys, *argv, "--format", "table")
+        assert (code, err) == (0, "") and hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    assert out.startswith("ray 1: {1,2,3,4,5,6,7,8,9,10,11}=1\nray 2: {1,2,3,4,5,6,7,8,9,11}=1, ")
 
 
 def test_ratio_text_is_the_fraction_spelling():

@@ -10,8 +10,8 @@ import supermod as sm
 from supermod import cone, qlin
 from supermod.cone import facet_witness
 from supermod.game import _scaled_values
-from supermod.lattice import _covering_steps, _square_corners
-from supermod.marginals import _split_plan, _tight, _vertex_walk
+from supermod.lattice import _covering_steps, _split, _square_corners
+from supermod.marginals import _tight, _vertex_walk
 from supermod.poset import _automorphisms
 
 from conftest import (
@@ -312,7 +312,7 @@ def test_vertices_carry_every_tight_structure_of_the_chains():
                     frozenset(lat.elements[p] for p in tight),
                     frozenset(i for i, t in enumerate(x, start=1) if not t),
                 )
-                for x, tight in zip(verts, _tight(lat, _split_plan(steps), val, verts))
+                for x, tight in zip(verts, _tight(lat, _split(lat), val, verts))
             ]
             assert len(set(by_vertex)) == len(by_vertex)
             assert set(by_vertex) == by_chain

@@ -9,6 +9,7 @@ import pytest
 import supermod as sm
 from supermod import cli, game
 from supermod.game import _scaled_values
+from supermod.lattice import _split, _square_corners
 
 from conftest import (
     HIER4_GENERATORS,
@@ -225,6 +226,112 @@ def test_zeta_passes_match_the_pair_oracles_on_posets_with_relations():
             assert _exact_games(sm.modular_from_irreducibles(lat, targets)) == (m,)
 
 
+def _fence(n):
+    """The zig-zag 1 < 2 > 3 < 4 > ... on n players."""
+    return sm.poset_from_covers(n, [(i, i + 1) if i % 2 else (i + 1, i) for i in range(1, n)])
+
+
+def _totals_test_posets():
+    """By shape, the posets the coalition-totals kernel is held on: the
+    zeta posets, flat posets on 1-7 players, chains and reversed chains on
+    up to 8, fences on up to 9, hier4 and hier8, and forest10 with a
+    5-player forest.  The first poset of each shape is the small one on
+    which every element is moved in turn."""
+    def chain(n, up=True):
+        return sm.poset_from_covers(n, [(i, i + 1) if up else (i + 1, i) for i in range(1, n)])
+
+    zeta = _zeta_test_posets()
+    return {
+        "zeta": [zeta[8], *zeta[:8], *zeta[9:]],
+        "flat": [sm.poset_from_covers(n, []) for n in (3, 1, 2, 4, 5, 6, 7)],
+        "chain": [chain(n) for n in (4, 1, 2, 3, 5, 6, 7, 8)],
+        "reversed chain": [chain(n, up=False) for n in (4, 2, 3, 5, 6, 7, 8)],
+        "fence": [_fence(n) for n in (5, 2, 3, 4, 6, 7, 8, 9)],
+        "hier": [sm.poset_from_covers(n, [(2, 1), (3, 1)]) for n in (4, 8)],
+        "forest": [
+            sm.poset_from_covers(5, [(2, 1), (3, 1), (5, 4)]),
+            sm.poset_from_covers(10, [(2, 1), (3, 1), (5, 4), (6, 4), (8, 7)]),
+        ],
+    }
+
+
+def test_the_totals_kernel_matches_the_square_scan_and_the_pair_oracles():
+    # is_modular against the all-pairs scan and the covering-square
+    # verdict, zero_normalize against the unanimity combination, and the
+    # round trip of modular_from_irreducibles, on random games and on
+    # modular games of small and of huge values; on the first, small
+    # lattice of each shape a modular game is also moved by +-1 at each
+    # element in turn
+    rng = random.Random(3907)
+    verdicts = set()
+    for shape, posets in _totals_test_posets().items():
+        for nth, p in enumerate(posets):
+            lat = sm.build_lattice(p)
+            els = lat.elements
+            split = _split(lat)
+            assert len(split) == len(els) - 1
+            for b, (k, h) in enumerate(split, start=1):
+                assert els[k] | 1 << h == els[b] and not els[k] >> h & 1
+            modular = []
+            for draw in (lambda: rng.randint(-5, 5), lambda: _huge_fraction(rng)):
+                weight = {i: draw() for i in range(1, p.n + 1)}
+                modular.append(sm.Game(lat, [
+                    sum((weight[i] for i in sm.players_from_mask(a)), Fraction(0)) for a in els
+                ]))
+            games = [random_game(rng, lat), *modular]
+            if nth == 0:
+                games += [
+                    modular[0] + sm.Game.from_values(lat, {a: sign})
+                    for a in els[1:]
+                    for sign in (-1, 1)
+                ]
+            for v in games:
+                squares = not any(game._square_slacks(_scaled_values(v)[0], _square_corners(lat)))
+                verdict = sm.is_modular(v)
+                assert verdict == squares == oracle_modular(v), (shape, p.n)
+                verdicts.add(verdict)
+                w, m = sm.zero_normalize(v)
+                assert m == oracle_modular_part(v) and w + m == v
+            for m in modular:
+                targets = {i: m.value(p.principal_down_set(i)) for i in range(1, p.n + 1)}
+                assert sm.modular_from_irreducibles(lat, targets) == m
+    assert verdicts == {True, False}
+
+
+class _CountedGets(dict):
+    """A lattice index that counts its get calls."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def test_split_costs_one_lookup_per_element_and_two_on_a_reversed_chain(chain1200, monkeypatch):
+    # a count of index lookups, not a timer: the highest player of a
+    # down-set of a naturally labelled poset is maximal in it, so flat9
+    # and hier8 take one lookup per nonempty element ({1,2,3} of hier8
+    # takes two), and a chain one; on its reverse the lowest player is the
+    # maximal one, the second try; a scan from the top alone would take up
+    # to n tries per element there
+    reverse1200 = sm.build_lattice(sm.poset_from_covers(1200, [(i + 1, i) for i in range(1, 1200)]))
+    cases = [
+        (sm.build_lattice(sm.poset_from_covers(9, [])), 1),
+        (sm.build_lattice(sm.poset_from_covers(8, [(2, 1), (3, 1)])), 1),
+        (chain1200, 2),
+        (reverse1200, 2),
+    ]
+    for lat, per_element in cases:
+        want = _split(lat)
+        counted = _CountedGets(lat.index)
+        monkeypatch.setattr(lat, "index", counted)
+        assert _split(lat) == want
+        assert counted.gets <= per_element * len(lat.elements)
+        if per_element == 1:
+            assert counted.gets >= len(lat.elements) - 1
+
+
 def test_supermodular_predicates(hier4, flat4, hier4_games):
     for lat in (hier4, flat4):
         for a in lat.elements[1:]:
@@ -318,24 +425,35 @@ def test_local_predicates_match_all_pairs_oracles_on_random_posets():
 
 def test_the_predicates_stop_at_the_first_deciding_square(monkeypatch):
     # the bottom square {1,2}, {1}, {2}, {} of flat12 comes first; a game
-    # with v({1,2}) = -1 and 0 elsewhere is neither modular nor
-    # supermodular there, so each predicate pulls that one of the 67,584
-    # squares from the walk, which stays a lazy generator
+    # with v({1,2}) = -1 and 0 elsewhere is not supermodular there, so
+    # is_supermodular pulls that one of the 67,584 squares from the walk,
+    # which stays a lazy generator.  is_modular reads no square at all: it
+    # compares the values with the coalition totals of the player weights,
+    # built by one call of lattice._split
     lat = sm.build_lattice(sm.poset_from_covers(12, []))
     v = sm.Game.from_values(lat, {0b11: Fraction(-1)})
     walk = game._square_corners
+    split = game._split
     pulled = []
+    splits = []
 
     def counted(lat):
         for corner in walk(lat):
             pulled.append(corner)
             yield corner
 
+    def counted_split(lat):
+        splits.append(lat)
+        return split(lat)
+
     monkeypatch.setattr(game, "_square_corners", counted)
-    for predicate in (sm.is_modular, sm.is_supermodular):
-        pulled.clear()
-        assert not predicate(v)
-        assert pulled == [(lat.index[0b11], 0, lat.index[0b1], lat.index[0b10])]
+    monkeypatch.setattr(game, "_split", counted_split)
+    assert not sm.is_supermodular(v)
+    assert pulled == [(lat.index[0b11], 0, lat.index[0b1], lat.index[0b10])]
+    assert splits == []
+    pulled.clear()
+    assert not sm.is_modular(v)
+    assert pulled == [] and splits == [lat]
 
 
 def test_monotone_and_nonnegative():
