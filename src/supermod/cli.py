@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -177,6 +176,9 @@ def parse_value(val):
         limit = getattr(sys, "get_int_max_str_digits", int)()
         if exp and limit and abs(int(exp[1])) > limit:
             raise ValueError(f"game value {val!r} has an exponent beyond the limit of {limit}")
+        # imported here, not at the top: a plain spelling needs no Fraction
+        from fractions import Fraction
+
         try:
             x = Fraction(val)
         except ZeroDivisionError:

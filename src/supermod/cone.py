@@ -8,10 +8,9 @@ join-irreducible, and their count is the dimension of the cone.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import namedtuple
 from math import gcd
 from operator import add, itemgetter
-from typing import NamedTuple
 
 from . import qlin
 from .errors import CrossCheckError, NotSupermodularError, SizeError
@@ -35,15 +34,13 @@ DEFAULT_MAX_CONE_ELEMENTS = 64
 DEFAULT_MAX_DD_RAYS = 2000
 
 
-class FacetTriple(NamedTuple):
+class FacetTriple(namedtuple("FacetTriple", "base i j")):
     """A down-set with two addable players; carries one facet inequality.
 
-    Like MaximalChain it is a NamedTuple, so it unpacks, orders and
+    Like MaximalChain it is a named tuple, so it unpacks, orders and
     compares as the tuple (base, i, j)."""
 
-    base: int
-    i: int
-    j: int
+    __slots__ = ()
 
     def masks(self):
         bi = 1 << (self.i - 1)
@@ -240,14 +237,14 @@ def facet_triples(lat):
     ]
 
 
-def facet_witness(lat, triple, eps=Fraction(1)):
+def facet_witness(lat, triple, eps=1):
     """Game that violates the inequality of the given triple and no other.
 
     The witness is w = eps * (g - u) with g(A) = |A|^2 and u the indicator
     of the triple's corners signed as in its inequality: +1 at base+i+j and
     at base, -1 at base+i and base+j (the base term is dropped when base is
-    empty, since a game vanishes there).  eps is a positive scale.  Works on
-    every down-set lattice:
+    empty, since a game vanishes there).  eps is a positive scale, 1 by
+    default.  Works on every down-set lattice:
 
     * every covering square has slack (r+2)^2 + r^2 - 2(r+1)^2 = 2 at g,
       while u has slack 4 (3 for an empty base) on its own triple;

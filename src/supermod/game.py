@@ -8,7 +8,9 @@ split of a game into its 0-normalized and modular parts.
 
 from __future__ import annotations
 
-from fractions import Fraction
+# fractions (with the decimal and numbers it loads) is imported by each
+# function that builds or tests a Fraction, when it runs: a command that
+# answers in integers never loads it
 from math import gcd, lcm
 
 from .errors import EmptyCoalitionError, LatticeMismatchError
@@ -53,6 +55,8 @@ class Game:
     def __init__(self, lattice, values):
         if not isinstance(lattice, DownSetLattice):
             raise TypeError("lattice required")
+        from fractions import Fraction
+
         values = _exact(tuple(values), "game values")
         exact = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
         den = lcm(*(x.denominator for x in exact))
@@ -88,17 +92,23 @@ class Game:
     @property
     def values(self):
         """The values as Fractions, by element position."""
+        from fractions import Fraction
+
         den = self._den
         return tuple(Fraction(x, den) for x in self._num)
 
     def value(self, mask):
         """The value of one coalition (a lattice element)."""
+        from fractions import Fraction
+
         return Fraction(self._num[self.lattice.position(mask)], self._den)
 
     __getitem__ = value
 
     def to_mapping(self):
         """Nonzero values keyed by coalition mask."""
+        from fractions import Fraction
+
         den = self._den
         return {a: Fraction(x, den) for a, x in zip(self.lattice.elements, self._num) if x}
 
@@ -129,6 +139,8 @@ class Game:
         return Game._from_ints(self.lattice, [-a for a in self._num], self._den)
 
     def __mul__(self, scalar):
+        from fractions import Fraction
+
         scalar = Fraction(_exact([scalar], "a game scalar")[0])
         p, q = scalar.numerator, scalar.denominator
         return Game._from_ints(self.lattice, [p * a for a in self._num], q * self._den)
@@ -238,6 +250,8 @@ def modular_from_irreducibles(lattice, targets):
     if set(targets) != set(range(1, n + 1)):
         raise ValueError("targets must cover exactly the players 1..n")
     _exact(targets.values(), "targets")
+    from fractions import Fraction
+
     exact = {i: Fraction(x) for i, x in targets.items()}
     den = lcm(*(x.denominator for x in exact.values()))
     weight = [0] * n

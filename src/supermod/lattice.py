@@ -10,7 +10,7 @@ integer work.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import SizeError
 from .poset import Poset, players_from_mask
@@ -25,15 +25,14 @@ DEFAULT_MAX_ELEMENTS = 1 << 20
 DEFAULT_MAX_CHAINS = 10**7
 
 
-class MaximalChain(NamedTuple):
+class MaximalChain(namedtuple("MaximalChain", "sets perm")):
     """A maximal chain of down-sets together with its compatible permutation.
 
     sets runs from the empty coalition to the full player set, one player
     added per step; perm[k] is the player added at step k+1.
     """
 
-    sets: tuple
-    perm: tuple
+    __slots__ = ()
 
 
 def _canonical_key(mask):

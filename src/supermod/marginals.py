@@ -9,9 +9,10 @@ game_from_configuration hold.
 
 from __future__ import annotations
 
-from fractions import Fraction
+# fractions is imported where a Fraction is built, as in game.py
 from itertools import compress
-from operator import eq
+from math import lcm
+from operator import eq, ge
 
 from .errors import ConsistencyError, NotSupermodularError, SizeError
 from .game import Game, _exact, _scaled_values, _totals, is_supermodular
@@ -44,15 +45,16 @@ def payoff(x, mask):
         raise ValueError(
             f"coalition holds player {mask.bit_length()}, the vector has {len(x)} entries"
         )
-    return _total(_exact(x, "payoffs"), mask)
+    from fractions import Fraction
 
-
-def _total(x, mask):
+    _exact(x, "payoffs")
     return sum((x[i - 1] for i in players_from_mask(mask)), Fraction(0))
 
 
 def marginal_vector(v, chain):
     """Increments of v along a maximal chain, indexed by player."""
+    from fractions import Fraction
+
     _, den = _scaled_values(v)
     return tuple(Fraction(t, den) for t in _chain_increments(v, chain))
 
@@ -152,13 +154,23 @@ def point_configuration(v):
 
 
 def core_contains(v, x):
-    """True iff x is efficient and dominates v everywhere; TypeError on a float."""
+    """True iff x is efficient and dominates v everywhere; TypeError on a float.
+
+    x is scaled to integers over q, the lcm of its denominators, and v's
+    values over its own denominator den; the coalition totals of x
+    (game._totals), times den, are compared with the values times q: one
+    addition per element, no Fraction per element.
+    """
+    from fractions import Fraction
+
     x = tuple(map(Fraction, _exact(tuple(x), "payoffs")))
-    if len(x) != v.lattice.poset.n:
-        raise ValueError(f"vector must have {v.lattice.poset.n} entries, got {len(x)}")
-    if _total(x, v.lattice.top) != v.value(v.lattice.top):
-        return False
-    return all(_total(x, a) >= v.value(a) for a in v.lattice.elements)
+    lat = v.lattice
+    if len(x) != lat.poset.n:
+        raise ValueError(f"vector must have {lat.poset.n} entries, got {len(x)}")
+    val, den = _scaled_values(v)
+    q = lcm(*(t.denominator for t in x))
+    tot = _totals(_split(lat), [t.numerator * (q // t.denominator) * den for t in x])
+    return tot[-1] == val[-1] * q and all(map(ge, tot, map(q.__mul__, val)))
 
 
 def core_vertices(v, max_chains=DEFAULT_MAX_CHAINS):
@@ -174,6 +186,8 @@ def core_vertices(v, max_chains=DEFAULT_MAX_CHAINS):
             "core vertices coincide with the marginal vectors only for"
             " supermodular games"
         )
+    from fractions import Fraction
+
     val, den = _scaled_values(v)
     top = sorted(_vertex_walk(v.lattice, _covering_steps(v.lattice), val, max_chains))
     frac = {t: Fraction(t, den) for t in {t for x in top for t in x}}
@@ -188,6 +202,8 @@ def lower_envelope(v, mask):
     b, of that least total at a plus v(b) - v(a) when the added player
     lies in A.  O(L*n) and exact for any game, supermodular or not.
     """
+    from fractions import Fraction
+
     lat = v.lattice
     lat.position(mask)
     val, den = _scaled_values(v)
@@ -209,6 +225,8 @@ def game_from_configuration(lattice, config):
     ("shared-element") or when the coordinate added at a principal down-set
     is nonzero ("zero-coordinate"); TypeError for a float entry.
     """
+    from fractions import Fraction
+
     chains = lattice.maximal_chains()
     if set(config) != {c.perm for c in chains}:
         raise ValueError(
@@ -254,6 +272,8 @@ def unboundedness_witness(lattice):
     For any strict relation i below j, the vector e_i - e_j sums to zero on
     the full set and is nonnegative on every down-set.
     """
+    from fractions import Fraction
+
     p = lattice.poset
     for i in range(1, p.n + 1):
         for j in range(1, p.n + 1):

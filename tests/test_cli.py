@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from importlib import resources
 
@@ -920,7 +921,10 @@ def test_parse_value_reads_values_as_fraction_does(monkeypatch):
             read.append(args[0])
         return Fraction(*args)
 
-    monkeypatch.setattr(cli, "Fraction", spy)
+    # parse_value imports Fraction when it calls it, so a stand-in module
+    # hands it the spy; patching fractions.Fraction itself would break the
+    # class, whose __new__ calls super(Fraction, cls) by its module global
+    monkeypatch.setitem(sys.modules, "fractions", types.SimpleNamespace(Fraction=spy))
     fast = {"3/2", "-3/2", "-0", "007/014", "5", "-5"}
     for val in values:
         if isinstance(val, str):
@@ -1511,13 +1515,53 @@ def test_the_parser_is_built_once_on_first_use():
 def test_importing_the_cli_loads_no_module_only_reproduce_paper_needs():
     # -I ignores PYTHONPATH and -S skips site, which would preload
     # importlib.resources; the child imports nothing but the package
-    heavy = ("dataclasses", "inspect", "hashlib", "_hashlib", "importlib.resources")
+    heavy = ("dataclasses", "inspect", "hashlib", "_hashlib", "importlib.resources") + LAZY
     code = (
         f"import sys; sys.path.insert(0, {SRC!r}); import supermod.cli, supermod; "
         f"print([m for m in {heavy!r} if m in sys.modules])"
     )
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# the modules only a Fraction needs (fractions loads decimal and numbers),
+# and typing, which no module of the package imports
+LAZY = ("fractions", "decimal", "numbers", "typing")
+
+
+def _fresh_cli_runs(capsys, commands):
+    """The modules of LAZY loaded after one fresh -I -S interpreter has run
+    each argv of commands through cli.main, once its output and exit codes
+    are checked against the same runs in this process."""
+    expected = [run(capsys, *argv) for argv in commands]
+    code = (
+        f"import json, sys; sys.path.insert(0, {SRC!r}); from supermod import cli; "
+        f"codes = [cli.main(argv) for argv in {commands!r}]; "
+        f"print(json.dumps([codes, [m for m in {LAZY!r} if m in sys.modules]]), file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stderr)
+    assert proc.stdout == "".join(out for _, out, _ in expected)
+    assert codes == [c for c, _, _ in expected]
+    return loaded
+
+
+def test_integer_commands_load_no_fraction_module_in_a_fresh_interpreter(capsys, ws):
+    # these commands answer in integers over one denominator and build no
+    # Fraction, so a fresh process running them all loads none of LAZY;
+    # the two that print Fractions import fractions on demand and print as
+    # in this process
+    integer = [
+        ["game", "check", "--class", "supermodular", ws["v1.json"]],
+        ["game", "normalize", ws["shifted.json"]],
+        ["cone", "rays", ws["hier4.json"]],
+        ["cone", "is-extreme", ws["v1.json"]],
+        ["cone", "face-compare", ws["v1.json"], ws["v2.json"]],
+    ]
+    assert _fresh_cli_runs(capsys, integer) == []
+    fraction = [["core", "vertices", ws["shifted.json"]], ["reproduce-paper"]]
+    assert "fractions" in _fresh_cli_runs(capsys, fraction)
 
 
 def test_reproduce_paper_runs_in_a_fresh_interpreter(tmp_path):

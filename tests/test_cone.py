@@ -1,3 +1,4 @@
+import inspect
 import random
 import sys
 from fractions import Fraction
@@ -502,6 +503,26 @@ def test_facet_triple_is_an_immutable_value(flat3):
     with pytest.raises(ValueError) as err:
         facet_witness(flat3, sm.FacetTriple(0, 1, 1))
     assert str(err.value) == "FacetTriple(base=0, i=1, j=1) is not a covering square of the lattice"
+
+
+def test_facet_triple_keeps_its_named_tuple_interface():
+    t = sm.FacetTriple(1, 2, 3)
+    assert sm.FacetTriple._fields == ("base", "i", "j")
+    assert t == (1, 2, 3) and (1, 2, 3) == t and t != (1, 2) and hash(t) == hash((1, 2, 3))
+    assert (1, 2, 2) < t < (1, 2, 4) and t > (1, 2) and max(t, (0, 9, 9)) is t
+    moved = t._replace(i=4)
+    assert type(moved) is sm.FacetTriple and repr(moved) == "FacetTriple(base=1, i=4, j=3)"
+    assert moved.masks() == (13, 1, 9, 5) and moved.render() == "v(134) + v(1) >= v(14) + v(13)"
+    assert sm.FacetTriple._make([1, 2, 3]) == t and t._asdict() == {"base": 1, "i": 2, "j": 3}
+    assert not hasattr(t, "__dict__")
+    assert sm.FacetTriple.__doc__.startswith("A down-set with two addable players")
+
+
+def test_facet_witness_scale_defaults_to_one(hier4, flat4):
+    assert inspect.signature(facet_witness).parameters["eps"].default == 1
+    for lat in (hier4, flat4):
+        for t in sm.facet_triples(lat):
+            assert facet_witness(lat, t) == facet_witness(lat, t, Fraction(1))
 
 
 def test_ray_enumeration_matches_the_generator_tables(hier4, hier4_rays):

@@ -233,6 +233,24 @@ def test_chain_structure(hier4):
         assert sorted(c.perm) == [1, 2, 3, 4]
 
 
+def test_maximal_chain_keeps_its_named_tuple_interface(hier4):
+    chains = hier4.maximal_chains()
+    c = chains[0]
+    sets, perm = c
+    assert type(c) is sm.MaximalChain and sm.MaximalChain._fields == ("sets", "perm")
+    assert c == (sets, perm) == tuple(c) and (sets, perm) == c and len(c) == 2
+    assert sorted(chains, reverse=True) == sorted(map(tuple, chains), reverse=True)
+    assert c < (sets, perm + (0,)) and c > (sets[:-1],)
+    assert repr(c) == f"MaximalChain(sets={sets!r}, perm={perm!r})"
+    moved = c._replace(perm=perm[::-1])
+    assert type(moved) is sm.MaximalChain and moved == (sets, perm[::-1])
+    assert sm.MaximalChain._make([sets, perm]) == c and c._asdict() == {"sets": sets, "perm": perm}
+    assert not hasattr(c, "__dict__")
+    with pytest.raises(AttributeError):
+        c.perm = ()
+    assert sm.MaximalChain.__doc__.startswith("A maximal chain of down-sets")
+
+
 def test_chain_from_perm(hier4, flat3):
     chains = hier4.maximal_chains()
     for c in chains:

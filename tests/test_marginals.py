@@ -187,6 +187,31 @@ def test_core_contains(hier4, v1):
             sm.core_contains(v1, x)
 
 
+def test_core_contains_is_efficiency_and_domination_coalition_by_coalition():
+    # the definition, one payoff and one value per element, against the
+    # integer totals pass, on core vertices, their midpoints and vectors
+    # moved off them, in and out of the core
+    rng = random.Random(6113)
+    seen = set()
+    for _ in range(30):
+        lat = sm.build_lattice(random_poset(rng, rng.randint(1, 5)))
+        v = random_unanimity_sum(rng, lat)
+        verts = sm.core_vertices(v)
+        for _ in range(8):
+            x, y = rng.choice(verts), rng.choice(verts)
+            x = [(s + t) / 2 for s, t in zip(x, y)]
+            i, j = rng.randrange(len(x)), rng.randrange(len(x))
+            shift = random_fraction(rng)
+            x[i] += shift
+            x[j] -= shift * rng.choice((0, 1, 1))
+            want = sm.payoff(x, lat.top) == v.value(lat.top) and all(
+                sm.payoff(x, a) >= v.value(a) for a in lat.elements
+            )
+            assert sm.core_contains(v, x) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
 def _float_configuration(lat, v):
     return {p: tuple(map(float, x)) for p, x in sm.point_configuration(v).items()}
 
